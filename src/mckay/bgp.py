@@ -37,9 +37,6 @@ class QuiverRep:
                     f"matrix for arrow {arrow} has shape {(rows, cols)}, "
                     f"expected {(self.dims[arrow.tgt], self.dims[arrow.src])}")
 
-    def dim_vector(self) -> tuple[int, ...]:
-        return self.dims
-
     def to_json(self) -> dict:
         return {
             "dims": list(self.dims),
@@ -53,13 +50,27 @@ class QuiverRep:
 
     @staticmethod
     def from_json(data: dict) -> QuiverRep:
-        dims = tuple(data["dims"])
-        entries = sorted(data["arrows"], key=lambda item: item["index"])
-        arrows = tuple(Arrow(item["from"], item["to"], item["index"])
-                       for item in entries)
-        maps = tuple(_freeze([[Fraction(x) for x in row] for row in item["matrix"]],
-                             dims[item["to"]], dims[item["from"]])
-                     for item in entries)
+        """Parse the `to_json` shape; malformed data raises PreconditionError."""
+        try:
+            dims = tuple(data["dims"])
+            if not all(isinstance(d, int) and d >= 0 for d in dims):
+                raise PreconditionError(f"dims must be nonnegative integers, got {list(dims)}")
+            entries = sorted(data["arrows"], key=lambda item: item["index"])
+            for item in entries:
+                if not all(isinstance(item[end], int) and 0 <= item[end] < len(dims)
+                           for end in ("from", "to")):
+                    raise PreconditionError(
+                        f"arrow {item['index']} has an endpoint outside the "
+                        f"{len(dims)} vertices")
+            arrows = tuple(Arrow(item["from"], item["to"], item["index"])
+                           for item in entries)
+            maps = tuple(_freeze([[Fraction(x) for x in row] for row in item["matrix"]],
+                                 dims[item["to"]], dims[item["from"]])
+                         for item in entries)
+        except KeyError as exc:
+            raise PreconditionError(f"representation is missing the key {exc}") from None
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise PreconditionError(f"malformed representation: {exc}") from None
         quiver = OrientedQuiver(len(dims), arrows)
         return QuiverRep(quiver, dims, maps)
 
@@ -149,21 +160,17 @@ def reflect_minus(rep: QuiverRep, vertex: int) -> QuiverRep:
     stacked = []
     for (idx, a) in arrows:
         stacked.extend([list(row) for row in rep.maps[idx]])
-    # Row space of the transpose = image; reduce unit vectors to coordinates
-    # on the complement of the pivot set.
+    # Row space of the transpose = image.  Reducing the unit vector e_t
+    # against the reduced echelon rows leaves e_t when column t is free and
+    # e_t - (row with pivot t) otherwise, so proj[t], the cokernel
+    # coordinates of e_t on the free columns, needs no further elimination.
     transposed = linalg.transpose(stacked)
     image_rows, pivots = linalg.rref(transposed) if transposed else ([], [])
-    image_rows = image_rows[:len(pivots)]
-    free = [c for c in range(total) if c not in pivots]
-    proj = []
-    for t in range(total):
-        v = [Fraction(1 if c == t else 0) for c in range(total)]
-        for row, p in zip(image_rows, pivots):
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        proj.append([v[c] for c in free])
-    # proj[t] holds the cokernel coordinates of the t-th unit vector.
+    row_of = dict(zip(pivots, image_rows))
+    free = [c for c in range(total) if c not in row_of]
+    proj = [[-row_of[t][c] for c in free] if t in row_of
+            else [Fraction(1 if c == t else 0) for c in free]
+            for t in range(total)]
     new_dim = len(free)
     new_quiver = quiver.reverse_at(vertex)
     new_dims = list(rep.dims)

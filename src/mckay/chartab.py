@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
 
+from . import linalg
 from .errors import ConsistencyError
 from .exactnum import CycloNum, cyclo_sort_key
 from .groups import MatrixGroup
@@ -48,58 +49,6 @@ def class_constants(group: MatrixGroup) -> list[list[list[int]]]:
                 j = data.class_of[group.mul(xi, z)]
                 table[i][j][kk] += 1
     return table
-
-
-# ---------------------------------------------------------------------------
-# Small linear algebra mod p
-# ---------------------------------------------------------------------------
-
-def _rref_mod(mat, p):
-    a = [row[:] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] % p), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] % p:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def _null_mod(mat, p):
-    red, pivots = _rref_mod(mat, p)
-    cols = len(mat[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * cols
-        v[f] = 1
-        for r, piv in enumerate(pivots):
-            v[piv] = (-red[r][f]) % p
-        basis.append(v)
-    return basis
-
-
-def _solve_mod(mat, rhs, p):
-    aug = [row[:] + [b % p] for row, b in zip(mat, rhs)]
-    red, pivots = _rref_mod(aug, p)
-    cols = len(mat[0])
-    if cols in pivots:
-        return None
-    x = [0] * cols
-    for r, piv in enumerate(pivots):
-        x[piv] = red[r][cols]
-    return x
 
 
 def _is_prime(n: int) -> bool:
@@ -315,7 +264,7 @@ def _split_once(m, basis, p):
     r_cols = []
     for v in basis:
         mv = [sum(m[r][c] * v[c] for c in range(k)) % p for r in range(k)]
-        col = _solve_mod(b_cols, mv, p)
+        col = linalg.solve(b_cols, mv, p)
         if col is None:
             raise ConsistencyError("class matrix does not stabilize a subspace")
         r_cols.append(col)
@@ -324,7 +273,7 @@ def _split_once(m, basis, p):
     for lam in range(p):
         shifted = [[(rmat[i][j] - (lam if i == j else 0)) % p for j in range(dim)]
                    for i in range(dim)]
-        null = _null_mod(shifted, p)
+        null = linalg.nullspace(shifted, p)
         if null:
             pieces.append([
                 [sum(basis[j][r] * v[j] for j in range(dim)) % p for r in range(k)]
@@ -437,8 +386,8 @@ def verify_table(table: CharacterTable, group: MatrixGroup) -> None:
 CACHE_ENV = "MCKAY_CACHE_DIR"
 
 
-def _cache_path(cache_dir: str, descriptor: str, version: str) -> str:
-    digest = sha256(f"{descriptor}:{version}".encode()).hexdigest()[:24]
+def _cache_path(cache_dir: str, descriptor: str, seed: int, version: str) -> str:
+    digest = sha256(f"{descriptor}:{seed}:{version}".encode()).hexdigest()[:24]
     return os.path.join(cache_dir, f"chartab-{digest}.json")
 
 
@@ -447,7 +396,7 @@ def character_table(group: MatrixGroup, seed: int = DEFAULT_SEED,
                     cache_dir: str | None = None) -> CharacterTable:
     """Character table with optional on-disk JSON caching.
 
-    Cache entries are keyed by descriptor and package version; writes are
+    Cache entries are keyed by descriptor, seed and package version; writes are
     atomic (write to a temp file, then rename).  A prime override bypasses
     the cache.
     """
@@ -457,7 +406,7 @@ def character_table(group: MatrixGroup, seed: int = DEFAULT_SEED,
         cache_dir = os.environ.get(CACHE_ENV)
     use_cache = cache_dir is not None and prime is None
     if use_cache:
-        path = _cache_path(cache_dir, group.descriptor.label, __version__)
+        path = _cache_path(cache_dir, group.descriptor.label, seed, __version__)
         if os.path.exists(path):
             try:
                 with open(path, "r", encoding="utf-8") as fh:

@@ -23,7 +23,8 @@ from .groups import build_group, group_summary, parse_descriptor
 from .heights import (HeightFunction, enumerate_heights, ext_vanishing_check,
                       kirillov_check, path_count)
 from .mckaygraph import mckay_graph
-from .molien import HomDims, graded_dim_Bh, koszul_check, molien_matrices
+from .ktheory import weyl_checks
+from .molien import HomDims, koszul_check, molien_matrices
 from .preproj import preprojective_presentation, truncated_hilbert
 
 MAX_DEGREE_LIMIT = 12
@@ -81,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("ext-check", "Ext vanishing between height projectives")
     p.add_argument("--height", default=None)
     p.add_argument("--all-heights", action="store_true")
-    p.add_argument("--d-max", type=int, default=5)
+    p.add_argument("--d-max", type=int, default=5,
+                   help=f"largest twist, at most {MAX_DEGREE_LIMIT}")
     p = add("reflect", "apply a reflection functor to a representation file",
             descriptor=False)
     p.add_argument("--rep", required=True, help="QuiverRep JSON file, or - for stdin")
@@ -130,17 +132,26 @@ def _check(name, ok, witness=None) -> dict:
 
 
 def run(args) -> tuple[dict, int]:
+    command = args.command
     if args.max_degree < 0 or args.max_degree > MAX_DEGREE_LIMIT:
         raise PreconditionError(f"--max-degree must be in 0..{MAX_DEGREE_LIMIT}")
     if args.window < 1 or args.window > WINDOW_LIMIT:
         raise PreconditionError(f"--window must be in 1..{WINDOW_LIMIT}")
+    if command == "ext-check" and not 0 <= args.d_max <= MAX_DEGREE_LIMIT:
+        raise PreconditionError(f"--d-max must be in 0..{MAX_DEGREE_LIMIT}")
     doc: dict = {"config": _config_doc(args)}
     checks: list[dict] = []
-    command = args.command
 
     if command == "reflect":
-        raw = sys.stdin.read() if args.rep == "-" else open(args.rep).read()
-        rep = QuiverRep.from_json(json.loads(raw))
+        try:
+            if args.rep == "-":
+                data = json.load(sys.stdin)
+            else:
+                with open(args.rep, encoding="utf-8") as fh:
+                    data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise PreconditionError(f"cannot read --rep {args.rep}: {exc}") from None
+        rep = QuiverRep.from_json(data)
         out = (reflect_plus if args.dir == "plus" else reflect_minus)(rep, args.vertex)
         doc["result"] = out.to_json()
         return doc, 0
@@ -208,46 +219,19 @@ def run(args) -> tuple[dict, int]:
         return doc, 0
 
     elif command == "hilbert-match":
-        pres = preprojective_presentation(graph)
-        dims = truncated_hilbert(pres, args.max_degree)
-        mismatch = []
-        for d in range(args.max_degree + 1):
-            for i in range(graph.size):
-                for j in range(graph.size):
-                    if dims.dim(i, j, d) != hd.hom_dim(i, j, d):
-                        mismatch.append({"entry": [i, j, d],
-                                         "hilbert": dims.dim(i, j, d),
-                                         "molien": hd.hom_dim(i, j, d)})
+        dims = truncated_hilbert(preprojective_presentation(graph), args.max_degree)
+        mismatch = verify.hilbert_mismatches(graph, hd, dims)
         checks.append(_check("hilbert", not mismatch, mismatch or None))
-        if getattr(args, "height", None):
+        if args.height:
             h = _parse_height(graph, args.height)
-            bad = []
-            for d in range(args.max_degree + 1):
-                for i in range(graph.size):
-                    for j in range(graph.size):
-                        if graded_dim_Bh(hd, h, i, j, d) != dims.dim(i, j, d):
-                            bad.append({"entry": [i, j, d]})
+            bad = verify.regraded_mismatches(hd, h, dims)
             checks.append(_check("hilbert/regraded", not bad, bad or None))
 
     elif command == "lattice-check":
-        from .ktheory import (cartan_form, simple_family, verify_dual_bases,
-                              verify_twist_vs_flip, weyl_checks)
         for h in _heights_for(args, graph):
-            family = simple_family(graph, hd, h)
-            cartan_ok = all(
-                cartan_form(hd, a, b) == graph.cartan[i][j]
-                for i, a in enumerate(family.classes)
-                for j, b in enumerate(family.classes))
-            dual_ok = verify_dual_bases(graph, hd, h)
-            quiver = h.quiver()
-            twist_ok = all(verify_twist_vs_flip(graph, hd, h, v)
-                           for v in list(quiver.sources()) + list(quiver.sinks()))
-            tag = ",".join(map(str, h.values))
-            checks.append(_check(f"lattice/{tag}",
-                                 cartan_ok and dual_ok and twist_ok,
-                                 None if (cartan_ok and dual_ok and twist_ok) else
-                                 {"cartan": cartan_ok, "dual": dual_ok,
-                                  "twist": twist_ok}))
+            failures = verify.lattice_failures(graph, hd, h)
+            checks.append(_check(f"lattice/{','.join(map(str, h.values))}",
+                                 not failures, failures or None))
         report = weyl_checks(graph, seed=args.seed)
         checks.append(_check("lattice/weyl", report["ok"], report))
 

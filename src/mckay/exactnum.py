@@ -438,10 +438,6 @@ class CycloNum:
             return None
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
-    def is_integer(self) -> bool:
-        q = self.as_rational()
-        return q is not None and q.denominator == 1
-
     def canonical(self) -> tuple[int, tuple[Fraction, ...]]:
         """(conductor, coefficients) at the smallest conductor containing the
         value, found by Galois-invariance descent through the divisors."""
@@ -594,10 +590,6 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def subs_neg(self) -> RatFunc:
-        """The rational function f(-t)."""
-        return RatFunc(self.num.compose_neg(), self.den.compose_neg())
 
     def series(self, degree: int) -> TruncSeries:
         return series_of_ratfunc(self, degree)

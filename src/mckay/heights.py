@@ -45,19 +45,10 @@ class OrientedQuiver:
     def arrows_from(self, v: int) -> list[Arrow]:
         return [a for a in self.arrows if a.src == v]
 
-    def arrows_into(self, v: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.tgt == v]
-
     def reverse_at(self, v: int) -> OrientedQuiver:
         flipped = tuple(Arrow(a.tgt, a.src, a.edge) if v in (a.src, a.tgt) else a
                         for a in self.arrows)
         return OrientedQuiver(self.size, flipped)
-
-    def arrow_counts(self) -> list[list[int]]:
-        counts = [[0] * self.size for _ in range(self.size)]
-        for a in self.arrows:
-            counts[a.src][a.tgt] += 1
-        return counts
 
 
 @dataclass(frozen=True)

@@ -266,29 +266,8 @@ def basis_change_unimodular(graph: McKayGraph, hd: HomDims,
         if sol is None or any(c.denominator != 1 for c in sol):
             return False
         change.append([int(c) for c in sol])
-    det = _int_det(change)
-    return det in (1, -1)
-
-
-def _int_det(mat) -> int:
-    m = [[Fraction(x) for x in row] for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    assert det.denominator == 1
-    return int(det)
+    inv = linalg.inverse(change)
+    return inv is not None and all(x.denominator == 1 for row in inv for x in row)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact linear algebra over Q and F_p.
 
-Matrices are lists of row lists of Fraction.  Everything here is
-deterministic: row echelon pivots are chosen left to right, kernel bases are
-parametrized by unit free variables in index order, so repeated runs give
-byte-identical output.
+Matrices are lists of row lists.  The field is the argument `p`: 0 means the
+rationals (entries become Fraction), a prime means F_p (entries are ints kept
+in 0..p-1).  Everything here is deterministic: row echelon pivots are chosen
+left to right, kernel bases are parametrized by unit free variables in index
+order, so repeated runs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,38 +13,19 @@ from fractions import Fraction
 from math import gcd
 
 
-def frac_matrix(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
 def transpose(mat):
     if not mat:
         return []
     return [list(col) for col in zip(*mat)]
 
 
-def matmul(a, b):
-    if not a or not b:
-        return [[] for _ in a]
-    cols = len(b[0])
-    inner = len(b)
-    out = []
-    for row in a:
-        out.append([sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)])
-    return out
-
-
-def mat_vec(a, v):
-    return [sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in a]
-
-
-def rref(mat) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form together with the pivot column list."""
-    a = [[Fraction(x) for x in row] for row in mat]
+def rref(mat, p: int = 0) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form together with the pivot column list, over Q
+    when p is 0 and over F_p when p is a prime."""
+    if p:
+        a = [[x % p for x in row] for row in mat]
+    else:
+        a = [[Fraction(x) for x in row] for row in mat]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = []
@@ -53,12 +35,20 @@ def rref(mat) -> tuple[list[list[Fraction]], list[int]]:
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        if p:
+            inv = pow(a[r][c], -1, p)
+            a[r] = [x * inv % p for x in a[r]]
+            for i in range(rows):
+                if i != r and a[i][c]:
+                    f = a[i][c]
+                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        else:
+            inv = 1 / a[r][c]
+            a[r] = [x * inv for x in a[r]]
+            for i in range(rows):
+                if i != r and a[i][c]:
+                    f = a[i][c]
+                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -70,42 +60,39 @@ def rank(mat) -> int:
     return len(rref(mat)[1])
 
 
-def nullspace(mat) -> list[list[Fraction]]:
+def nullspace(mat, p: int = 0) -> list[list]:
     """Basis of the right kernel, one vector per free column."""
-    if not mat or not mat[0]:
-        n = len(mat[0]) if mat else 0
-        return [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
-    red, pivots = rref(mat)
-    cols = len(mat[0])
-    free = [c for c in range(cols) if c not in pivots]
+    cols = len(mat[0]) if mat else 0
+    red, pivots = rref(mat, p)
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [zero] * cols
+        v[f] = one
+        for r, piv in enumerate(pivots):
+            v[piv] = -red[r][f] % p if p else -red[r][f]
         basis.append(v)
     return basis
 
 
-def solve(mat, rhs) -> list[Fraction] | None:
+def solve(mat, rhs, p: int = 0) -> list | None:
     """One exact solution of mat·x = rhs, or None when inconsistent."""
     if not mat:
         return []
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
-    red, pivots = rref(aug)
+    red, pivots = rref([list(row) + [b] for row, b in zip(mat, rhs)], p)
     cols = len(mat[0])
     if cols in pivots:
         return None
-    x = [Fraction(0)] * cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][cols]
+    x = [0 if p else Fraction(0)] * cols
+    for r, piv in enumerate(pivots):
+        x[piv] = red[r][cols]
     return x
 
 
 def inverse(mat) -> list[list[Fraction]] | None:
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + identity(n)[i] for i, row in enumerate(mat)]
+    aug = [list(row) + [1 if j == i else 0 for j in range(n)]
+           for i, row in enumerate(mat)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         return None

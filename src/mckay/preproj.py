@@ -71,9 +71,6 @@ class QuadraticPresentation:
             if len(blocks) != 1:
                 raise PreconditionError("relation is not homogeneous for one block")
 
-    def relation_dicts(self) -> list[Relation]:
-        return [dict(rel) for rel in self.relations]
-
     def block_of(self, rel) -> tuple[int, int]:
         (a1, a2), _ = rel[0]
         return (self.arrows[a1].src, self.arrows[a2].tgt)
@@ -89,10 +86,6 @@ class QuadraticPresentation:
                 if second.src == first.tgt and second.tgt == t:
                     out.append((a1, a2))
         return out
-
-    def blocks(self) -> list[tuple[int, int]]:
-        return sorted({(self.arrows[a1].src, self.arrows[a2].tgt)
-                       for rel in self.relations for (a1, a2), _ in rel})
 
     def relation_span(self) -> dict[tuple[int, int], list[list[Fraction]]]:
         """Canonical (reduced row echelon) basis of the relation space per

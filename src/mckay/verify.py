@@ -14,12 +14,13 @@ from . import bgp
 from .chartab import CharacterTable, dixon_character_table, dixon_prime, verify_table
 from .errors import ConsistencyError
 from .groups import MatrixGroup, build_group, parse_descriptor
-from .heights import enumerate_heights, ext_vanishing_check, kirillov_check
+from .heights import (HeightFunction, enumerate_heights, ext_vanishing_check,
+                      kirillov_check)
 from .ktheory import (basis_change_unimodular, cartan_form, simple_family,
                       verify_dual_bases, verify_twist_vs_flip, weyl_checks)
 from .mckaygraph import McKayGraph, canonical_label, mckay_graph
 from .molien import HomDims, graded_dim_Bh, koszul_check, molien_matrices
-from .preproj import (ext_algebra_presentation, preprojective_presentation,
+from .preproj import (GradedDims, ext_algebra_presentation, preprojective_presentation,
                       presentations_match, quadratic_dual, truncated_hilbert,
                       truncated_koszul_check)
 
@@ -38,12 +39,12 @@ HILBERT_GROUPS = ["cyclic:2", "cyclic:3", "cyclic:4", "bd:2"]  # + A2~
 _context_cache: dict[str, tuple[MatrixGroup, CharacterTable, McKayGraph, HomDims]] = {}
 
 
-def context(label: str, seed: int = 1):
+def context(label: str):
     """(group, table, graph, hom dims) for a descriptor, cached per process."""
     got = _context_cache.get(label)
     if got is None:
         group = build_group(parse_descriptor(label))
-        table = dixon_character_table(group, seed=seed)
+        table = dixon_character_table(group)
         graph = mckay_graph(group, table)
         got = (group, table, graph, HomDims(group, table))
         _context_cache[label] = got
@@ -155,42 +156,53 @@ def check_ext_vanishing(d_max: int = 5, window: int = 2) -> dict:
         ok, witness or None)
 
 
+def hilbert_mismatches(graph: McKayGraph, hd: HomDims, dims: GradedDims) -> list[dict]:
+    """Entries where the truncated preprojective dimensions differ from the
+    Molien Hom dimensions."""
+    nv = graph.size
+    rows = []
+    for d in range(dims.max_degree + 1):
+        for i in range(nv):
+            for j in range(nv):
+                if dims.dim(i, j, d) != hd.hom_dim(i, j, d):
+                    rows.append({"entry": [i, j, d], "hilbert": dims.dim(i, j, d),
+                                 "molien": hd.hom_dim(i, j, d)})
+    return rows
+
+
+def regraded_mismatches(hd: HomDims, h: HeightFunction, dims: GradedDims) -> list[dict]:
+    """Entries where the height regrading differs from the path grading."""
+    nv = len(h.values)
+    rows = []
+    for d in range(dims.max_degree + 1):
+        for i in range(nv):
+            for j in range(nv):
+                expected = dims.dim(i, j, d)
+                got = graded_dim_Bh(hd, h, i, j, d)
+                if got != expected:
+                    rows.append({"height": list(h.values), "entry": [i, j, d],
+                                 "regraded": got, "path_graded": expected})
+    return rows
+
+
 def check_hilbert_match(max_degree: int = 6, window: int = 2) -> dict:
     """Criterion 6: preprojective graded dimensions equal the Molien table,
     and the height regrading reproduces the same numbers."""
     witness = []
-    ok = True
     for label in HILBERT_GROUPS:
         _, _, graph, hd = context(label)
         dims = truncated_hilbert(preprojective_presentation(graph), max_degree)
-        nv = graph.size
-        for d in range(max_degree + 1):
-            for i in range(nv):
-                for j in range(nv):
-                    if dims.dim(i, j, d) != hd.hom_dim(i, j, d):
-                        ok = False
-                        witness.append({"group": label, "entry": [i, j, d],
-                                        "hilbert": dims.dim(i, j, d),
-                                        "molien": hd.hom_dim(i, j, d)})
+        rows = hilbert_mismatches(graph, hd, dims)
         if graph.parity is not None:
             for h in enumerate_heights(graph, window):
-                for d in range(max_degree + 1):
-                    for i in range(nv):
-                        for j in range(nv):
-                            expected = dims.dim(i, j, d)
-                            got = graded_dim_Bh(hd, h, i, j, d)
-                            if got != expected:
-                                ok = False
-                                witness.append({
-                                    "group": label, "height": list(h.values),
-                                    "entry": [i, j, d], "regraded": got,
-                                    "path_graded": expected})
+                rows += regraded_mismatches(hd, h, dims)
+        witness += [{"group": label, **row} for row in rows]
     return _record(
         "preprojective-molien-match",
         "truncated path-algebra dimensions of the preprojective quotient "
         "equal the invariant-theory dimensions through degree 6, in both the "
         "path grading and the height regrading",
-        ok, witness or None)
+        not witness, witness or None)
 
 
 def check_quadratic_duality() -> dict:
@@ -280,40 +292,40 @@ def check_bgp(reps_per_orientation: int = 100, seed: int = 13) -> dict:
         ok, witness or None)
 
 
+def lattice_failures(graph: McKayGraph, hd: HomDims, h: HeightFunction) -> list[dict]:
+    """Failures at one height of the Cartan form on simple classes, the dual
+    bases, and the twist-flip agreement at every source and sink."""
+    rows = []
+    family = simple_family(graph, hd, h)
+    for i, a in enumerate(family.classes):
+        for j, b in enumerate(family.classes):
+            if cartan_form(hd, a, b) != graph.cartan[i][j]:
+                rows.append({"height": list(h.values), "entry": [i, j],
+                             "error": "cartan form mismatch"})
+    if not verify_dual_bases(graph, hd, h):
+        rows.append({"height": list(h.values), "error": "dual bases fail"})
+    quiver = h.quiver()
+    for vertex in list(quiver.sources()) + list(quiver.sinks()):
+        if not verify_twist_vs_flip(graph, hd, h, vertex):
+            rows.append({"height": list(h.values), "vertex": vertex,
+                         "error": "twist does not match flip"})
+    return rows
+
+
 def check_lattice(window: int = 2) -> dict:
     """Criterion 9: Cartan form on simple classes, dual bases, twist-flip
     agreement, and the Weyl relations."""
     witness = []
-    ok = True
     for label in QUIVER_GROUPS:
         _, _, graph, hd = context(label)
         heights = enumerate_heights(graph, window)
         for h in heights:
-            family = simple_family(graph, hd, h)
-            for i, a in enumerate(family.classes):
-                for j, b in enumerate(family.classes):
-                    if cartan_form(hd, a, b) != graph.cartan[i][j]:
-                        ok = False
-                        witness.append({"group": label, "height": list(h.values),
-                                        "entry": [i, j],
-                                        "error": "cartan form mismatch"})
-            if not verify_dual_bases(graph, hd, h):
-                ok = False
-                witness.append({"group": label, "height": list(h.values),
-                                "error": "dual bases fail"})
-            quiver = h.quiver()
-            for vertex in list(quiver.sources()) + list(quiver.sinks()):
-                if not verify_twist_vs_flip(graph, hd, h, vertex):
-                    ok = False
-                    witness.append({"group": label, "height": list(h.values),
-                                    "vertex": vertex,
-                                    "error": "twist does not match flip"})
+            witness += [{"group": label, **row}
+                        for row in lattice_failures(graph, hd, h)]
         if not basis_change_unimodular(graph, hd, heights[0], heights[-1]):
-            ok = False
             witness.append({"group": label, "error": "basis change not unimodular"})
         report = weyl_checks(graph)
         if not report["ok"]:
-            ok = False
             witness.append({"group": label, "weyl": report})
     return _record(
         "twist-lattice-suite",
@@ -321,7 +333,7 @@ def check_lattice(window: int = 2) -> dict:
         "matrix, projectives and simples are dual bases at every height, "
         "twist reflections reproduce height flips, and the simple "
         "reflections satisfy the affine Weyl relations",
-        ok, witness or None)
+        not witness, witness or None)
 
 
 ALL_CHECKS = [

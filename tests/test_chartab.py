@@ -148,6 +148,23 @@ def test_cache_ignores_corrupt_file(tmp_path):
     assert again.values == t.values
 
 
+def test_cache_keeps_one_entry_per_seed(tmp_path, monkeypatch):
+    from mckay import chartab
+
+    g = group("bd:2")
+    tables = {seed: character_table(g, seed=seed, cache_dir=str(tmp_path))
+              for seed in (1, 2)}
+    assert len(list(tmp_path.iterdir())) == 2
+
+    def no_recompute(*args, **kwargs):
+        raise AssertionError("cache entry was not reused")
+
+    monkeypatch.setattr(chartab, "dixon_character_table", no_recompute)
+    for seed, t in tables.items():
+        again = character_table(g, seed=seed, cache_dir=str(tmp_path))
+        assert again.seed == seed and again.values == t.values
+
+
 def test_value_json_wire_shape():
     t = table("cyclic:4")
     blob = t.values[1][1].to_json()

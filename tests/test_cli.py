@@ -137,3 +137,82 @@ def test_all_command_runs_the_battery(capsys):
     assert len(doc["checks"]) == 9
     assert "ade-classification" in names and "twist-lattice-suite" in names
     assert all(c["pass"] for c in doc["checks"])
+
+
+REP = {
+    "dims": [2, 1],
+    "arrows": [
+        {"from": 1, "to": 0, "index": 0, "matrix": [["1/1"], ["0/1"]]},
+    ],
+}
+
+
+def _reflect_error(capsys, path):
+    code, out, err = run(capsys, "reflect", "--rep", str(path),
+                         "--vertex", "0", "--dir", "plus")
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "precondition"
+
+
+def test_reflect_missing_rep_file(tmp_path, capsys):
+    _reflect_error(capsys, tmp_path / "absent.json")
+
+
+def test_reflect_invalid_json(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text("{not json")
+    _reflect_error(capsys, path)
+
+
+def test_reflect_arrow_endpoint_outside_dims(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(dict(REP, arrows=[dict(REP["arrows"][0], to=2)])))
+    _reflect_error(capsys, path)
+
+
+def test_reflect_missing_key(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"dims": [2, 1]}))
+    _reflect_error(capsys, path)
+
+
+def test_ext_check_d_max_guard(capsys):
+    for value in ("-1", "13"):
+        code, _, err = run(capsys, "ext-check", "cyclic:2", "--d-max", value)
+        assert code == 2
+        assert json.loads(err)["kind"] == "precondition"
+
+
+def _witness_rows(checks):
+    return [row for c in checks for row in c["witness"] or []]
+
+
+def _battery_rows(record, group, **match):
+    return [{k: v for k, v in row.items() if k != "group"}
+            for row in record["witness"]
+            if row["group"] == group and all(row[k] == v for k, v in match.items())]
+
+
+def test_lattice_check_shares_the_battery_path(monkeypatch, capsys):
+    from mckay import verify
+
+    monkeypatch.setattr(verify, "verify_dual_bases", lambda *args: False)
+    code, out, _ = run(capsys, "lattice-check", "cyclic:2", "--all-heights")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks[-1]["name"] == "lattice/weyl" and checks[-1]["pass"]
+    rows = _witness_rows(checks[:-1])
+    assert rows and rows == _battery_rows(verify.check_lattice(), "cyclic:2")
+
+
+def test_hilbert_match_shares_the_battery_path(monkeypatch, capsys):
+    from mckay import verify
+
+    monkeypatch.setattr(verify, "graded_dim_Bh", lambda *args: -1)
+    code, out, _ = run(capsys, "hilbert-match", "cyclic:2", "--height", "0,1")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == ["hilbert", "hilbert/regraded"]
+    rows = _witness_rows(checks)
+    expected = _battery_rows(verify.check_hilbert_match(), "cyclic:2", height=[0, 1])
+    assert rows and rows == expected
