@@ -54,12 +54,12 @@ class QuiverRep:
         try:
             dims = tuple(data["dims"])
             if not all(isinstance(d, int) and d >= 0 for d in dims):
-                raise PreconditionError(f"dims must be nonnegative integers, got {list(dims)}")
+                raise ValueError(f"dims must be nonnegative integers, got {list(dims)}")
             entries = sorted(data["arrows"], key=lambda item: item["index"])
             for item in entries:
                 if not all(isinstance(item[end], int) and 0 <= item[end] < len(dims)
                            for end in ("from", "to")):
-                    raise PreconditionError(
+                    raise ValueError(
                         f"arrow {item['index']} has an endpoint outside the "
                         f"{len(dims)} vertices")
             arrows = tuple(Arrow(item["from"], item["to"], item["index"])

@@ -170,6 +170,12 @@ def test_reflect_arrow_endpoint_outside_dims(tmp_path, capsys):
     _reflect_error(capsys, path)
 
 
+def test_reflect_non_integer_dims(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(dict(REP, dims=[2.0, 1])))
+    _reflect_error(capsys, path)
+
+
 def test_reflect_missing_key(tmp_path, capsys):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps({"dims": [2, 1]}))
