@@ -3,15 +3,17 @@ functions, truncated series."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mckay.errors import PreconditionError, ResourceLimitError
 from mckay.exactnum import (CycloNum, Poly, RatFunc, TruncSeries,
-                            cyclotomic_polynomial, euler_phi, poly_gcd,
-                            series_of_ratfunc)
+                            cyclo_sort_key, cyclotomic_polynomial, euler_phi,
+                            poly_gcd, series_of_ratfunc)
 
 
 def frac_poly(*values) -> Poly:
@@ -179,3 +181,54 @@ def test_poly_division_invariants():
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
+
+
+# ---------------------------------------------------------------------------
+# Golden record of CycloNum arithmetic
+# ---------------------------------------------------------------------------
+
+_GOLDEN_CYCLO = Path(__file__).parent / "golden" / "cyclonum.json"
+_GOLDEN_CONDUCTORS = (1, 3, 4, 5, 8, 12, 20, 24, 60)
+
+
+def _golden_operand(rng: random.Random) -> CycloNum:
+    n = rng.choice(_GOLDEN_CONDUCTORS)
+    coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.6 else 0
+              for _ in range(euler_phi(n))]
+    if not any(coeffs):
+        coeffs[0] = Fraction(1, 2)
+    return CycloNum(n, coeffs)
+
+
+def _record(value: CycloNum) -> dict:
+    return {"json": value.to_json(), "repr": repr(value),
+            "key": [str(x) for x in cyclo_sort_key(value)]}
+
+
+def _golden_cyclo_records() -> list[dict]:
+    """Results of every ring operation on 200 seeded pairs over conductors
+    up to 60, with non-integral coefficients and mixed conductors."""
+    from math import gcd
+
+    rng = random.Random(20240)
+    records = []
+    for _ in range(200):
+        a, b = _golden_operand(rng), _golden_operand(rng)
+        n = a.conductor
+        u = rng.choice([k for k in range(1, n + 1) if gcd(k, n) == 1])
+        results = {"a": a, "b": b, "a+b": a + b, "a-b": a - b, "a*b": a * b,
+                   "a/b": a / b, f"a.galois({u})": a.galois(u), "a.conj()": a.conj()}
+        entry = {op: _record(v) for op, v in results.items()}
+        cn, cc = a.canonical()
+        entry["a.canonical()"] = [cn, [str(c) for c in cc]]
+        records.append(entry)
+    return records
+
+
+def test_cyclonum_arithmetic_matches_golden_record():
+    assert _golden_cyclo_records() == json.loads(_GOLDEN_CYCLO.read_text())
+
+
+if __name__ == "__main__":
+    lines = [json.dumps(r, sort_keys=True) for r in _golden_cyclo_records()]
+    _GOLDEN_CYCLO.write_text("[\n" + ",\n".join(lines) + "\n]\n")

@@ -39,6 +39,10 @@ def _cases() -> dict[str, list[str]]:
     for d in ("cyclic:2", "bd:2"):
         for c in ("paths", "hilbert-match", "lattice-check", "ext-check"):
             cases[f"{c}-{d}-height"] = [c, d, "--height", SAMPLE_HEIGHTS[d]]
+    # Conductor 8 with half-integer generators (2O) and conductor 20 (2I).
+    for d in ("2O", "2I"):
+        for c in ("group", "chartab", "graph"):
+            cases[f"{c}-{d}"] = [c, d]
     cases["lattice-check-cyclic:2-table"] = ["lattice-check", "cyclic:2",
                                              "--output", "table"]
     cases["reflect-plus"] = ["reflect", "--rep", REP, "--vertex", "0", "--dir", "plus"]

@@ -8,7 +8,8 @@ from math import gcd
 import pytest
 
 from mckay.errors import PreconditionError
-from mckay.groups import build_group, parse_descriptor
+from mckay.groups import Mat2, build_group, parse_descriptor
+from mckay.verify import ADE_EXPECTATIONS
 
 ALL_LABELS = (["cyclic:%d" % n for n in range(1, 9)]
               + ["bd:%d" % n for n in range(1, 5)]
@@ -123,3 +124,26 @@ def test_binary_icosahedral_class_data():
     assert data.count == 9
     assert sorted(g.element_order(r) for r in data.reps) == [1, 2, 3, 4, 5, 5, 6, 10, 10]
     assert g.exponent() == 60
+
+
+@pytest.mark.parametrize("label", [label for label, _ in ADE_EXPECTATIONS])
+def test_products_inverses_and_minus_identity_match_matrices(label):
+    """Pin mul, inverse and minus_identity to direct Mat2 arithmetic."""
+    g = group(label)
+    els = g.elements
+    if g.order <= 48:
+        pairs = [(i, j) for i in range(g.order) for j in range(g.order)]
+    else:
+        rng = random.Random(0)
+        pairs = [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(600)]
+    for i, j in pairs:
+        assert els[g.mul(i, j)] == els[i] * els[j]
+    for i, m in enumerate(els):
+        assert els[g.inverse[i]] == Mat2(m.d, -m.b, -m.c, m.a)
+    minus = -els[0]
+    if minus in els:
+        assert els[g.minus_identity] == minus
+    else:
+        assert g.minus_identity is None
+    assert g.contains_minus_identity() == (g.descriptor.family != "cyclic"
+                                           or g.descriptor.n % 2 == 0)
