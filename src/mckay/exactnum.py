@@ -3,10 +3,12 @@ truncated power series, and cyclotomic field elements.
 
 Rationals are stdlib ``fractions.Fraction``.  A cyclotomic number is a vector
 in the power basis 1, z, ..., z^(phi(N)-1) of Q(z_N), reduced modulo the N-th
-cyclotomic polynomial, so structural equality of reduced vectors is field
-equality.  Operations on numbers with different conductors lift both operands
-to the lcm conductor first; the lcm is capped (see MAX_CONDUCTOR) because the
-groups served by this package never need more.
+cyclotomic polynomial, and stored as integer numerators over one common
+denominator in lowest terms, so ring operations run on ints and structural
+equality of the stored form is field equality.  Operations on numbers with
+different conductors lift both operands to the lcm conductor first; the lcm
+is capped (see MAX_CONDUCTOR) because the groups served by this package
+never need more.
 
 Polynomials are dense coefficient tuples and are deliberately generic: the
 same class is used with Fraction coefficients (rational functions, Hilbert
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import PreconditionError, ResourceLimitError
 from . import linalg
@@ -239,79 +241,122 @@ def cyclotomic_polynomial(n: int) -> Poly:
 # Cyclotomic numbers
 # ---------------------------------------------------------------------------
 
-def _phi_reduce(vec: list[Fraction], n: int) -> list[Fraction]:
-    """Reduce a coefficient vector in z_n modulo the n-th cyclotomic polynomial
-    and pad to length phi(n)."""
-    phi = cyclotomic_polynomial(n)
-    deg = phi.degree
-    v = list(vec)
-    for k in range(len(v) - 1, deg - 1, -1):
-        c = v[k]
+@functools.lru_cache(maxsize=None)
+def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Degree of the n-th cyclotomic polynomial and its nonzero (j, c_j)
+    below the leading term; it is monic with integer coefficients."""
+    coeffs = cyclotomic_polynomial(n).coeffs
+    return len(coeffs) - 1, tuple((j, int(c)) for j, c in enumerate(coeffs[:-1]) if c)
+
+
+def _phi_reduce(vec: list[int], n: int) -> tuple[int, ...]:
+    """Reduce an integer coefficient vector in z_n modulo the n-th cyclotomic
+    polynomial and pad to length phi(n).  Works in place on `vec`."""
+    deg, terms = _phi_terms(n)
+    for k in range(len(vec) - 1, deg - 1, -1):
+        c = vec[k]
         if c:
-            v[k] = Fraction(0)
-            for j in range(deg):
-                v[k - deg + j] -= c * phi.coeffs[j]
-    v = v[:deg]
-    v.extend([Fraction(0)] * (deg - len(v)))
-    return v
+            base = k - deg
+            for j, p in terms:
+                vec[base + j] -= c * p
+    if len(vec) < deg:
+        vec.extend([0] * (deg - len(vec)))
+    return tuple(vec[:deg])
+
+
+def _check_conductor(n: int) -> None:
+    if n < 1:
+        raise PreconditionError("conductor must be positive")
+    if n > MAX_CONDUCTOR:
+        raise ResourceLimitError(f"conductor {n} exceeds supported bound {MAX_CONDUCTOR}")
+
+
+_set = object.__setattr__
+
+
+def _store(value: CycloNum, n: int, num, den: int) -> CycloNum:
+    """Fill `value` with num/den at conductor n, from an integer vector
+    already reduced modulo the n-th cyclotomic polynomial, in lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    _set(value, "conductor", n)
+    _set(value, "num", tuple(num))
+    _set(value, "den", den)
+    _set(value, "_canon", None)
+    return value
+
+
+def _make(n: int, num, den: int) -> CycloNum:
+    """Trusted constructor for ring results; builds no Fraction."""
+    return _store(object.__new__(CycloNum), n, num, den)
 
 
 class CycloNum:
     """Element of Q(z_N) in the power basis modulo the N-th cyclotomic
     polynomial.
 
-    Values are immutable.  Equality and hashing go through a canonical form at
-    the smallest possible conductor, so numerically equal values stored at
-    different conductors compare and hash alike.
+    A value is stored as `num`, a tuple of phi(N) integers, over `den`, a
+    positive integer, in lowest terms: gcd(den, *num) == 1.  Lowest terms is
+    unique, and lifting to a multiple conductor keeps it because
+    Z[z_M] meets Q(z_N) in Z[z_N]; so comparing (den, num) at a common
+    conductor is field equality, and ring operations run on integers.
+    `coeffs` is the same vector as Fractions.  Values are immutable; hashing
+    goes through a canonical form at the smallest possible conductor, so
+    equal values stored at different conductors hash alike.
     """
 
-    __slots__ = ("conductor", "coeffs", "_canon")
+    __slots__ = ("conductor", "num", "den", "_canon")
 
     def __init__(self, conductor: int, coeffs):
-        if conductor < 1:
-            raise PreconditionError("conductor must be positive")
-        if conductor > MAX_CONDUCTOR:
-            raise ResourceLimitError(
-                f"conductor {conductor} exceeds supported bound {MAX_CONDUCTOR}")
+        _check_conductor(conductor)
         vec = [Fraction(c) for c in coeffs]
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(_phi_reduce(vec, conductor)))
-        object.__setattr__(self, "_canon", None)
+        den = lcm(*(c.denominator for c in vec))
+        num = [c.numerator * (den // c.denominator) for c in vec]
+        _store(self, conductor, _phi_reduce(num, conductor), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNum is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(value) -> CycloNum:
-        return CycloNum(1, [Fraction(value)])
+        q = Fraction(value)
+        return _make(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def root_of_unity(n: int, k: int = 1) -> CycloNum:
         """z_n^k."""
+        _check_conductor(n)
         k %= n
-        vec = [Fraction(0)] * (k + 1)
-        vec[k] = Fraction(1)
-        return CycloNum(n, vec)
+        vec = [0] * (k + 1)
+        vec[k] = 1
+        return _make(n, _phi_reduce(vec, n), 1)
 
     # -- conductor plumbing -------------------------------------------------
 
-    def _lifted(self, m: int) -> tuple[Fraction, ...]:
-        """Coefficients of this value rewritten at conductor m (a multiple)."""
+    def _lifted(self, m: int) -> tuple[int, ...]:
+        """`num` rewritten at conductor m (a multiple); `den` is unchanged."""
         if m == self.conductor:
-            return self.coeffs
+            return self.num
         step = m // self.conductor
-        vec = [Fraction(0)] * m
-        for k, c in enumerate(self.coeffs):
+        vec = [0] * m
+        for k, c in enumerate(self.num):
             if c:
-                vec[k * step] += c
-        return tuple(_phi_reduce(vec, m))
+                vec[k * step] = c
+        return _phi_reduce(vec, m)
 
     def _unify(self, other: CycloNum) -> tuple[int, tuple, tuple]:
         a, b = self.conductor, other.conductor
         if a == b:
-            return a, self.coeffs, other.coeffs
+            return a, self.num, other.num
         m = a * b // gcd(a, b)
         if m > MAX_CONDUCTOR:
             raise ResourceLimitError(
@@ -323,17 +368,25 @@ class CycloNum:
         if isinstance(value, CycloNum):
             return value
         if isinstance(value, (int, Fraction)):
-            return CycloNum.from_rational(value)
+            return _make(1, (value.numerator,), value.denominator)
         return None
 
     # -- ring operations ----------------------------------------------------
+
+    def _add(self, o: CycloNum, sign: int) -> CycloNum:
+        n, a, b = self._unify(o)
+        da, db = self.den, o.den
+        if da == db:
+            return _make(n, [x + sign * y for x, y in zip(a, b)], da)
+        g = gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        return _make(n, [x * sa + y * sb for x, y in zip(a, b)], da * sa)
 
     def __add__(self, other):
         o = CycloNum._coerce(other)
         if o is None:
             return NotImplemented
-        n, a, b = self._unify(o)
-        return CycloNum(n, [x + y for x, y in zip(a, b)])
+        return self._add(o, 1)
 
     __radd__ = __add__
 
@@ -341,8 +394,7 @@ class CycloNum:
         o = CycloNum._coerce(other)
         if o is None:
             return NotImplemented
-        n, a, b = self._unify(o)
-        return CycloNum(n, [x - y for x, y in zip(a, b)])
+        return self._add(o, -1)
 
     def __rsub__(self, other):
         o = CycloNum._coerce(other)
@@ -351,23 +403,23 @@ class CycloNum:
         return o - self
 
     def __neg__(self):
-        return CycloNum(self.conductor, [-c for c in self.coeffs])
+        return _make(self.conductor, [-x for x in self.num], self.den)
 
     def __mul__(self, other):
-        o = CycloNum._coerce(other)
-        if o is None:
-            return NotImplemented
         if isinstance(other, (int, Fraction)):
-            return CycloNum(self.conductor, [c * other for c in self.coeffs])
-        n, a, b = self._unify(o)
-        out = [Fraction(0)] * (2 * len(a) - 1 if a else 1)
+            p = other.numerator
+            return _make(self.conductor, [x * p for x in self.num],
+                         self.den * other.denominator)
+        if not isinstance(other, CycloNum):
+            return NotImplemented
+        n, a, b = self._unify(other)
+        out = [0] * (2 * len(a) - 1)
         for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-        return CycloNum(n, out)
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] += x * y
+        return _make(n, _phi_reduce(out, n), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -415,11 +467,11 @@ class CycloNum:
             return self
         if gcd(a, n) != 1:
             raise PreconditionError("galois exponent must be coprime to conductor")
-        vec = [Fraction(0)] * n
-        for k, c in enumerate(self.coeffs):
+        vec = [0] * n
+        for k, c in enumerate(self.num):
             if c:
-                vec[(k * a) % n] += c
-        return CycloNum(n, vec)
+                vec[(k * a) % n] = c
+        return _make(n, _phi_reduce(vec, n), self.den)
 
     def conj(self) -> CycloNum:
         """Complex conjugation: z -> z^(N-1)."""
@@ -430,13 +482,13 @@ class CycloNum:
     # -- predicates and canonical form ---------------------------------------
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction, or None when it is irrational."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den)
 
     def canonical(self) -> tuple[int, tuple[Fraction, ...]]:
         """(conductor, coefficients) at the smallest conductor containing the
@@ -450,16 +502,16 @@ class CycloNum:
                 break
             stabilizer = [a for a in range(1, n + 1)
                           if gcd(a, n) == 1 and a % d == 1 % d]
-            if all(self.galois(a).coeffs == self.coeffs for a in stabilizer):
+            if all(self.galois(a).num == self.num for a in stabilizer):
                 basis = [CycloNum.root_of_unity(d, j)._lifted(n)
                          for j in range(euler_phi(d))]
                 columns = [[basis[j][row] for j in range(len(basis))]
-                           for row in range(len(self.coeffs))]
+                           for row in range(len(self.num))]
                 sol = linalg.solve(columns, list(self.coeffs))
                 assert sol is not None
                 result = (d, tuple(sol))
                 break
-        object.__setattr__(self, "_canon", result)
+        _set(self, "_canon", result)
         return result
 
     def reduced(self) -> CycloNum:
@@ -471,10 +523,8 @@ class CycloNum:
         o = CycloNum._coerce(other)
         if o is None:
             return NotImplemented
-        if self.conductor == o.conductor:
-            return self.coeffs == o.coeffs
         _, a, b = self._unify(o)
-        return a == b
+        return self.den == o.den and a == b
 
     def __hash__(self):
         n, coeffs = self.canonical()
@@ -508,6 +558,7 @@ class CycloNum:
     @staticmethod
     def from_json(data: dict) -> CycloNum:
         n = int(data["conductor"])
+        _check_conductor(n)
         vec = [Fraction(0)] * euler_phi(n)
         for k, text in data["coeffs"].items():
             vec[int(k)] = parse_fraction(text)

@@ -5,7 +5,9 @@ icosahedral groups.
 Each family is enumerated by breadth-first closure of a documented generator
 set; the groups are tiny (at most 120 elements), so clarity wins over
 cleverness.  Elements are 2x2 matrices of CycloNum at a fixed ambient
-conductor per family, hashed on canonical form.
+conductor per family; the closure keys them on their exact integer
+representation and fills the integer multiplication (Cayley) table, so
+every later product is a table lookup.
 """
 
 from __future__ import annotations
@@ -84,16 +86,15 @@ def parse_descriptor(text: str) -> GroupDescriptor:
 
 
 class Mat2:
-    """Immutable 2x2 matrix of CycloNum."""
+    """Immutable 2x2 matrix of CycloNum, compared entrywise; not hashable."""
 
-    __slots__ = ("a", "b", "c", "d", "_hash")
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat2 is immutable")
@@ -116,10 +117,6 @@ class Mat2:
     def trace(self) -> CycloNum:
         return self.a + self.d
 
-    def inverse_unimodular(self) -> Mat2:
-        """Inverse assuming determinant 1 (the adjugate)."""
-        return Mat2(self.d, -self.b, -self.c, self.a)
-
     def __neg__(self) -> Mat2:
         return Mat2(-self.a, -self.b, -self.c, -self.d)
 
@@ -130,11 +127,6 @@ class Mat2:
         if not isinstance(other, Mat2):
             return NotImplemented
         return self.entries() == other.entries()
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(tuple(e.canonical() for e in self.entries())))
-        return self._hash
 
     def __repr__(self):
         return f"Mat2({self.a!r}, {self.b!r}; {self.c!r}, {self.d!r})"
@@ -207,33 +199,27 @@ class ConjugacyClasses:
 class MatrixGroup:
     """An enumerated finite subgroup of SL(2, C).
 
-    Immutable after construction; every query is read-only.
+    Immutable after construction; `mul` reads the table `build_group` fills.
     """
 
     def __init__(self, descriptor: GroupDescriptor, elements: list[Mat2],
-                 generators: list[int]):
+                 generators: list[int], table: list[list[int]],
+                 minus_identity: int | None):
         self.descriptor = descriptor
         self.elements = elements
         self.generator_indices = generators
-        self.index = {m: i for i, m in enumerate(elements)}
-        self.inverse = tuple(self.index[m.inverse_unimodular()] for m in elements)
-        minus = -elements[0]
-        self.minus_identity = self.index.get(minus)
+        self._table = table
+        self.inverse = tuple(row.index(0) for row in table)
+        self.minus_identity = minus_identity
         self._orders: dict[int, int] = {}
         self._classes: ConjugacyClasses | None = None
-        self._prod: dict[tuple[int, int], int] = {}
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        got = self._prod.get(key)
-        if got is None:
-            got = self.index[self.elements[i] * self.elements[j]]
-            self._prod[key] = got
-        return got
+        return self._table[i][j]
 
     def element_order(self, i: int) -> int:
         got = self._orders.get(i)
@@ -308,29 +294,52 @@ class MatrixGroup:
 
 @functools.lru_cache(maxsize=None)
 def build_group(desc: GroupDescriptor) -> MatrixGroup:
-    """Enumerate the group by breadth-first closure of its generators.
+    """Enumerate the group by breadth-first closure of its generators and
+    fill its multiplication table.
+
+    Elements are keyed on the integer numerators and denominators of their
+    entries, which is exact because every element sits at the family's
+    conductor.  Element y is first reached as elements[parent[y]] *
+    gens[via[y]], and right[x][k] is the index of elements[x] * gens[k].
+    By associativity
+    table[x][y] = right[table[x][parent[y]]][via[y]], and parent[y] < y, so
+    each row fills from its own earlier entries with no cyclotomic products.
 
     A closure passing twice the expected order aborts: that can only mean the
     generator matrices are wrong.
     """
+    conductor = desc.conductor
+
+    def key(m: Mat2) -> tuple:
+        if any(e.conductor != conductor for e in m.entries()):
+            raise ConsistencyError(
+                f"element of {desc.label} has an entry off conductor {conductor}")
+        return tuple((e.den, e.num) for e in m.entries())
+
     gens = _generators(desc)
-    identity = Mat2.scalar(1, desc.conductor)
+    gen_keys = [key(g) for g in gens]
+    identity = Mat2.scalar(1, conductor)
     elements = [identity]
-    index = {identity: 0}
+    index = {key(identity): 0}
+    parent, via, right = [0], [0], []
     cap = 2 * desc.order
-    head = 0
-    while head < len(elements):
-        x = elements[head]
-        head += 1
-        for g in gens:
+    for xi, x in enumerate(elements):  # the loop also visits appended elements
+        row = []
+        for k, g in enumerate(gens):
             y = x * g
-            if y not in index:
-                index[y] = len(elements)
+            ky = key(y)
+            got = index.get(ky)
+            if got is None:
+                got = index[ky] = len(elements)
                 elements.append(y)
+                parent.append(xi)
+                via.append(k)
                 if len(elements) > cap:
                     raise ConsistencyError(
                         f"closure of {desc.label} exceeded {cap} elements; "
                         "generator set is wrong")
+            row.append(got)
+        right.append(row)
     if len(elements) != desc.order:
         raise ConsistencyError(
             f"closure of {desc.label} has {len(elements)} elements, "
@@ -339,7 +348,12 @@ def build_group(desc: GroupDescriptor) -> MatrixGroup:
     for m in elements:
         if m.det() != one:
             raise ConsistencyError(f"element of {desc.label} has determinant != 1")
-    group = MatrixGroup(desc, elements, [index[g] for g in gens])
+    table = [[x] for x in range(len(elements))]
+    for row in table:
+        for y in range(1, len(elements)):
+            row.append(right[row[parent[y]]][via[y]])
+    group = MatrixGroup(desc, elements, [index[k] for k in gen_keys], table,
+                        index.get(key(-identity)))
     _check_center(group)
     return group
 

@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from mckay.bgp import QuiverRep
 from mckay.cli import main
@@ -222,3 +228,52 @@ def test_hilbert_match_shares_the_battery_path(monkeypatch, capsys):
     rows = _witness_rows(checks)
     expected = _battery_rows(verify.check_hilbert_match(), "cyclic:2", height=[0, 1])
     assert rows and rows == expected
+
+
+def _file_as_cache_dir(tmp_path, entry):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    return blocker
+
+
+def _directory_at_entry(tmp_path, entry):
+    os.makedirs(entry)
+    return entry.parent
+
+
+def _entry_with_scalar_values(tmp_path, entry):
+    from mckay.chartab import character_table
+    from mckay.groups import build_group, parse_descriptor
+
+    character_table(build_group(parse_descriptor("cyclic:2")), cache_dir=str(entry.parent))
+    entry.write_text(json.dumps(dict(json.loads(entry.read_text()), values=5)))
+    return entry.parent
+
+
+@pytest.mark.parametrize("spoil", [_file_as_cache_dir, _directory_at_entry,
+                                   _entry_with_scalar_values])
+def test_unusable_cache_still_prints_the_table(spoil, tmp_path, monkeypatch, capsys):
+    from mckay import __version__
+    from mckay.chartab import CACHE_ENV, _cache_path
+
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    code, plain, _ = run(capsys, "chartab", "cyclic:2")
+    assert code == 0
+    entry = Path(_cache_path(str(tmp_path / "cache"), "cyclic:2", 1, __version__))
+    cache_dir = spoil(tmp_path, entry)
+    code, out, err = run(capsys, "chartab", "cyclic:2", "--cache-dir", str(cache_dir))
+    assert code == 0
+    assert "Traceback" not in err
+    assert out == plain
+    if cache_dir.is_dir():
+        assert os.listdir(cache_dir) == [entry.name]  # no temp file left
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "MCKAY_CACHE_DIR"}
+    env["PYTHONPATH"] = str(root / "src")
+    proc = subprocess.run([sys.executable, "-m", "mckay", "group", "cyclic:2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (root / "tests" / "golden" / "group-cyclic_2.out").read_text()

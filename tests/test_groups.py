@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from mckay.errors import PreconditionError
+from mckay import groups
+from mckay.errors import ConsistencyError, PreconditionError
+from mckay.exactnum import CycloNum
 from mckay.groups import Mat2, build_group, parse_descriptor
 from mckay.verify import ADE_EXPECTATIONS
 
@@ -147,3 +150,23 @@ def test_products_inverses_and_minus_identity_match_matrices(label):
         assert g.minus_identity is None
     assert g.contains_minus_identity() == (g.descriptor.family != "cyclic"
                                            or g.descriptor.n % 2 == 0)
+
+
+def test_closure_cap_rejects_a_generator_of_infinite_order(monkeypatch):
+    desc = parse_descriptor("cyclic:4")
+    n = desc.conductor
+    stretch = Mat2(CycloNum(n, [2]), CycloNum(n, [0]),
+                   CycloNum(n, [0]), CycloNum(n, [Fraction(1, 2)]))
+    monkeypatch.setattr(groups, "_generators", lambda d: [stretch])
+    with pytest.raises(ConsistencyError, match="exceeded 8 elements"):
+        build_group.__wrapped__(desc)
+
+
+def test_closure_rejects_an_entry_off_the_family_conductor(monkeypatch):
+    desc = parse_descriptor("cyclic:4")
+    g = groups._generators(desc)[0]
+    assert desc.conductor == 8
+    skewed = Mat2(g.a, CycloNum(4, [0]), g.c, g.d)
+    monkeypatch.setattr(groups, "_generators", lambda d: [skewed])
+    with pytest.raises(ConsistencyError, match="off conductor 8"):
+        build_group.__wrapped__(desc)
