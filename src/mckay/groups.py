@@ -301,9 +301,9 @@ def build_group(desc: GroupDescriptor) -> MatrixGroup:
     entries, which is exact because every element sits at the family's
     conductor.  Element y is first reached as elements[parent[y]] *
     gens[via[y]], and right[x][k] is the index of elements[x] * gens[k].
-    By associativity
-    table[x][y] = right[table[x][parent[y]]][via[y]], and parent[y] < y, so
-    each row fills from its own earlier entries with no cyclotomic products.
+    By associativity table[x][y] = right[table[x][parent[y]]][via[y]], and
+    parent[y] < y, so each row fills from its own earlier entries with no
+    cyclotomic products.
 
     A closure passing twice the expected order aborts: that can only mean the
     generator matrices are wrong.

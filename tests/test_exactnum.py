@@ -184,7 +184,8 @@ def test_poly_division_invariants():
 
 
 # ---------------------------------------------------------------------------
-# Golden record of CycloNum arithmetic
+# Golden record of CycloNum arithmetic.  Regenerate (only when an output
+# change is intended) with `PYTHONPATH=src python tests/test_exactnum.py`.
 # ---------------------------------------------------------------------------
 
 _GOLDEN_CYCLO = Path(__file__).parent / "golden" / "cyclonum.json"
