@@ -275,8 +275,8 @@ _set = object.__setattr__
 
 
 def _store(value: CycloNum, n: int, num, den: int) -> CycloNum:
-    """Fill `value` with num/den at conductor n, from an integer vector
-    already reduced modulo the n-th cyclotomic polynomial, in lowest terms."""
+    """Fill `value` with num/den at conductor n in lowest terms; `num` must
+    already be reduced modulo the n-th cyclotomic polynomial."""
     g = gcd(den, *num)
     if g != 1:
         num = [x // g for x in num]
