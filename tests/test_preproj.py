@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from mckay.chartab import dixon_character_table
@@ -165,6 +168,32 @@ def test_path_cap_guard():
         truncated_hilbert(preprojective_presentation(graph), 6, path_cap=10)
 
 
+# Golden record of truncated graded dimensions.  Regenerate (only when an
+# output change is intended) with `PYTHONPATH=src python tests/test_preproj.py`.
+_GOLDEN_HILBERT = Path(__file__).parent / "golden" / "hilbert.json"
+
+
+def _golden_hilbert_text() -> str:
+    """`GradedDims.to_json()` of the preprojective presentations through
+    degree 10, their quadratic duals through degree 8 and the Ext
+    presentations through degree 4, one case per line."""
+    cases = {}
+    for label in ("cyclic:2", "cyclic:3", "cyclic:4", "bd:2"):
+        graph, _ = setup(label)
+        pre = preprojective_presentation(graph)
+        cases[f"preprojective {label}"] = truncated_hilbert(pre, 10)
+        cases[f"dual of preprojective {label}"] = truncated_hilbert(quadratic_dual(pre), 8)
+        if label != "cyclic:2":
+            cases[f"ext {label}"] = truncated_hilbert(ext_algebra_presentation(graph), 4)
+    lines = [json.dumps({name: dims.to_json()}, sort_keys=True)
+             for name, dims in cases.items()]
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def test_truncated_hilbert_matches_golden_record():
+    assert _golden_hilbert_text() == _GOLDEN_HILBERT.read_text(encoding="utf-8")
+
+
 def test_presentation_json_shape():
     graph, _ = setup("cyclic:2")
     blob = preprojective_presentation(graph).to_json()
@@ -173,3 +202,7 @@ def test_presentation_json_shape():
     for rel in blob["relations"]:
         for coeff, pair in rel:
             assert isinstance(coeff, str) and len(pair) == 2
+
+
+if __name__ == "__main__":
+    _GOLDEN_HILBERT.write_text(_golden_hilbert_text(), encoding="utf-8")
