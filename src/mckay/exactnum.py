@@ -561,7 +561,11 @@ class CycloNum:
         _check_conductor(n)
         vec = [Fraction(0)] * euler_phi(n)
         for k, text in data["coeffs"].items():
-            vec[int(k)] = parse_fraction(text)
+            key = str(k)
+            if not (key.isascii() and key.isdigit() and int(key) < len(vec)):
+                raise PreconditionError(
+                    f"coefficient index {key!r} is outside 0..{len(vec) - 1}")
+            vec[int(key)] = parse_fraction(text)
         return CycloNum(n, vec)
 
 

@@ -19,10 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import linalg
 from .errors import PreconditionError, ResourceLimitError
 from .mckaygraph import McKayGraph
 
-DEFAULT_PATH_CAP = 20000
+# Columns of one block's elimination; the preprojective quotients of the
+# affine ADE graphs stay far below this through degree 12.
+DEFAULT_COLUMN_CAP = 500
 
 
 class DoubleArrow(NamedTuple):
@@ -90,18 +93,16 @@ class QuadraticPresentation:
     def relation_span(self) -> dict[tuple[int, int], list[list[Fraction]]]:
         """Canonical (reduced row echelon) basis of the relation space per
         block; the comparison key for presentation equality."""
-        from . import linalg
-
         spans: dict[tuple[int, int], list[list[Fraction]]] = {}
         grouped: dict[tuple[int, int], list] = {}
         for rel in self.relations:
             grouped.setdefault(self.block_of(rel), []).append(dict(rel))
         for block, rels in grouped.items():
-            paths = self.paths2(block)
-            index = {p: i for i, p in enumerate(paths)}
+            pairs = self.paths2(block)
+            index = {p: i for i, p in enumerate(pairs)}
             rows = []
             for rel in rels:
-                row = [Fraction(0)] * len(paths)
+                row = [Fraction(0)] * len(pairs)
                 for pair, coeff in rel.items():
                     row[index[pair]] = coeff
                 rows.append(row)
@@ -212,8 +213,6 @@ def ext_algebra_presentation(graph: McKayGraph) -> QuadraticPresentation:
 def quadratic_dual(pres: QuadraticPresentation) -> QuadraticPresentation:
     """Same arrows (dual basis, directions preserved); relations are a basis
     of the annihilator of the old relation space, block by block."""
-    from . import linalg
-
     relations: list[Relation] = []
     grouped: dict[tuple[int, int], list[Relation]] = {}
     for rel in pres.relations:
@@ -224,21 +223,21 @@ def quadratic_dual(pres: QuadraticPresentation) -> QuadraticPresentation:
             if first.tgt == second.src:
                 seen_blocks.add((first.src, second.tgt))
     for block in sorted(seen_blocks):
-        paths = pres.paths2(block)
-        index = {p: i for i, p in enumerate(paths)}
+        pairs = pres.paths2(block)
+        index = {p: i for i, p in enumerate(pairs)}
         rows = []
         for rel in grouped.get(block, []):
-            row = [Fraction(0)] * len(paths)
+            row = [Fraction(0)] * len(pairs)
             for pair, coeff in rel.items():
                 row[index[pair]] = coeff
             rows.append(row)
         if rows:
             kernel = linalg.nullspace(rows)
         else:
-            kernel = [[Fraction(1 if i == j else 0) for i in range(len(paths))]
-                      for j in range(len(paths))]
+            kernel = [[Fraction(1 if i == j else 0) for i in range(len(pairs))]
+                      for j in range(len(pairs))]
         for vec in kernel:
-            rel = {paths[i]: c for i, c in enumerate(vec) if c}
+            rel = {pairs[i]: c for i, c in enumerate(vec) if c}
             if rel:
                 relations.append(rel)
     return _make(pres.num_vertices, pres.arrows, relations)
@@ -273,103 +272,68 @@ class GradedDims:
 
 
 def truncated_hilbert(pres: QuadraticPresentation, max_degree: int,
-                      path_cap: int = DEFAULT_PATH_CAP) -> GradedDims:
-    """Graded dimensions of the quadratic quotient through max_degree.
+                      column_cap: int = DEFAULT_COLUMN_CAP) -> GradedDims:
+    """Graded dimensions of the quadratic quotient A through max_degree.
 
-    Degree d is spanned by length-d paths modulo the degree-d slice of the
-    two-sided ideal; the slice is built as (arrows . slice at d-1) plus
-    (relations . paths of length d-2) and its rank is taken per (start, end)
-    block by exact elimination.
+    Degree d is the cokernel of A_{d-2} (x) R -> A_{d-1} (x) V, taken per
+    (start, end) block by exact elimination.  The columns are pairs (basis
+    element b of A_{d-1}, arrow a); each row is sum c [n.a1] (x) a2 for a
+    basis element n of A_{d-2} and a relation sum c (a1, a2).  The free
+    columns are the basis of A_d, and the reduced rows express every pivot
+    column [b.a] in that basis, which is what degree d+1 reads.
     """
     if max_degree < 0:
         raise PreconditionError("max degree must be nonnegative")
     nv = pres.num_vertices
     arrows = pres.arrows
-    identity = tuple(tuple(1 if i == j else 0 for j in range(nv)) for i in range(nv))
-    mats = [identity]
-    if max_degree == 0:
-        return GradedDims(nv, tuple(mats))
-
-    paths: list[list[tuple[int, ...]]] = [[], [(a,) for a in range(len(arrows))]]
-    deg1 = [[0] * nv for _ in range(nv)]
-    for a in arrows:
-        deg1[a.src][a.tgt] += 1
-    mats.append(tuple(tuple(row) for row in deg1))
-
-    # Echelon state per degree: block -> {pivot index: sparse vector}.
-    prev_basis: dict[tuple[int, int], dict[int, dict[tuple, Fraction]]] = {}
-
-    def block_of_path(path: tuple[int, ...]) -> tuple[int, int]:
-        return (arrows[path[0]].src, arrows[path[-1]].tgt)
-
-    for degree in range(2, max_degree + 1):
-        new_paths = [p + (a,) for p in paths[-1]
-                     for a in range(len(arrows))
-                     if arrows[p[-1]].tgt == arrows[a].src]
-        if len(new_paths) > path_cap:
-            raise ResourceLimitError(
-                f"degree {degree} has {len(new_paths)} paths, above the cap {path_cap}")
-        paths.append(new_paths)
-        index = {p: i for i, p in enumerate(new_paths)}
-
-        generators: list[dict[tuple, Fraction]] = []
-        if degree == 2:
-            for rel in pres.relations:
-                generators.append({pair: coeff for pair, coeff in rel})
-        else:
-            for block_state in prev_basis.values():
-                for vec in block_state.values():
-                    head = next(iter(vec))
-                    start = arrows[head[0]].src
-                    for a in range(len(arrows)):
-                        if arrows[a].tgt == start:
-                            generators.append({(a,) + p: c for p, c in vec.items()})
-            for rel in pres.relations:
-                (first_pair, _c0) = rel[0]
-                end = arrows[first_pair[1]].tgt
-                for q in paths[degree - 2]:
-                    if arrows[q[0]].src == end:
-                        generators.append({pair + q: coeff for pair, coeff in rel})
-
-        basis: dict[tuple[int, int], dict[int, dict[tuple, Fraction]]] = {}
-        for vec in generators:
-            sample = next(iter(vec))
-            block = block_of_path(sample)
-            state = basis.setdefault(block, {})
-            work = dict(vec)
-            while work:
-                pivot = min(index[p] for p in work)
-                existing = state.get(pivot)
-                if existing is None:
-                    pivot_path = new_paths[pivot]
-                    scale = 1 / work[pivot_path]
-                    state[pivot] = {p: c * scale for p, c in work.items()}
-                    break
-                factor = work[new_paths[pivot]]
-                for p, c in existing.items():
-                    acc = work.get(p, Fraction(0)) - factor * c
-                    if acc:
-                        work[p] = acc
-                    else:
-                        work.pop(p, None)
-        prev_basis = basis
-
-        counts = [[0] * nv for _ in range(nv)]
-        for p in new_paths:
-            s, t = block_of_path(p)
-            counts[s][t] += 1
-        for block, state in basis.items():
-            counts[block[0]][block[1]] -= len(state)
-        mats.append(tuple(tuple(row) for row in counts))
+    blocks = [(s, t) for s in range(nv) for t in range(nv)]
+    rels_into: dict[int, list] = {t: [] for t in range(nv)}
+    for rel in pres.relations:
+        u, t = pres.block_of(rel)
+        rels_into[t].append((u, rel))
+    # older, prev: block dims of A_{d-2}, A_{d-1}; reduce[block][(b, a)] is
+    # [b.a] in A_{d-1}, as {basis index: coefficient}.
+    older = dict.fromkeys(blocks, 0)
+    prev = {(s, t): int(s == t) for s, t in blocks}
+    reduce: dict = {}
+    mats = [tuple(tuple(prev[s, t] for t in range(nv)) for s in range(nv))]
+    for degree in range(1, max_degree + 1):
+        dims, new_reduce = {}, {}
+        for s, t in blocks:
+            cols = [(b, a) for a, arrow in enumerate(arrows) if arrow.tgt == t
+                    for b in range(prev[s, arrow.src])]
+            if len(cols) > column_cap:
+                raise ResourceLimitError(
+                    f"degree {degree} block ({s}, {t}) has {len(cols)} columns, "
+                    f"above the cap {column_cap}")
+            index = {col: i for i, col in enumerate(cols)}
+            rows = []
+            for u, rel in rels_into[t]:
+                for n in range(older[s, u]):
+                    row = [0] * len(cols)
+                    for (a1, a2), c in rel:
+                        for b, x in reduce[s, arrows[a1].tgt][n, a1].items():
+                            row[index[b, a2]] += c * x
+                    rows.append(row)
+            red, pivots = linalg.rref(rows)
+            pivot_set = set(pivots)
+            free = [i for i in range(len(cols)) if i not in pivot_set]
+            slot = {f: k for k, f in enumerate(free)}
+            images = {cols[f]: {k: 1} for f, k in slot.items()}
+            for r, c in enumerate(pivots):
+                images[cols[c]] = {k: -red[r][f] for f, k in slot.items() if red[r][f]}
+            dims[s, t], new_reduce[s, t] = len(free), images
+        older, prev, reduce = prev, dims, new_reduce
+        mats.append(tuple(tuple(prev[s, t] for t in range(nv)) for s in range(nv)))
     return GradedDims(nv, tuple(mats))
 
 
 def truncated_koszul_check(pres: QuadraticPresentation, max_degree: int,
-                           path_cap: int = DEFAULT_PATH_CAP):
+                           column_cap: int = DEFAULT_COLUMN_CAP):
     """Truncated Poincare identity: H(P, t) * H(P^!, -t) = Id through the
     given degree.  Returns (ok, witness)."""
-    h = truncated_hilbert(pres, max_degree, path_cap)
-    hdual = truncated_hilbert(quadratic_dual(pres), max_degree, path_cap)
+    h = truncated_hilbert(pres, max_degree, column_cap)
+    hdual = truncated_hilbert(quadratic_dual(pres), max_degree, column_cap)
     nv = pres.num_vertices
     for d in range(max_degree + 1):
         for i in range(nv):

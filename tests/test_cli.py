@@ -104,6 +104,14 @@ def test_preproj_and_hilbert_match(capsys):
     assert all(c["pass"] for c in json.loads(out)["checks"])
 
 
+def test_hilbert_match_at_the_top_degree(capsys):
+    # Degree 12 is the largest --max-degree the CLI accepts.
+    code, out, err = run(capsys, "hilbert-match", "bd:2", "--max-degree", "12")
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [("hilbert", True)]
+
+
 def test_reflect_round_trip_through_files(tmp_path, capsys):
     rep = {
         "dims": [2, 1],
@@ -250,8 +258,23 @@ def _entry_with_scalar_values(tmp_path, entry):
     return entry.parent
 
 
+def _entry_with_negative_index(tmp_path, entry):
+    # Index -1 at conductor 1 names the last (only) coefficient slot; read
+    # as a slot counted from the end it would load the same table.
+    from mckay.chartab import character_table
+    from mckay.groups import build_group, parse_descriptor
+
+    character_table(build_group(parse_descriptor("cyclic:2")), cache_dir=str(entry.parent))
+    data = json.loads(entry.read_text())
+    assert data["values"][0][0] == {"conductor": 1, "coeffs": {"0": "1/1"}}
+    data["values"][0][0]["coeffs"] = {"-1": "1/1"}
+    entry.write_text(json.dumps(data))
+    return entry.parent
+
+
 @pytest.mark.parametrize("spoil", [_file_as_cache_dir, _directory_at_entry,
-                                   _entry_with_scalar_values])
+                                   _entry_with_scalar_values,
+                                   _entry_with_negative_index])
 def test_unusable_cache_still_prints_the_table(spoil, tmp_path, monkeypatch, capsys):
     from mckay import __version__
     from mckay.chartab import CACHE_ENV, _cache_path
@@ -267,6 +290,8 @@ def test_unusable_cache_still_prints_the_table(spoil, tmp_path, monkeypatch, cap
     assert out == plain
     if cache_dir.is_dir():
         assert os.listdir(cache_dir) == [entry.name]  # no temp file left
+    if entry.is_file():  # a miss: the entry was recomputed and rewritten
+        assert json.loads(entry.read_text())["values"] == json.loads(plain)["chartab"]["values"]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -16,6 +16,7 @@ from mckay.preproj import (double_quiver, ext_algebra_presentation,
                            preprojective_presentation, presentations_match,
                            quadratic_dual, truncated_hilbert,
                            truncated_koszul_check)
+from mckay.verify import ADE_EXPECTATIONS, context, hilbert_mismatches
 
 
 def setup(label):
@@ -138,6 +139,13 @@ def test_hilbert_matches_molien_through_degree_six(label):
                 assert dims.dim(i, j, d) == hd(i, j, d), (label, i, j, d)
 
 
+@pytest.mark.parametrize("label", [label for label, _ in ADE_EXPECTATIONS])
+def test_hilbert_matches_hom_dims_through_degree_twelve(label):
+    _, _, graph, hd = context(label)
+    dims = truncated_hilbert(preprojective_presentation(graph), 12)
+    assert hilbert_mismatches(graph, hd, dims) == []
+
+
 @pytest.mark.parametrize("label", ["cyclic:3", "cyclic:4", "bd:2"])
 def test_ext_presentation_dimensions_terminate(label):
     # The Ext algebra of the vertex simples lives in degrees 0, 1, 2 with
@@ -162,10 +170,14 @@ def test_truncated_koszul_identity(label):
     assert ok, witness
 
 
-def test_path_cap_guard():
+def test_column_cap_guard():
+    # The largest bd:2 block through degree 6 has 12 columns.
     graph, _ = setup("bd:2")
-    with pytest.raises(ResourceLimitError):
-        truncated_hilbert(preprojective_presentation(graph), 6, path_cap=10)
+    pres = preprojective_presentation(graph)
+    with pytest.raises(ResourceLimitError,
+                       match=r"degree 6 block \(4, 4\) has 12 columns, above the cap 10"):
+        truncated_hilbert(pres, 6, column_cap=10)
+    assert truncated_hilbert(pres, 6, column_cap=12).max_degree == 6
 
 
 # Golden record of truncated graded dimensions.  Regenerate (only when an
