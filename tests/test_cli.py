@@ -47,6 +47,32 @@ def test_koszul_check_passes(capsys):
     assert "statement" in doc["checks"][0]
 
 
+def test_koszul_check_reports_a_perturbed_entry(monkeypatch, capsys):
+    import dataclasses
+    from fractions import Fraction
+
+    from mckay import cli
+    from mckay.exactnum import Poly
+
+    original = cli.molien_matrices
+
+    def perturbed(group, table):
+        # t/3 added to E[0][0] breaks S(t) * E(-t) = Id at entry (0, 0).
+        m = original(group, table)
+        e = [list(row) for row in m.E]
+        e[0][0] = e[0][0] + Poly.rational([0, Fraction(1, 3)])
+        return dataclasses.replace(m, E=tuple(tuple(row) for row in e))
+
+    monkeypatch.setattr(cli, "molien_matrices", perturbed)
+    code, out, _ = run(capsys, "koszul-check", "cyclic:2")
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["pass"] is False
+    assert check["witness"] == {
+        "entry": [0, 0],
+        "value": "(1 + -1/3*t + -2*t^2 + -1/3*t^3 + t^4) / (1 + -2*t^2 + t^4)"}
+
+
 def test_heights_precondition_error(capsys):
     code, _, err = run(capsys, "heights", "cyclic:3")
     assert code == 2

@@ -2,26 +2,38 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+from fractions import Fraction
+
 import pytest
 
-from mckay.chartab import dixon_character_table
 from mckay.exactnum import Poly, RatFunc
-from mckay.groups import build_group, parse_descriptor
 from mckay.mckaygraph import mckay_graph
 from mckay.molien import (HomDims, graded_dim_Bh, hom_dim_series, koszul_check,
                           molien_matrices)
 from mckay.heights import HeightFunction
+from mckay.verify import ADE_EXPECTATIONS, context
+
+ALL_GROUPS = [label for label, _ in ADE_EXPECTATIONS]
 
 
-def setup(label):
-    g = build_group(parse_descriptor(label))
-    t = dixon_character_table(g)
-    return g, t
+@functools.cache
+def built(label):
+    """(group, table, Molien matrices) for a descriptor, built once per run."""
+    g, t, _, _ = context(label)
+    return g, t, molien_matrices(g, t)
+
+
+def perturb_e00(m):
+    """The Molien matrices with t/3 added to E[0][0]."""
+    e = [list(row) for row in m.E]
+    e[0][0] = e[0][0] + Poly.rational([0, Fraction(1, 3)])
+    return dataclasses.replace(m, E=tuple(tuple(row) for row in e))
 
 
 def test_order_two_molien_entries():
-    g, t = setup("cyclic:2")
-    m = molien_matrices(g, t)
+    m = built("cyclic:2")[2]
     assert m.S[0][0] == RatFunc(Poly.rational([1, 0, 1]),
                                 Poly.rational([1, 0, -2, 0, 1]))
     assert m.E[0][0] == Poly.rational([1, 0, 1])
@@ -30,16 +42,14 @@ def test_order_two_molien_entries():
 
 def test_s_at_zero_is_identity():
     for label in ("cyclic:3", "bd:2", "2T"):
-        g, t = setup(label)
-        m = molien_matrices(g, t)
+        m = built(label)[2]
         for p in range(m.count):
             for q in range(m.count):
                 assert m.S[p][q].series(0).coeffs[0] == (1 if p == q else 0)
 
 
 def test_koszul_identity_by_hand_for_order_two():
-    g, t = setup("cyclic:2")
-    m = molien_matrices(g, t)
+    m = built("cyclic:2")[2]
     # (1+t^2)^2/(1-t^2)^2 - 4t^2/(1-t^2)^2 = 1 and the cross terms cancel.
     e_neg = [[RatFunc.from_poly(m.E[q][r].compose_neg()) for r in range(2)]
              for q in range(2)]
@@ -52,13 +62,32 @@ def test_koszul_identity_by_hand_for_order_two():
 
 @pytest.mark.parametrize("label", ["cyclic:4", "cyclic:6", "bd:2", "bd:3", "2T"])
 def test_koszul_identity(label):
-    g, t = setup(label)
-    ok, witness = koszul_check(molien_matrices(g, t))
+    ok, witness = koszul_check(built(label)[2])
     assert ok, witness
 
 
+@pytest.mark.parametrize("label", ALL_GROUPS)
+def test_koszul_identity_on_every_group(label):
+    assert koszul_check(built(label)[2]) == (True, None)
+
+
+PERTURBED_WITNESSES = {
+    "cyclic:2": "(1 + -1/3*t + -2*t^2 + -1/3*t^3 + t^4) / (1 + -2*t^2 + t^4)",
+    "bd:2": "(1 + -1/3*t + -1*t^2 + 1/3*t^3 + -1*t^4 + -1/3*t^5 + t^6) "
+            "/ (1 + -1*t^2 + -1*t^4 + t^6)",
+    "2T": "(1 + -1/3*t + -1*t^4 + 1/3*t^5 + -1*t^6 + -1/3*t^9 + t^10) "
+          "/ (1 + -1*t^4 + -1*t^6 + t^10)",
+}
+
+
+@pytest.mark.parametrize("label", sorted(PERTURBED_WITNESSES))
+def test_perturbed_e_gives_the_pinned_witness(label):
+    got = koszul_check(perturb_e00(built(label)[2]))
+    assert got == (False, {"entry": [0, 0], "value": PERTURBED_WITNESSES[label]})
+
+
 def test_hom_dim_schur_and_examples():
-    g, t = setup("cyclic:2")
+    g, t, _ = built("cyclic:2")
     hd = HomDims(g, t)
     assert hd(0, 0, 0) == 1
     assert hd(0, 1, 0) == 0
@@ -69,9 +98,8 @@ def test_hom_dim_schur_and_examples():
 
 @pytest.mark.parametrize("label", ["cyclic:2", "cyclic:5", "bd:2", "2T"])
 def test_hom_dims_match_series_coefficients(label):
-    g, t = setup(label)
+    g, t, m = built(label)
     hd = HomDims(g, t)
-    m = molien_matrices(g, t)
     for p in range(t.count):
         for q in range(t.count):
             series = m.S[p][q].series(8)
@@ -82,9 +110,8 @@ def test_hom_dims_match_series_coefficients(label):
 
 def test_e_matrix_encodes_multiplicities():
     for label in ("cyclic:4", "bd:2", "2T"):
-        g, t = setup(label)
+        g, t, m = built(label)
         graph = mckay_graph(g, t)
-        m = molien_matrices(g, t)
         for q in range(t.count):
             for r in range(t.count):
                 coeffs = list(m.E[q][r].coeffs) + [0, 0, 0]
@@ -94,7 +121,7 @@ def test_e_matrix_encodes_multiplicities():
 
 
 def test_graded_dims_by_height():
-    g, t = setup("cyclic:2")
+    g, t, _ = built("cyclic:2")
     hd = HomDims(g, t)
     graph = mckay_graph(g, t)
     h = HeightFunction(graph, (0, 1))
