@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: rationals, polynomials, rational functions,
-truncated power series, and cyclotomic field elements.
+"""Exact scalar arithmetic: rationals, polynomials, reduced rational
+functions, truncated power series, and cyclotomic field elements.
 
 Rationals are stdlib ``fractions.Fraction``.  A cyclotomic number is a vector
 in the power basis 1, z, ..., z^(phi(N)-1) of Q(z_N), reduced modulo the N-th
@@ -581,7 +581,9 @@ def cyclo_sort_key(value: CycloNum):
 
 class RatFunc:
     """Quotient of Fraction polynomials, normalized so the denominator is
-    monic and coprime to the numerator; equality is structural."""
+    monic and coprime to the numerator; equality is structural.  It has no
+    arithmetic: identities between rational functions are checked on
+    polynomials with the denominators cleared."""
 
     __slots__ = ("num", "den")
 
@@ -610,10 +612,6 @@ class RatFunc:
     def from_poly(p: Poly) -> RatFunc:
         return RatFunc(p, Poly.one())
 
-    @staticmethod
-    def constant(value) -> RatFunc:
-        return RatFunc(Poly.rational([value]), Poly.one())
-
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
@@ -621,30 +619,6 @@ class RatFunc:
 
     def __hash__(self):
         return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
-
-    def __add__(self, other):
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, RatFunc):
-            return RatFunc(self.num * other.num, self.den * other.den)
-        return RatFunc(self.num * other, self.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
 
     def series(self, degree: int) -> TruncSeries:
         return series_of_ratfunc(self, degree)

@@ -8,6 +8,12 @@ any eigenvalue case analysis at +-1 and keeps everything in exact cyclotomic
 arithmetic; averaging over classes must then produce plain rationals, which
 is asserted, never assumed.
 
+Every entry of S(t) is summed over one common denominator
+delta(t) = prod_c det(1 - g_c^{-1} t), so S = P / delta with a polynomial
+matrix P.  The Koszul identity S(t) * E(-t) = Id is checked with the
+denominator cleared, as P(t) * E(-t) = delta(t) * Id: polynomial products and
+sums only, and the same identity because delta is not zero.
+
 Index convention (recorded in output): S[p][q] is the generating function of
 dim Hom(W_q, Sym^m V* (x) W_p) taken equivariantly, i.e. the (q, p) entry of
 the graded endomorphism algebra; with V self-dual these dimensions are
@@ -21,7 +27,7 @@ from fractions import Fraction
 
 from .chartab import CharacterTable
 from .errors import ConsistencyError, PreconditionError
-from .exactnum import CycloNum, Poly, RatFunc, TruncSeries
+from .exactnum import CycloNum, Poly, RatFunc
 from .groups import MatrixGroup
 
 S_CONVENTION = ("S[p][q](t) = sum_m dim Hom(W_q, Sym^m V* x W_p)_invariant t^m; "
@@ -78,24 +84,33 @@ class HomDims:
 
 @dataclass(frozen=True)
 class MolienMatrices:
-    """S(t): matrix of rational functions; E(t): matrix of polynomials of
-    degree at most 2.  Both have rational coefficients after averaging."""
+    """S(t) = P(t) / delta(t): P a matrix of polynomials over the common
+    denominator delta; E(t): matrix of polynomials of degree at most 2.  All
+    have rational coefficients after averaging."""
 
-    S: tuple[tuple[RatFunc, ...], ...]
+    P: tuple[tuple[Poly, ...], ...]
+    delta: Poly
     E: tuple[tuple[Poly, ...], ...]
     convention: str = S_CONVENTION
 
     @property
     def count(self) -> int:
-        return len(self.S)
+        return len(self.P)
+
+    @property
+    def S(self) -> tuple[tuple[RatFunc, ...], ...]:
+        """The entries of S(t) in normal form, reduced from P and delta on
+        each access."""
+        return tuple(tuple(RatFunc(num, self.delta) for num in row) for row in self.P)
 
     def to_json(self, max_degree: int = 6) -> dict:
+        s = self.S
         return {
             "convention": self.convention,
-            "S": [[str(entry) for entry in row] for row in self.S],
+            "S": [[str(entry) for entry in row] for row in s],
             "E": [[str(RatFunc.from_poly(entry)) for entry in row] for row in self.E],
             "S_series": [[[str(c) for c in entry.series(max_degree).coeffs]
-                          for entry in row] for row in self.S],
+                          for entry in row] for row in s],
         }
 
 
@@ -112,7 +127,7 @@ def _cyclo_poly_rational(poly: Poly) -> Poly:
 
 def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices:
     """The two Molien averages, summed over conjugacy classes with class-size
-    weights, asserted rational, and reduced to normal form."""
+    weights over the common denominator, and asserted rational."""
     k = len(table.class_sizes)
     count = table.count
     order = group.order
@@ -134,10 +149,10 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
     denominator = _cyclo_poly_rational(prefix[k])
 
     inv_order = Fraction(1, order)
-    s_rows = []
+    p_rows = []
     e_rows = []
     for p in range(count):
-        s_row = []
+        p_row = []
         e_row = []
         for q in range(count):
             num = Poly()
@@ -147,53 +162,53 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
                 if weight:
                     num = num + weight * partial[c]
                     epoly = epoly + weight * plus[c]
-            s_row.append(RatFunc(_cyclo_poly_rational(num) * inv_order, denominator))
+            p_row.append(_cyclo_poly_rational(num) * inv_order)
             e_entry = _cyclo_poly_rational(epoly) * inv_order
             if e_entry.degree > 2:
                 raise ConsistencyError("E entry has degree above 2")
             e_row.append(e_entry)
-        s_rows.append(tuple(s_row))
+        p_rows.append(tuple(p_row))
         e_rows.append(tuple(e_row))
-    matrices = MolienMatrices(S=tuple(s_rows), E=tuple(e_rows))
+    matrices = MolienMatrices(P=tuple(p_rows), delta=denominator, E=tuple(e_rows))
     _check_degree_zero(matrices)
     return matrices
 
 
 def _check_degree_zero(matrices: MolienMatrices) -> None:
-    for p, row in enumerate(matrices.S):
-        for q, entry in enumerate(row):
-            value = entry.series(0).coeffs[0]
-            if value != (1 if p == q else 0):
+    delta0 = matrices.delta.coeffs[0]
+    for p, row in enumerate(matrices.P):
+        for q, num in enumerate(row):
+            value = num.coeffs[0] if num.coeffs else 0
+            if value != (delta0 if p == q else 0):
                 raise ConsistencyError("S(0) is not the identity matrix")
 
 
 def koszul_check(matrices: MolienMatrices):
-    """Exact verification that S(t) * E(-t) = Id.
+    """Exact verification that S(t) * E(-t) = Id, checked with the common
+    denominator cleared as P(t) * E(-t) = delta(t) * Id.
 
-    Returns (ok, witness); the witness names the first offending entry.
+    Returns (ok, witness); the witness names the first offending entry and
+    gives that entry of S(t) * E(-t) as a reduced rational function.
     """
     count = matrices.count
-    e_neg = [[RatFunc.from_poly(matrices.E[q][r].compose_neg()) for r in range(count)]
+    delta = matrices.delta
+    e_neg = [[matrices.E[q][r].compose_neg() for r in range(count)]
              for q in range(count)]
     for p in range(count):
         for r in range(count):
-            acc = RatFunc(Poly(), Poly.one())
+            acc = Poly()
             for q in range(count):
-                acc = acc + matrices.S[p][q] * e_neg[q][r]
-            expected = RatFunc.constant(1 if p == r else 0)
-            if acc != expected:
-                return False, {"entry": [p, r], "value": str(acc)}
+                acc = acc + matrices.P[p][q] * e_neg[q][r]
+            if acc != (delta if p == r else Poly()):
+                return False, {"entry": [p, r], "value": str(RatFunc(acc, delta))}
     return True, None
 
 
-def hom_dim_series(hd: HomDims, i: int, j: int, degree: int) -> TruncSeries:
-    return TruncSeries(degree, [hd.hom_dim(i, j, m) for m in range(degree + 1)])
-
-
 def graded_dim_Bh(hd: HomDims, height, i: int, j: int, n: int) -> int:
-    """Graded dimension of the (i, j) block in degree n for the regrading by
-    h(j) + 2d - h(i): at most one symmetric-power degree d contributes, namely
-    d = (n + h(i) - h(j)) / 2, and it must be a nonnegative integer.
+    """The (i, j) block in degree n for the regrading by h(j) + 2d - h(i), as
+    computed: hom_dim(i, j, n) when n + h(i) - h(j) is even and nonnegative,
+    and 0 otherwise.  The symmetric-power degree read is n itself, not
+    d = (n + h(i) - h(j)) / 2.
     """
     values = height.values
     if not height.is_valid():

@@ -78,7 +78,8 @@ def check_ade_classification() -> dict:
 
 
 def check_koszul() -> dict:
-    """Criterion 2: exact rational-function identity S(t) * E(-t) = Id."""
+    """Criterion 2: the exact rational-function identity S(t) * E(-t) = Id,
+    checked as P(t) * E(-t) = delta(t) * Id over the common denominator."""
     witness = []
     ok = True
     for label in KOSZUL_GROUPS:
