@@ -62,14 +62,8 @@ def test_koszul_identity_by_hand_for_order_two():
     assert koszul_check(m) == (True, None)
 
 
-@pytest.mark.parametrize("label", ["cyclic:4", "cyclic:6", "bd:2", "bd:3", "2T"])
-def test_koszul_identity(label):
-    ok, witness = koszul_check(built(label)[2])
-    assert ok, witness
-
-
 @pytest.mark.parametrize("label", ALL_GROUPS)
-def test_koszul_identity_on_every_group(label):
+def test_koszul_identity(label):
     assert koszul_check(built(label)[2]) == (True, None)
 
 
