@@ -192,8 +192,7 @@ def koszul_check(matrices: MolienMatrices):
     """
     count = matrices.count
     delta = matrices.delta
-    e_neg = [[matrices.E[q][r].compose_neg() for r in range(count)]
-             for q in range(count)]
+    e_neg = [[entry.compose_neg() for entry in row] for row in matrices.E]
     for p in range(count):
         for r in range(count):
             acc = Poly()
