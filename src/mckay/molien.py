@@ -2,11 +2,9 @@
 equivariant Hom-dimension calculator every later module leans on.
 
 For a 2x2 unimodular g both eigenvalues are determined by the trace, so
-det(1 - g^{-1} t) = 1 - tr(g) t + t^2 and the symmetric-power characters obey
-the two-term recursion s_m = s_{m-1} * tr - s_{m-2}.  That recursion avoids
-any eigenvalue case analysis at +-1 and keeps everything in exact cyclotomic
-arithmetic; averaging over classes must then produce plain rationals, which
-is asserted, never assumed.
+det(1 - g^{-1} t) = 1 - tr(g) t + t^2 needs no eigenvalue case analysis at
++-1.  The Molien averages are taken in exact cyclotomic arithmetic and must
+produce plain rationals, which is asserted, never assumed.
 
 Every entry of S(t) is summed over one common denominator
 delta(t) = prod_c det(1 - g_c^{-1} t), so S = P / delta with a polynomial
@@ -29,55 +27,42 @@ from .chartab import CharacterTable
 from .errors import ConsistencyError, PreconditionError
 from .exactnum import CycloNum, Poly, RatFunc
 from .groups import MatrixGroup
+from .mckaygraph import mckay_matrix
 
 S_CONVENTION = ("S[p][q](t) = sum_m dim Hom(W_q, Sym^m V* x W_p)_invariant t^m; "
                 "identity checked: S(t) * E(-t) = Id")
 
 
 class HomDims:
-    """Memoized dim Hom(W_i, Sym^m V* (x) W_j) over the group invariants.
+    """dim Hom(W_i, Sym^m V* (x) W_j) over the group invariants, read off the
+    McKay matrix N.
 
-    Negative m gives 0 by convention.  Schur's lemma pins m = 0 to the
-    identity matrix, which doubles as a self-check of the character data.
+    V (x) Sym^{m-1} V = Sym^m V (+) Sym^{m-2} V gives the integer matrices
+    H_0 = Id, H_1 = N and H_m = N H_{m-1} - H_{m-2}, memoized by degree.  N
+    is built on the first query, so constructing one costs nothing.
+    Negative m gives 0 by convention.
     """
 
     def __init__(self, group: MatrixGroup, table: CharacterTable):
         self.group = group
         self.table = table
-        self.count = table.count
-        self._sym: list[tuple[CycloNum, ...]] = [
-            tuple(CycloNum.from_rational(1) for _ in table.class_sizes),
-            table.defining_values,
-        ]
-        self._memo: dict[tuple[int, int, int], int] = {}
-
-    def _sym_characters(self, m: int) -> tuple[CycloNum, ...]:
-        while len(self._sym) <= m:
-            prev, prev2 = self._sym[-1], self._sym[-2]
-            chi_v = self.table.defining_values
-            self._sym.append(tuple(p * v - q for p, v, q in zip(prev, chi_v, prev2)))
-        return self._sym[m]
+        self._by_degree: list[list[list[int]]] = []
 
     def hom_dim(self, i: int, j: int, m: int) -> int:
         if m < 0:
             return 0
-        key = (i, j, m)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        sym = self._sym_characters(m)
-        acc = CycloNum.from_rational(0)
-        table = self.table
-        for c, size in enumerate(table.class_sizes):
-            acc = acc + size * table.values[i][c].conj() * sym[c] * table.values[j][c]
-        q = acc.as_rational()
-        order = self.group.order
-        if q is None or q.denominator != 1 or q < 0 or q % order:
-            raise ConsistencyError(
-                f"hom dimension ({i},{j},{m}) is not a nonnegative integer: {acc!r}")
-        value = int(q) // order
-        self._memo[key] = value
-        return value
+        h = self._by_degree
+        if not h:
+            n = mckay_matrix(self.table, self.group)
+            h.append([[int(r == c) for c in range(len(n))] for r in range(len(n))])
+            h.append(n)
+        n = h[1]
+        while len(h) <= m:
+            columns = list(zip(*h[-1]))
+            h.append([[sum(a * b for a, b in zip(row, col)) - below
+                       for col, below in zip(columns, row2)]
+                      for row, row2 in zip(n, h[-2])])
+        return h[m][i][j]
 
     __call__ = hom_dim
 

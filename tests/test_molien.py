@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from mckay import exactnum, molien
-from mckay.exactnum import Poly, RatFunc
-from mckay.mckaygraph import mckay_graph
+from mckay.exactnum import CycloNum, Poly, RatFunc
+from mckay.mckaygraph import mckay_graph, mckay_matrix
 from mckay.molien import HomDims, graded_dim_Bh, koszul_check, molien_matrices
 from mckay.heights import HeightFunction
 from mckay.verify import ADE_EXPECTATIONS, context
@@ -116,6 +116,48 @@ def test_hom_dims_match_series_coefficients(label):
             assert [hd(q, p, m) for m in range(degree + 1)] == series
             # V is self-dual, so the dimensions are symmetric.
             assert [hd(p, q, m) for m in range(degree + 1)] == series
+
+
+# dim Hom(W_i, Sym^12 V* (x) W_j) on 2I, in character table order.
+HOM_DIMS_2I_DEGREE_12 = [
+    [1, 0, 0, 1, 0, 0, 1, 1, 0],
+    [0, 2, 1, 0, 0, 2, 0, 0, 2],
+    [0, 1, 1, 0, 0, 1, 0, 0, 3],
+    [1, 0, 0, 3, 2, 0, 2, 3, 0],
+    [0, 0, 0, 2, 2, 0, 3, 3, 0],
+    [0, 2, 1, 0, 0, 4, 0, 0, 5],
+    [1, 0, 0, 2, 3, 0, 4, 4, 0],
+    [1, 0, 0, 3, 3, 0, 4, 6, 0],
+    [0, 2, 3, 0, 0, 5, 0, 0, 8],
+]
+
+
+def test_hom_dims_need_only_the_mckay_matrix(monkeypatch):
+    g, t, _ = built("2I")
+    hd = HomDims(g, t)
+    assert hd(0, 0, 0) == 1
+
+    def refuse(*args):
+        raise AssertionError("a Hom dimension used cyclotomic arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(CycloNum, name, refuse)
+    assert [[hd(i, j, 12) for j in range(t.count)]
+            for i in range(t.count)] == HOM_DIMS_2I_DEGREE_12
+    monkeypatch.undo()
+
+    # The constructor builds nothing; the first query builds N, once.
+    tables = []
+
+    def counted(table, group):
+        tables.append(table)
+        return mckay_matrix(table, group)
+
+    monkeypatch.setattr(molien, "mckay_matrix", counted)
+    hd = HomDims(g, t)
+    assert tables == []
+    assert (hd(0, 0, 12), hd(8, 8, 6)) == (1, 4)
+    assert tables == [t]
 
 
 def test_e_matrix_encodes_multiplicities():
