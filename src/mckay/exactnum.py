@@ -663,38 +663,10 @@ class TruncSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
 
-    @staticmethod
-    def constant(value, degree: int) -> TruncSeries:
-        return TruncSeries(degree, [value] + [0] * degree)
-
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return self.degree == other.degree and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        d = min(self.degree, other.degree)
-        return TruncSeries(d, [a + b for a, b in zip(self.coeffs, other.coeffs)][:d + 1])
-
-    def __sub__(self, other):
-        d = min(self.degree, other.degree)
-        return TruncSeries(d, [a - b for a, b in zip(self.coeffs, other.coeffs)][:d + 1])
-
-    def __mul__(self, other):
-        if isinstance(other, TruncSeries):
-            d = min(self.degree, other.degree)
-            out = [Fraction(0)] * (d + 1)
-            for i, a in enumerate(self.coeffs[:d + 1]):
-                if not a:
-                    continue
-                for j in range(d + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return TruncSeries(d, out)
-        return TruncSeries(self.degree, [c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"TruncSeries({list(self.coeffs)} + O(t^{self.degree + 1}))"
