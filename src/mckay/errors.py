@@ -10,7 +10,8 @@ class PreconditionError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured resource guard (conductor bound, path cap) was exceeded."""
+    """A configured resource guard (conductor bound, column cap, flip cap)
+    was exceeded."""
 
 
 class ConsistencyError(RuntimeError):

@@ -15,8 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .mckaygraph import McKayGraph
+
+#: Most flips one flip path may take.
+FLIP_CAP = 10000
 
 
 class Arrow(NamedTuple):
@@ -259,17 +262,18 @@ def flip_path(h_from: HeightFunction, h_to: HeightFunction) -> list[tuple[int, s
 
     Greedy and deterministic: among vertices still below the target pick the
     lowest-index sink and raise it; otherwise lower the lowest-index source
-    above the target.  Each step shrinks the L1 distance by 2.
+    above the target.  Each step shrinks the L1 distance by 2, so the path
+    has exactly half that distance in flips, at most FLIP_CAP.
     """
     h_from.require_valid()
     h_to.require_valid()
+    flips = sum(abs(a - b) for a, b in zip(h_from.values, h_to.values)) // 2
+    if flips > FLIP_CAP:
+        raise ResourceLimitError(
+            f"the flip path has {flips} flips, above the cap {FLIP_CAP}")
     current = h_from
     steps: list[tuple[int, str]] = []
-    guard = 0
     while current.values != h_to.values:
-        guard += 1
-        if guard > 10000:
-            raise PreconditionError("flip search did not terminate")
         quiver = current.quiver()
         below = [v for v in range(current.graph.size)
                  if current.values[v] < h_to.values[v]]

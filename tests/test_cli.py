@@ -169,6 +169,13 @@ def test_lattice_check_single_height(capsys):
     assert any(name.startswith("lattice/weyl") for name in names)
 
 
+def test_flip_path_cap_is_a_resource_limit(capsys):
+    code, out, err = run(capsys, "lattice-check", "cyclic:2", "--height", "20000,20001")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "the flip path has 20000 flips, above the cap 10000", "kind": "resource"}
+
+
 def test_all_command_runs_the_battery(capsys):
     code, out, _ = run(capsys, "all")
     assert code == 0
