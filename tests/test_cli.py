@@ -258,6 +258,23 @@ def test_lattice_check_shares_the_battery_path(monkeypatch, capsys):
     assert rows and rows == _battery_rows(verify.check_lattice(), "cyclic:2")
 
 
+def test_lattice_check_reports_twists_that_miss_their_flips(monkeypatch, capsys):
+    from mckay import ktheory
+
+    monkeypatch.setattr(ktheory, "cartan_form", lambda hd, x, y: 0)
+    code, out, _ = run(capsys, "lattice-check", "cyclic:4")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks[-1]["name"] == "lattice/weyl" and checks[-1]["pass"]
+    # Every source and sink of the six window-2 heights, in reporting order.
+    expected = [((0, -2, -1, -1), (0, 1)), ((0, 0, -1, -1), (0, 1, 2, 3)),
+                ((0, 0, -1, 1), (3, 2)), ((0, 0, 1, -1), (2, 3)),
+                ((0, 0, 1, 1), (2, 3, 0, 1)), ((0, 2, 1, 1), (1, 0))]
+    assert _witness_rows(checks[:-1]) == [
+        {"height": list(h), "vertex": v, "error": "twist does not match flip"}
+        for h, vertices in expected for v in vertices]
+
+
 def test_hilbert_match_shares_the_battery_path(monkeypatch, capsys):
     from mckay import verify
 

@@ -41,7 +41,8 @@ def _cases() -> dict[str, list[str]]:
             cases[f"{c}-{d}-height"] = [c, d, "--height", SAMPLE_HEIGHTS[d]]
     # Conductor 8 with half-integer generators (2O) and conductor 20 (2I).
     for d in ("2O", "2I"):
-        for c in ("group", "chartab", "graph", "molien", "koszul-check"):
+        for c in ("group", "chartab", "graph", "molien", "koszul-check",
+                  "lattice-check"):
             cases[f"{c}-{d}"] = [c, d]
     cases["lattice-check-cyclic:2-table"] = ["lattice-check", "cyclic:2",
                                              "--output", "table"]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from mckay import ktheory
 from mckay.chartab import dixon_character_table
 from mckay.errors import PreconditionError
 from mckay.groups import build_group, parse_descriptor
@@ -17,6 +18,7 @@ from mckay.ktheory import (P1Class, basis_change_unimodular, cartan_form,
                            verify_twist_vs_flip, weyl_checks)
 from mckay.mckaygraph import mckay_graph
 from mckay.molien import HomDims
+from mckay.verify import context, lattice_failures
 
 
 def setup(label):
@@ -162,6 +164,31 @@ def test_twist_vs_flip_diagonal_and_nonneighbors():
         if j != source and graph.n[source][j] == 0:
             tw = twist_class(hd, graph, family, source, family.classes[j])
             assert classes_equal(hd, graph, tw, family.classes[j])
+
+
+def twist_failure_rows(graph):
+    """One "twist does not match flip" row per source and sink of every
+    window-2 height, in the order `lattice_failures` reports them."""
+    rows = []
+    for h in enumerate_heights(graph, 2):
+        quiver = h.quiver()
+        rows += [{"height": list(h.values), "vertex": v,
+                  "error": "twist does not match flip"}
+                 for v in list(quiver.sources()) + list(quiver.sinks())]
+    return rows
+
+
+@pytest.mark.parametrize("label,count", [("cyclic:4", 16), ("bd:2", 66)])
+def test_twist_reads_the_cartan_form(label, count, monkeypatch):
+    # With the symmetrized form patched to 0 every twist is the identity, so
+    # it misses the flipped class at the twisted vertex everywhere; the Cartan
+    # check in `verify` reads its own binding and stays silent.
+    monkeypatch.setattr(ktheory, "cartan_form", lambda hd, x, y: 0)
+    _, _, graph, hd = context(label)
+    rows = [row for h in enumerate_heights(graph, 2)
+            for row in lattice_failures(graph, hd, h)]
+    assert len(rows) == count
+    assert rows == twist_failure_rows(graph)
 
 
 def test_probe_vectors_separate_and_span():
