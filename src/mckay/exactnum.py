@@ -1,5 +1,5 @@
 """Exact scalar arithmetic: rationals, polynomials, reduced rational
-functions, truncated power series, and cyclotomic field elements.
+functions with their Maclaurin coefficients, and cyclotomic field elements.
 
 Rationals are stdlib ``fractions.Fraction``.  A cyclotomic number is a vector
 in the power basis 1, z, ..., z^(phi(N)-1) of Q(z_N), reduced modulo the N-th
@@ -576,7 +576,7 @@ def cyclo_sort_key(value: CycloNum):
 
 
 # ---------------------------------------------------------------------------
-# Rational functions and truncated series
+# Rational functions and their series
 # ---------------------------------------------------------------------------
 
 class RatFunc:
@@ -620,9 +620,6 @@ class RatFunc:
     def __hash__(self):
         return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
 
-    def series(self, degree: int) -> TruncSeries:
-        return series_of_ratfunc(self, degree)
-
     def __repr__(self):
         return f"RatFunc({self.num!r} / {self.den!r})"
 
@@ -646,34 +643,8 @@ class RatFunc:
         return f"({side(self.num)}) / ({side(self.den)})"
 
 
-class TruncSeries:
-    """Power series truncated at a fixed degree; coefficients are Fractions."""
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int, coeffs):
-        if degree < 0:
-            raise PreconditionError("truncation degree must be nonnegative")
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) != degree + 1:
-            raise PreconditionError("coefficient list must have length degree+1")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.degree == other.degree and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"TruncSeries({list(self.coeffs)} + O(t^{self.degree + 1}))"
-
-
-def series_of_ratfunc(f: RatFunc, degree: int) -> TruncSeries:
-    """Maclaurin expansion of a rational function through the given degree.
+def series_of_ratfunc(f: RatFunc, degree: int) -> tuple[Fraction, ...]:
+    """Maclaurin coefficients of a rational function at t^0, ..., t^degree.
 
     The denominator must not vanish at t = 0.
     """
@@ -681,11 +652,11 @@ def series_of_ratfunc(f: RatFunc, degree: int) -> TruncSeries:
     if not den or not den[0]:
         raise PreconditionError("rational function has a pole at t = 0")
     num = f.num.coeffs
-    inv0 = 1 / den[0]
+    inv0 = Fraction(1) / den[0]
     out = []
     for k in range(degree + 1):
         acc = num[k] if k < len(num) else Fraction(0)
         for j in range(1, min(k, len(den) - 1) + 1):
             acc -= den[j] * out[k - j]
         out.append(acc * inv0)
-    return TruncSeries(degree, out)
+    return tuple(out)

@@ -72,9 +72,6 @@ class P1Class:
     def twist(self, amount: int) -> P1Class:
         return P1Class({(i, d + amount): v for (i, d), v in self.terms.items()})
 
-    def to_json(self):
-        return [[i, d, v] for (i, d), v in sorted(self.terms.items())]
-
     def __repr__(self):
         if not self.terms:
             return "P1Class(0)"
@@ -112,7 +109,9 @@ def probe_vector(hd: HomDims, graph: McKayGraph, x: P1Class) -> tuple[int, ...]:
 
 
 def classes_equal(hd: HomDims, graph: McKayGraph, x: P1Class, y: P1Class) -> bool:
-    return probe_vector(hd, graph, x) == probe_vector(hd, graph, y)
+    """Equality on the probe set: x - y pairs to 0 against every probe."""
+    diff = x - y
+    return all(euler_char(hd, p, diff) == 0 for p in probe_set(graph))
 
 
 @dataclass(frozen=True)
@@ -195,22 +194,10 @@ def cartan_form(hd: HomDims, x: P1Class, y: P1Class) -> int:
     return euler_char(hd, x, y) + euler_char(hd, y, x)
 
 
-def family_coordinates(hd: HomDims, graph: McKayGraph, family: SimpleFamily,
-                       x: P1Class) -> list[Fraction] | None:
-    """Coordinates of x in the span of the family's classes, via probes."""
-    columns = [probe_vector(hd, graph, cls) for cls in family.classes]
-    target = probe_vector(hd, graph, x)
-    mat = [[Fraction(columns[j][r]) for j in range(len(columns))]
-           for r in range(len(target))]
-    return linalg.solve(mat, [Fraction(t) for t in target])
-
-
 def twist_class(hd: HomDims, graph: McKayGraph, family: SimpleFamily,
                 vertex: int, x: P1Class) -> P1Class:
-    """Reflection of a class in the hyperplane of one simple:
+    """Reflection of any class x in the hyperplane of one simple:
     x - <[E_vertex], x> [E_vertex] under the symmetrized form."""
-    if family_coordinates(hd, graph, family, x) is None:
-        raise PreconditionError("class lies outside the span of the simple classes")
     e = family.classes[vertex]
     return x - cartan_form(hd, e, x) * e
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .chartab import CharacterTable
 from .errors import ConsistencyError, PreconditionError
-from .exactnum import CycloNum, Poly, RatFunc
+from .exactnum import CycloNum, Poly, RatFunc, series_of_ratfunc
 from .groups import MatrixGroup
 from .mckaygraph import mckay_matrix
 
@@ -94,7 +94,7 @@ class MolienMatrices:
             "convention": self.convention,
             "S": [[str(entry) for entry in row] for row in s],
             "E": [[str(RatFunc.from_poly(entry)) for entry in row] for row in self.E],
-            "S_series": [[[str(c) for c in entry.series(max_degree).coeffs]
+            "S_series": [[[str(c) for c in series_of_ratfunc(entry, max_degree)]
                           for entry in row] for row in s],
         }
 

@@ -6,29 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from mckay import ktheory
-from mckay.chartab import dixon_character_table
-from mckay.errors import PreconditionError
-from mckay.groups import build_group, parse_descriptor
+from mckay import ktheory, linalg
 from mckay.heights import HeightFunction, enumerate_heights, parity_height
 from mckay.ktheory import (P1Class, basis_change_unimodular, cartan_form,
-                           classes_equal, euler_char, family_coordinates,
-                           flip_family, parity_family, probe_vector,
-                           simple_family, twist_class, verify_dual_bases,
+                           classes_equal, euler_char, flip_family,
+                           parity_family, probe_vector, simple_family,
+                           twist_class, verify_dual_bases,
                            verify_twist_vs_flip, weyl_checks)
-from mckay.mckaygraph import mckay_graph
-from mckay.molien import HomDims
-from mckay.verify import context, lattice_failures
-
-
-def setup(label):
-    g = build_group(parse_descriptor(label))
-    t = dixon_character_table(g)
-    return mckay_graph(g, t), HomDims(g, t)
+from mckay.verify import ADE_EXPECTATIONS, context, lattice_failures
 
 
 def test_euler_pairing_base_cases():
-    _, hd = setup("cyclic:2")
+    *_, hd = context("cyclic:2")
     w0 = P1Class.symbol(0, 0)
     assert euler_char(hd, w0, w0) == 1
     assert euler_char(hd, w0, P1Class.symbol(0, -2)) == -1
@@ -38,7 +27,7 @@ def test_euler_pairing_base_cases():
 
 
 def test_parity_family_duality_defines_it():
-    graph, hd = setup("cyclic:2")
+    _, _, graph, hd = context("cyclic:2")
     family = parity_family(graph, hd)
     for k in range(2):
         fk = P1Class.symbol(k, graph.parity[k])
@@ -53,14 +42,13 @@ def test_parity_family_duality_defines_it():
                               P1Class.symbol(j, e)) for (j, e) in window]
                   for k in range(2)]
         target = [1 if k == i else 0 for k in range(2)]
-        from mckay import linalg
         sol = linalg.solve([[Fraction(x) for x in row] for row in matrix],
                            [Fraction(t) for t in target])
         assert sol is not None
 
 
 def test_flip_rules_at_class_level():
-    graph, hd = setup("cyclic:2")
+    _, _, graph, hd = context("cyclic:2")
     family = parity_family(graph, hd)
     source = family.height.sources()[0]
     flipped = flip_family(graph, family, source, "minus")
@@ -71,7 +59,7 @@ def test_flip_rules_at_class_level():
 
 
 def test_nonneighbor_class_is_fixed():
-    graph, hd = setup("bd:2")
+    _, _, graph, hd = context("bd:2")
     family = parity_family(graph, hd)
     center = 4
     h = family.height
@@ -86,7 +74,7 @@ def test_nonneighbor_class_is_fixed():
 
 def test_cartan_form_on_simple_classes():
     for label in ("cyclic:2", "cyclic:4", "bd:2"):
-        graph, hd = setup(label)
+        _, _, graph, hd = context(label)
         for h in enumerate_heights(graph, 2):
             family = simple_family(graph, hd, h)
             for i, a in enumerate(family.classes):
@@ -95,7 +83,7 @@ def test_cartan_form_on_simple_classes():
 
 
 def test_delta_combination_is_radical():
-    graph, hd = setup("cyclic:4")
+    _, _, graph, hd = context("cyclic:4")
     family = parity_family(graph, hd)
     delta_class = P1Class()
     for i, coeff in enumerate(graph.delta):
@@ -105,7 +93,7 @@ def test_delta_combination_is_radical():
 
 
 def test_twist_examples_and_involution():
-    graph, hd = setup("cyclic:2")
+    _, _, graph, hd = context("cyclic:2")
     family = parity_family(graph, hd)
     e0, e1 = family.classes
     assert classes_equal(hd, graph, twist_class(hd, graph, family, 0, e0), -e0)
@@ -114,30 +102,28 @@ def test_twist_examples_and_involution():
     assert classes_equal(hd, graph, twist_class(hd, graph, family, 0, t1), e1)
 
 
-def test_twist_requires_span_membership():
-    graph, hd = setup("cyclic:2")
+def test_symbols_have_integral_family_coordinates():
+    _, _, graph, hd = context("cyclic:2")
     family = parity_family(graph, hd)
-    # Every symbol lies in the span of a full family (the classes are a
-    # lattice basis), so coordinates always solve.
-    coords = family_coordinates(hd, graph, family, P1Class.symbol(0, 4))
+    # The classes are a lattice basis, so W_0(4) has integral coordinates in
+    # the family: solve for them on probe vectors.
+    columns = [probe_vector(hd, graph, cls) for cls in family.classes]
+    target = probe_vector(hd, graph, P1Class.symbol(0, 4))
+    coords = linalg.solve([[Fraction(col[r]) for col in columns]
+                           for r in range(len(target))],
+                          [Fraction(t) for t in target])
     assert coords is not None and all(c.denominator == 1 for c in coords)
-    # Dropping a class makes the span proper and the precondition fire.
-    from dataclasses import replace
-    truncated = replace(family, classes=(family.classes[0],))
-    assert family_coordinates(hd, graph, truncated, family.classes[1]) is None
-    with pytest.raises(PreconditionError):
-        twist_class(hd, graph, truncated, 0, family.classes[1])
 
 
 @pytest.mark.parametrize("label", ["cyclic:2", "cyclic:4", "bd:2"])
 def test_dual_bases_all_heights(label):
-    graph, hd = setup(label)
+    _, _, graph, hd = context(label)
     for h in enumerate_heights(graph, 2):
         assert verify_dual_bases(graph, hd, h)
 
 
 def test_dual_bases_after_one_flip():
-    graph, hd = setup("bd:2")
+    _, _, graph, hd = context("bd:2")
     base = parity_height(graph)
     sink = base.sinks()[0]
     raised = base.with_value(sink, base.values[sink] + 2)
@@ -146,7 +132,7 @@ def test_dual_bases_after_one_flip():
 
 @pytest.mark.parametrize("label", ["cyclic:2", "cyclic:4", "bd:2"])
 def test_twist_matches_flip_everywhere(label):
-    graph, hd = setup(label)
+    _, _, graph, hd = context(label)
     for h in enumerate_heights(graph, 2):
         quiver = h.quiver()
         for v in list(quiver.sources()) + list(quiver.sinks()):
@@ -154,7 +140,7 @@ def test_twist_matches_flip_everywhere(label):
 
 
 def test_twist_vs_flip_diagonal_and_nonneighbors():
-    graph, hd = setup("cyclic:4")
+    _, _, graph, hd = context("cyclic:4")
     h = HeightFunction(graph, (0, 0, 1, 1))
     family = simple_family(graph, hd, h)
     source = h.quiver().sources()[0]
@@ -192,7 +178,7 @@ def test_twist_reads_the_cartan_form(label, count, monkeypatch):
 
 
 def test_probe_vectors_separate_and_span():
-    graph, hd = setup("cyclic:4")
+    _, _, graph, hd = context("cyclic:4")
     family = parity_family(graph, hd)
     vectors = [probe_vector(hd, graph, cls) for cls in family.classes]
     assert len(set(vectors)) == graph.size
@@ -201,37 +187,40 @@ def test_probe_vectors_separate_and_span():
 
 
 def test_every_height_spans_the_parity_lattice():
-    graph, hd = setup("bd:2")
+    _, _, graph, hd = context("bd:2")
     base = parity_height(graph)
     for h in enumerate_heights(graph, 2):
         assert basis_change_unimodular(graph, hd, base, h)
 
 
-def test_lattice_suite_on_the_e6_graph():
-    graph, hd = setup("2T")
-    for h in enumerate_heights(graph, 1):
-        family = simple_family(graph, hd, h)
-        for i, a in enumerate(family.classes):
-            for j, b in enumerate(family.classes):
-                assert cartan_form(hd, a, b) == graph.cartan[i][j]
-        assert verify_dual_bases(graph, hd, h)
-        quiver = h.quiver()
-        for v in list(quiver.sources())[:2] + list(quiver.sinks())[:2]:
-            assert verify_twist_vs_flip(graph, hd, h, v)
+# The groups containing -I: even cyclic orders, every binary dihedral group
+# and the three binary polyhedral groups.
+MINUS_IDENTITY_GROUPS = [label for label, _ in ADE_EXPECTATIONS
+                         if not (label.startswith("cyclic:") and int(label[7:]) % 2)]
+
+
+@pytest.mark.parametrize("label", MINUS_IDENTITY_GROUPS)
+def test_lattice_suite_on_every_group_with_minus_identity(label):
+    _, _, graph, hd = context(label)
+    assert graph.parity is not None
+    heights = enumerate_heights(graph, 1)
+    for h in heights:
+        assert lattice_failures(graph, hd, h) == []
+    assert basis_change_unimodular(graph, hd, heights[0], heights[-1])
     assert weyl_checks(graph)["ok"]
 
 
 def test_weyl_relations():
-    graph, _ = setup("cyclic:2")
+    _, _, graph, _ = context("cyclic:2")
     report = weyl_checks(graph)
     assert report["ok"]
     assert report["double_edge_infinite"] is True
 
-    graph3, _ = setup("cyclic:3")
+    _, _, graph3, _ = context("cyclic:3")
     report3 = weyl_checks(graph3)
     assert report3["ok"]
     assert all(item["ok"] for item in report3["braid3"])
     assert report3["double_edge_infinite"] is None
 
-    graph4, _ = setup("bd:2")
+    _, _, graph4, _ = context("bd:2")
     assert weyl_checks(graph4)["ok"]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from mckay import exactnum, molien
-from mckay.exactnum import CycloNum, Poly, RatFunc
+from mckay.exactnum import CycloNum, Poly, RatFunc, series_of_ratfunc
 from mckay.mckaygraph import mckay_graph, mckay_matrix
 from mckay.molien import HomDims, graded_dim_Bh, koszul_check, molien_matrices
 from mckay.heights import HeightFunction
@@ -44,7 +44,7 @@ def test_s_at_zero_is_identity():
     for label in ("cyclic:3", "bd:2", "2T"):
         for p, row in enumerate(built(label)[2].S):
             for q, entry in enumerate(row):
-                assert entry.series(0).coeffs[0] == (1 if p == q else 0)
+                assert series_of_ratfunc(entry, 0)[0] == (1 if p == q else 0)
 
 
 def test_koszul_identity_by_hand_for_order_two():
@@ -112,7 +112,7 @@ def test_hom_dims_match_series_coefficients(label):
     degree = SERIES_DEGREE.get(label, 12)
     for p, row in enumerate(built(label)[2].S):
         for q, entry in enumerate(row):
-            series = list(entry.series(degree).coeffs)
+            series = list(series_of_ratfunc(entry, degree))
             assert [hd(q, p, m) for m in range(degree + 1)] == series
             # V is self-dual, so the dimensions are symmetric.
             assert [hd(p, q, m) for m in range(degree + 1)] == series
