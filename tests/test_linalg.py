@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 from mckay import linalg
 
@@ -26,3 +29,75 @@ def test_rank_drops_mod_p():
     assert linalg.nullspace(mat, 5) == [[3, 1]]
     assert linalg.inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
     assert linalg.inverse([[2, 0], [0, 1]]) == [[Fraction(1, 2), 0], [0, 1]]
+
+
+_GOLDEN_RREF = Path(__file__).parent / "golden" / "rref.json"
+
+
+def _golden_entry(rng: random.Random, kind: str):
+    if kind == "int":
+        return rng.randint(-5, 5)
+    if kind == "small":
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+
+
+def _golden_matrix(rng: random.Random) -> list[list]:
+    """A seeded rational matrix: wide or tall, with integer, small or large
+    fraction entries, and now and then dependent rows, a zero row or a zero
+    column."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    kind = rng.choice(("int", "small", "large"))
+    mat = [[_golden_entry(rng, kind) if rng.random() < 0.75 else 0
+            for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and rng.random() < 0.4:
+        a, b = rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        mat[rng.randrange(rows)] = [a * x + b * y for x, y in zip(mat[0], mat[1])]
+    if rng.random() < 0.2:
+        mat[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 0.2:
+        c = rng.randrange(cols)
+        for row in mat:
+            row[c] = 0
+    return mat
+
+
+def _q(rows) -> list:
+    return [f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in rows]
+
+
+def _golden_rref_records() -> list[dict]:
+    """rref, nullspace, solve and inverse over Q on 300 seeded matrices and
+    the empty one; rref and nullspace mod 5 and 7 on the integer ones."""
+    rng = random.Random(90210)
+    records = []
+    for k in range(301):
+        mat = _golden_matrix(rng) if k else []
+        cols = len(mat[0]) if mat else 0
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+        rhs = [sum((Fraction(a) * b for a, b in zip(row, x)), Fraction(0)) for row in mat]
+        if rng.random() < 0.3 and rhs:
+            rhs[rng.randrange(len(rhs))] += 1
+        red, pivots = linalg.rref(mat)
+        sol = linalg.solve(mat, rhs)
+        entry = {"mat": [_q(row) for row in mat], "rhs": _q(rhs),
+                 "rref": [_q(row) for row in red], "pivots": pivots,
+                 "nullspace": [_q(v) for v in linalg.nullspace(mat)],
+                 "solve": None if sol is None else _q(sol)}
+        if len(mat) == cols:
+            inv = linalg.inverse(mat)
+            entry["inverse"] = None if inv is None else [_q(row) for row in inv]
+        if all(isinstance(v, int) for row in mat for v in row):
+            entry["mod"] = {str(p): [*linalg.rref(mat, p), linalg.nullspace(mat, p)]
+                            for p in (5, 7)}
+        records.append(entry)
+    return records
+
+
+def test_rref_matches_golden_record():
+    assert _golden_rref_records() == json.loads(_GOLDEN_RREF.read_text())
+
+
+if __name__ == "__main__":
+    lines = [json.dumps(r, sort_keys=True) for r in _golden_rref_records()]
+    _GOLDEN_RREF.write_text("[\n" + ",\n".join(lines) + "\n]\n")
