@@ -31,6 +31,27 @@ def test_rank_drops_mod_p():
     assert linalg.inverse([[2, 0], [0, 1]]) == [[Fraction(1, 2), 0], [0, 1]]
 
 
+
+def test_q_elimination_does_no_fraction_arithmetic(monkeypatch):
+    mat = [[Fraction(1, 2), Fraction(-2, 3), 4],
+           [Fraction(3, 5), 1, Fraction(7, 9)],
+           [Fraction(11, 10), Fraction(1, 3), Fraction(43, 9)]]
+    rhs = [1, Fraction(-1, 4), Fraction(3, 4)]
+    expected = [linalg.rref(mat), linalg.nullspace(mat), linalg.solve(mat, rhs),
+                linalg.inverse(mat[:2] + [[0, 0, 1]])]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic inside the elimination")
+
+    for op in ("add", "sub", "mul", "truediv"):
+        monkeypatch.setattr(Fraction, f"__{op}__", refuse)
+        monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
+    got = [linalg.rref(mat), linalg.nullspace(mat), linalg.solve(mat, rhs),
+           linalg.inverse(mat[:2] + [[0, 0, 1]])]
+    monkeypatch.undo()
+    assert got == expected
+    assert expected[1] and expected[2] is not None and expected[3] is not None
+
 _GOLDEN_RREF = Path(__file__).parent / "golden" / "rref.json"
 
 
