@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from mckay import linalg
 from mckay.bgp import (QuiverRep, assembled_rank, dim_vector_reflect, direct_sum,
                        find_isomorphism, make_rep, random_representation,
                        reflect_minus, reflect_plus, round_trip_isomorphism)
@@ -115,6 +116,46 @@ def test_round_trip_isomorphism_at_sinks():
             done += 1
         done = 0
 
+
+
+def _intertwiner_row_by_row(rep, back, vertex):
+    """phi with phi . back_map = rep_map on the arrows into the vertex, one
+    linalg.solve per row of phi; None when a row has no solution or phi is
+    singular."""
+    d = rep.dims[vertex]
+    arrows = [(i, a) for i, a in enumerate(rep.quiver.arrows) if a.tgt == vertex]
+    coeff = [[back.maps[i][m][c] for m in range(d)]
+             for i, a in arrows for c in range(rep.dims[a.src])]
+    phi = []
+    for r in range(d):
+        sol = linalg.solve(coeff, [rep.maps[i][r][c] for i, a in arrows
+                                   for c in range(rep.dims[a.src])])
+        if sol is None:
+            return None
+        phi.append(sol)
+    return phi if linalg.inverse(phi) is not None else None
+
+
+@pytest.mark.parametrize("label", ["cyclic:4", "bd:2"])
+def test_round_trip_intertwiner_solves_each_row(label):
+    graph = graph_for(label)
+    rng = random.Random(41)
+    found = missing = 0
+    for h in enumerate_heights(graph, 2)[:4]:
+        quiver = h.quiver()
+        for _ in range(10):
+            rep = random_representation(quiver, rng, low=-1, high=1)
+            for sink in quiver.sinks():
+                result = round_trip_isomorphism(rep, sink)
+                back = reflect_minus(reflect_plus(rep, sink), sink)
+                if back.dims != rep.dims or not rep.dims[sink]:
+                    assert result == (None if back.dims != rep.dims else (back, []))
+                    continue
+                phi = _intertwiner_row_by_row(rep, back, sink)
+                assert result == (None if phi is None else (back, phi))
+                found += phi is not None
+                missing += phi is None
+    assert found > 20 and missing == 0
 
 def test_round_trip_general_intertwiner_search():
     rep = make_rep(DOUBLE, (2, 1), [[[1], [0]], [[1], [1]]])
