@@ -289,21 +289,20 @@ def round_trip_isomorphism(rep: QuiverRep, vertex: int):
     if d == 0:
         return back, []
     arrows = [(i, a) for i, a in enumerate(rep.quiver.arrows) if a.tgt == vertex]
-    # phi . back_map = rep_map on every arrow into the vertex; each row of phi
-    # solves the same coefficient matrix (the assembled back map, transposed).
-    coeff = []
-    targets = [[] for _ in range(d)]
-    for idx, a in arrows:
-        for c in range(rep.dims[a.src]):
-            coeff.append([back.maps[idx][m][c] for m in range(d)])
-            for r in range(d):
-                targets[r].append(rep.maps[idx][r][c])
-    phi = []
-    for r in range(d):
-        sol = linalg.solve(coeff, targets[r])
-        if sol is None:
-            return None
-        phi.append(sol)
+    # phi . back_map = rep_map on every arrow into the vertex: the d rows of
+    # phi solve one coefficient matrix (the assembled back map, transposed),
+    # so one elimination of it with the d right-hand sides appended solves
+    # them all.  A pivot among those d columns is an inconsistent row.
+    aug = [[back.maps[idx][m][c] for m in range(d)]
+           + [rep.maps[idx][r][c] for r in range(d)]
+           for idx, a in arrows for c in range(rep.dims[a.src])]
+    red, pivots = linalg.rref(aug)
+    if pivots and pivots[-1] >= d:
+        return None
+    phi = [[Fraction(0)] * d for _ in range(d)]
+    for row, piv in zip(red, pivots):
+        for r in range(d):
+            phi[r][piv] = row[d + r]
     if linalg.inverse(phi) is None:
         return None
     return back, phi
