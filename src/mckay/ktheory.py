@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .errors import ConsistencyError, PreconditionError
@@ -95,13 +96,14 @@ def projective_class(h: HeightFunction, k: int) -> P1Class:
     return P1Class.symbol(k, h.values[k])
 
 
-def probe_set(graph: McKayGraph) -> list[P1Class]:
+@lru_cache(maxsize=32)
+def probe_set(graph: McKayGraph) -> tuple[P1Class, ...]:
     """Parity-height projectives and their degree-one twists; pairing against
-    these separates every class this module manipulates."""
+    these separates every class this module manipulates.  Built once per
+    graph."""
     base = parity_height(graph)
     probes = [projective_class(base, k) for k in range(graph.size)]
-    probes += [p.twist(1) for p in probes]
-    return probes
+    return tuple(probes + [p.twist(1) for p in probes])
 
 
 def probe_vector(hd: HomDims, graph: McKayGraph, x: P1Class) -> tuple[int, ...]:
@@ -123,6 +125,7 @@ class SimpleFamily:
     flips_from_parity: tuple[tuple[int, str], ...]
 
 
+@lru_cache(maxsize=32)
 def parity_family(graph: McKayGraph, hd: HomDims) -> SimpleFamily:
     """Base family at the parity height.
 
@@ -130,7 +133,8 @@ def parity_family(graph: McKayGraph, hd: HomDims) -> SimpleFamily:
     arrows, from the standard two-step projective resolution over the path
     algebra; the defining duality system (pairing against the projectives is
     the identity) is then verified, and its failure reports a too-small twist
-    window.
+    window.  Built and verified once per graph and HomDims (keyed by
+    identity, as HomDims defines no equality).
     """
     base = parity_height(graph)
     quiver = base.quiver()

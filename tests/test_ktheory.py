@@ -177,6 +177,20 @@ def test_twist_reads_the_cartan_form(label, count, monkeypatch):
     assert rows == twist_failure_rows(graph)
 
 
+
+def test_parity_family_is_verified_once(monkeypatch):
+    # Every height's family starts from the parity family; its duality check
+    # runs when that family is first built, not once per height and flip.
+    calls = []
+    check = ktheory._assert_duality
+    monkeypatch.setattr(ktheory, "_assert_duality",
+                        lambda *args: calls.append(args) or check(*args))
+    ktheory.parity_family.cache_clear()
+    _, _, graph, hd = context("bd:2")
+    heights = enumerate_heights(graph, 2)
+    assert all(lattice_failures(graph, hd, h) == [] for h in heights)
+    assert len(heights) > 1 and len(calls) == 1
+
 def test_probe_vectors_separate_and_span():
     _, _, graph, hd = context("cyclic:4")
     family = parity_family(graph, hd)
