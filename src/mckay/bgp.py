@@ -85,14 +85,6 @@ def _freeze(rows, nrows, ncols):
     return tuple(tuple(row) for row in rows)
 
 
-def make_rep(quiver: OrientedQuiver, dims, matrices) -> QuiverRep:
-    maps = []
-    for arrow, mat in zip(quiver.arrows, matrices):
-        maps.append(_freeze([[Fraction(x) for x in row] for row in mat],
-                            dims[arrow.tgt], dims[arrow.src]))
-    return QuiverRep(quiver, tuple(dims), tuple(maps))
-
-
 def dim_vector_reflect(dims, vertex: int, n_matrix) -> tuple[int, ...]:
     """Simple reflection on dimension vectors:
     s_i(d)_i = -d_i + sum_j n_ij d_j, other coordinates fixed."""
@@ -197,21 +189,6 @@ def assembled_rank(rep: QuiverRep, vertex: int) -> int:
                 stacked.extend([list(row) for row in rep.maps[idx]])
         return linalg.rank(stacked) if stacked and stacked[0] else 0
     raise PreconditionError(f"vertex {vertex} is neither sink nor source")
-
-
-def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
-    if a.quiver != b.quiver:
-        raise PreconditionError("direct sum needs matching quivers")
-    dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-    maps = []
-    for arrow, ma, mb in zip(a.quiver.arrows, a.maps, b.maps):
-        rows = []
-        for r in range(a.dims[arrow.tgt]):
-            rows.append(list(ma[r]) + [Fraction(0)] * b.dims[arrow.src])
-        for r in range(b.dims[arrow.tgt]):
-            rows.append([Fraction(0)] * a.dims[arrow.src] + list(mb[r]))
-        maps.append(tuple(tuple(row) for row in rows))
-    return QuiverRep(a.quiver, dims, tuple(maps))
 
 
 def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7,

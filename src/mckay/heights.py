@@ -232,31 +232,6 @@ def ext_vanishing_check(h: HeightFunction, hom_dim,
     return not witnesses, witnesses
 
 
-def euler_sequence_check(h: HeightFunction, hom_dim, m_max: int) -> bool:
-    """Exactness of the three-term sequence at a source, in graded dimensions.
-
-    For a source i the sequence 0 -> F_i(lowered) -> sum of neighbors -> F_i -> 0
-    is paired against every twisted projective F_k (x) T^m; pairing on the
-    contravariant side keeps every correction term zero, so the alternating
-    sum of dimensions must vanish for all k and m >= 0.
-    """
-    h.require_valid()
-    quiver = h.quiver()
-    values = h.values
-    for i in quiver.sources():
-        lowered = values[i] - 2
-        for k in range(h.graph.size):
-            for m in range(m_max + 1):
-                target = values[k] + 2 * m
-                total = hom_dim(i, k, target - lowered)
-                total -= sum(hom_dim(a.tgt, k, target - values[a.tgt])
-                             for a in quiver.arrows_from(i))
-                total += hom_dim(i, k, target - values[i])
-                if total != 0:
-                    return False
-    return True
-
-
 def flip_path(h_from: HeightFunction, h_to: HeightFunction) -> list[tuple[int, str]]:
     """A flip sequence transforming one height into another.
 

@@ -110,14 +110,6 @@ class QuadraticPresentation:
             spans[block] = [red[i] for i in range(len(pivots))]
         return spans
 
-    def num_length2_paths(self) -> int:
-        total = 0
-        for a1, first in enumerate(self.arrows):
-            for a2, second in enumerate(self.arrows):
-                if first.tgt == second.src:
-                    total += 1
-        return total
-
     def to_json(self) -> dict:
         return {
             "vertices": self.num_vertices,

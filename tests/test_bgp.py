@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from mckay import linalg
-from mckay.bgp import (QuiverRep, assembled_rank, dim_vector_reflect, direct_sum,
-                       find_isomorphism, make_rep, random_representation,
+from mckay.bgp import (QuiverRep, assembled_rank, dim_vector_reflect,
+                       find_isomorphism, random_representation,
                        reflect_minus, reflect_plus, round_trip_isomorphism)
 from mckay.chartab import dixon_character_table
 from mckay.errors import PreconditionError
@@ -23,6 +24,25 @@ DOUBLE_N = [[0, 2], [2, 0]]
 def graph_for(label):
     g = build_group(parse_descriptor(label))
     return mckay_graph(g, dixon_character_table(g))
+
+
+def make_rep(quiver, dims, matrices):
+    """A representation with one integer matrix per arrow."""
+    maps = tuple(tuple(tuple(Fraction(x) for x in row) for row in mat)
+                 for mat in matrices)
+    return QuiverRep(quiver, tuple(dims), maps)
+
+
+def direct_sum(a, b):
+    """Block-diagonal sum of two representations of one quiver."""
+    assert a.quiver == b.quiver
+    maps = []
+    for arrow, ma, mb in zip(a.quiver.arrows, a.maps, b.maps):
+        pad_a = (Fraction(0),) * a.dims[arrow.src]
+        pad_b = (Fraction(0),) * b.dims[arrow.src]
+        maps.append(tuple(row + pad_b for row in ma) + tuple(pad_a + row for row in mb))
+    dims = tuple(x + y for x, y in zip(a.dims, b.dims))
+    return QuiverRep(a.quiver, dims, tuple(maps))
 
 
 def test_kernel_example_with_invertible_assembled_map():

@@ -82,18 +82,22 @@ def test_three_cycle_relations_have_two_terms():
             assert signs[True] == -signs[False]
 
 
+def num_length2_paths(pres) -> int:
+    return sum(first.tgt == second.src for first in pres.arrows for second in pres.arrows)
+
+
 def test_ext_relation_count_matches_dimension_formula():
     for label in ("cyclic:2", "cyclic:4", "bd:2"):
         graph, _ = setup(label)
         ext = ext_algebra_presentation(graph)
-        expected = ext.num_length2_paths() - graph.size
+        expected = num_length2_paths(ext) - graph.size
         assert len(ext.relations) == expected
 
 
 def test_double_edge_counts():
     graph, _ = setup("cyclic:2")
     ext = ext_algebra_presentation(graph)
-    assert ext.num_length2_paths() == 8
+    assert num_length2_paths(ext) == 8
     assert len(ext.relations) == 6
 
 
@@ -116,7 +120,7 @@ def test_annihilator_dimension_count():
     graph, _ = setup("cyclic:4")
     ext = ext_algebra_presentation(graph)
     dual = quadratic_dual(ext)
-    assert len(ext.relations) + len(dual.relations) == ext.num_length2_paths()
+    assert len(ext.relations) + len(dual.relations) == num_length2_paths(ext)
 
 
 def test_truncated_dims_low_degrees():
