@@ -137,7 +137,6 @@ def test_round_trip_isomorphism_at_sinks():
         done = 0
 
 
-
 def _intertwiner_row_by_row(rep, back, vertex):
     """phi with phi . back_map = rep_map on the arrows into the vertex, one
     linalg.solve per row of phi; None when a row has no solution or phi is
@@ -176,6 +175,7 @@ def test_round_trip_intertwiner_solves_each_row(label):
                 found += phi is not None
                 missing += phi is None
     assert found > 20 and missing == 0
+
 
 def test_round_trip_general_intertwiner_search():
     rep = make_rep(DOUBLE, (2, 1), [[[1], [0]], [[1], [1]]])

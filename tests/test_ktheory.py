@@ -177,7 +177,6 @@ def test_twist_reads_the_cartan_form(label, count, monkeypatch):
     assert rows == twist_failure_rows(graph)
 
 
-
 def test_parity_family_is_verified_once(monkeypatch):
     # Every height's family starts from the parity family; its duality check
     # runs when that family is first built, not once per height and flip.
@@ -190,6 +189,7 @@ def test_parity_family_is_verified_once(monkeypatch):
     heights = enumerate_heights(graph, 2)
     assert all(lattice_failures(graph, hd, h) == [] for h in heights)
     assert len(heights) > 1 and len(calls) == 1
+
 
 def test_probe_vectors_separate_and_span():
     _, _, graph, hd = context("cyclic:4")

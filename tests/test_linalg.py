@@ -31,7 +31,6 @@ def test_rank_drops_mod_p():
     assert linalg.inverse([[2, 0], [0, 1]]) == [[Fraction(1, 2), 0], [0, 1]]
 
 
-
 def test_q_elimination_does_no_fraction_arithmetic(monkeypatch):
     mat = [[Fraction(1, 2), Fraction(-2, 3), 4],
            [Fraction(3, 5), 1, Fraction(7, 9)],
