@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +207,39 @@ def test_quiver_rep_json_round_trip():
     assert again.dims == rep.dims
     assert again.maps == rep.maps
     assert again.quiver.arrows == rep.quiver.arrows
+
+
+_GOLDEN_REFLECT = Path(__file__).parent / "golden" / "reflect.json"
+
+
+def _golden_reflect_records() -> list[dict]:
+    """reflect_plus at every sink and reflect_minus at every source of every
+    window-2 orientation of cyclic:2, cyclic:4, bd:2 and 2T, with the
+    assembled rank there, on seeded representations with dims 0..4 and
+    entries -2..2 (the seed fixes the matrices; the record keeps the dims)."""
+    rng = random.Random(1973)
+    records = []
+    for label in ("cyclic:2", "cyclic:4", "bd:2", "2T"):
+        heights = enumerate_heights(graph_for(label), 2)
+        for quiver in dict.fromkeys(h.quiver() for h in heights):
+            at = ([(v, reflect_plus) for v in quiver.sinks()]
+                  + [(v, reflect_minus) for v in quiver.sources()])
+            for vertex, reflect in at:
+                for _ in range(2):
+                    dims = [rng.randint(0, 4) for _ in range(quiver.size)]
+                    rep = make_rep(quiver, dims, [
+                        [[rng.randint(-2, 2) for _ in range(dims[a.src])]
+                         for _ in range(dims[a.tgt])] for a in quiver.arrows])
+                    records.append({"group": label, "vertex": vertex, "dims": dims,
+                                    "rank": assembled_rank(rep, vertex),
+                                    "reflected": reflect(rep, vertex).to_json()})
+    return records
+
+
+def test_reflections_match_golden_record():
+    assert _golden_reflect_records() == json.loads(_GOLDEN_REFLECT.read_text())
+
+
+if __name__ == "__main__":
+    lines = [json.dumps(r, sort_keys=True) for r in _golden_reflect_records()]
+    _GOLDEN_REFLECT.write_text("[\n" + ",\n".join(lines) + "\n]\n")
