@@ -2,9 +2,11 @@
 sinks and sources.
 
 Representations live over Q rather than a cyclotomic field: the functors are
-defined over any field and rational linear algebra is cheap.  Kernel and
-cokernel bases come from reduced row echelon pivoting, so reflecting the
-same representation twice gives byte-identical matrices.
+defined over any field and rational linear algebra is cheap.  Kernel bases
+come from reduced row echelon pivoting, so reflecting the same representation
+twice gives byte-identical matrices.  The reflection at a source is the dual
+of the reflection at a sink of the dual representation (D S+ D = S-, as in
+Bernstein-Gelfand-Ponomarev), so one kernel elimination serves both.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ class QuiverRep:
         if len(self.maps) != len(self.quiver.arrows):
             raise PreconditionError("one matrix per arrow is required")
         for arrow, mat in zip(self.quiver.arrows, self.maps):
-            rows, cols = _shape(mat)
-            if rows != self.dims[arrow.tgt] or (rows and cols != self.dims[arrow.src]):
+            rows, cols = self.dims[arrow.tgt], self.dims[arrow.src]
+            lengths = list(map(len, mat))
+            if lengths != [cols] * rows:
                 raise PreconditionError(
-                    f"matrix for arrow {arrow} has shape {(rows, cols)}, "
-                    f"expected {(self.dims[arrow.tgt], self.dims[arrow.src])}")
+                    f"matrix for arrow {arrow} has row lengths {lengths}, "
+                    f"expected {rows} rows of length {cols}")
 
     def to_json(self) -> dict:
         return {
@@ -65,7 +68,7 @@ class QuiverRep:
             arrows = tuple(Arrow(item["from"], item["to"], item["index"])
                            for item in entries)
             maps = tuple(_freeze([[Fraction(x) for x in row] for row in item["matrix"]],
-                                 dims[item["to"]], dims[item["from"]])
+                                 dims[item["to"]])
                          for item in entries)
         except KeyError as exc:
             raise PreconditionError(f"representation is missing the key {exc}") from None
@@ -75,14 +78,19 @@ class QuiverRep:
         return QuiverRep(quiver, dims, maps)
 
 
-def _shape(mat) -> tuple[int, int]:
-    return len(mat), len(mat[0]) if mat else 0
+def _freeze(rows, nrows):
+    return tuple(map(tuple, rows)) if rows else ((),) * nrows
 
 
-def _freeze(rows, nrows, ncols):
-    if not rows:
-        return tuple(() for _ in range(nrows))
-    return tuple(tuple(row) for row in rows)
+def _dual(rep: QuiverRep) -> QuiverRep:
+    """The dual representation: every arrow reversed, keeping its edge index,
+    and every matrix transposed."""
+    arrows = rep.quiver.arrows
+    quiver = OrientedQuiver(rep.quiver.size,
+                            tuple(Arrow(a.tgt, a.src, a.edge) for a in arrows))
+    maps = tuple(_freeze(list(zip(*mat)), rep.dims[a.src])
+                 for a, mat in zip(arrows, rep.maps))
+    return QuiverRep(quiver, rep.dims, maps)
 
 
 def dim_vector_reflect(dims, vertex: int, n_matrix) -> tuple[int, ...]:
@@ -137,58 +145,22 @@ def reflect_plus(rep: QuiverRep, vertex: int) -> QuiverRep:
 
 def reflect_minus(rep: QuiverRep, vertex: int) -> QuiverRep:
     """Reflection at a source: the new space is the cokernel of the assembled
-    map out of the source, and the reversed arrows are slot inclusion followed
-    by the quotient projection."""
-    quiver = rep.quiver
-    if vertex not in quiver.sources():
+    map out of the source, computed as the dual of the reflection at the
+    same vertex, a sink there, of the dual representation."""
+    if vertex not in rep.quiver.sources():
         raise PreconditionError(f"vertex {vertex} is not a source")
-    arrows = [(i, a) for i, a in enumerate(quiver.arrows) if a.src == vertex]
-    offs = []
-    total = 0
-    for _, a in arrows:
-        offs.append(total)
-        total += rep.dims[a.tgt]
-    # Assembled map V_vertex -> (sum of targets), rows stacked per arrow.
-    stacked = []
-    for (idx, a) in arrows:
-        stacked.extend([list(row) for row in rep.maps[idx]])
-    # Row space of the transpose = image.  Reducing the unit vector e_t
-    # against the reduced echelon rows leaves e_t when column t is free and
-    # e_t - (row with pivot t) otherwise, so proj[t], the cokernel
-    # coordinates of e_t on the free columns, needs no further elimination.
-    transposed = linalg.transpose(stacked)
-    image_rows, pivots = linalg.rref(transposed) if transposed else ([], [])
-    row_of = dict(zip(pivots, image_rows))
-    free = [c for c in range(total) if c not in row_of]
-    proj = [[-row_of[t][c] for c in free] if t in row_of
-            else [Fraction(1 if c == t else 0) for c in free]
-            for t in range(total)]
-    new_dim = len(free)
-    new_quiver = quiver.reverse_at(vertex)
-    new_dims = list(rep.dims)
-    new_dims[vertex] = new_dim
-    new_maps = list(rep.maps)
-    for (idx, a), off in zip(arrows, offs):
-        d = rep.dims[a.tgt]
-        block = tuple(tuple(proj[off + c][r] for c in range(d))
-                      for r in range(new_dim))
-        new_maps[idx] = block
-    return QuiverRep(new_quiver, tuple(new_dims), tuple(new_maps))
+    return _dual(reflect_plus(_dual(rep), vertex))
 
 
 def assembled_rank(rep: QuiverRep, vertex: int) -> int:
-    """Rank of the combined map at the vertex (into a sink / out of a source)."""
-    quiver = rep.quiver
-    if vertex in quiver.sinks():
-        _, _, total, assembled = _assemble_into(rep, vertex)
-        return linalg.rank(assembled) if assembled and assembled[0] else 0
-    if vertex in quiver.sources():
-        stacked = []
-        for idx, a in enumerate(quiver.arrows):
-            if a.src == vertex:
-                stacked.extend([list(row) for row in rep.maps[idx]])
-        return linalg.rank(stacked) if stacked and stacked[0] else 0
-    raise PreconditionError(f"vertex {vertex} is neither sink nor source")
+    """Rank of the combined map at the vertex (into a sink / out of a source,
+    the latter as the map into it in the dual representation)."""
+    if vertex in rep.quiver.sources():
+        rep = _dual(rep)
+    elif vertex not in rep.quiver.sinks():
+        raise PreconditionError(f"vertex {vertex} is neither sink nor source")
+    assembled = _assemble_into(rep, vertex)[3]
+    return linalg.rank(assembled) if assembled and assembled[0] else 0
 
 
 def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7,

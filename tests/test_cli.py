@@ -194,9 +194,9 @@ REP = {
 }
 
 
-def _reflect_error(capsys, path):
+def _reflect_error(capsys, path, vertex="0", direction="plus"):
     code, out, err = run(capsys, "reflect", "--rep", str(path),
-                         "--vertex", "0", "--dir", "plus")
+                         "--vertex", vertex, "--dir", direction)
     assert code == 2 and out == ""
     assert json.loads(err)["kind"] == "precondition"
 
@@ -227,6 +227,22 @@ def test_reflect_missing_key(tmp_path, capsys):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps({"dims": [2, 1]}))
     _reflect_error(capsys, path)
+
+
+RAGGED = {
+    "dims": [2, 2],
+    "arrows": [
+        {"from": 1, "to": 0, "index": 0, "matrix": [["1", "2"], ["3"]]},
+        {"from": 1, "to": 0, "index": 1, "matrix": [["1", "0"], ["0", "1"]]},
+    ],
+}
+
+
+@pytest.mark.parametrize("vertex,direction", [("0", "plus"), ("1", "minus")])
+def test_reflect_ragged_matrix(tmp_path, capsys, vertex, direction):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(RAGGED))
+    _reflect_error(capsys, path, vertex, direction)
 
 
 def test_ext_check_d_max_guard(capsys):
