@@ -89,12 +89,6 @@ class HeightFunction:
                 arrows.append(Arrow(j, i, idx))
         return OrientedQuiver(self.graph.size, tuple(arrows))
 
-    def sinks(self) -> tuple[int, ...]:
-        return self.quiver().sinks()
-
-    def sources(self) -> tuple[int, ...]:
-        return self.quiver().sources()
-
     def with_value(self, vertex: int, value: int) -> HeightFunction:
         vals = list(self.values)
         vals[vertex] = value

@@ -149,14 +149,23 @@ def parity_family(graph: McKayGraph, hd: HomDims) -> SimpleFamily:
     return family
 
 
-def _assert_duality(graph: McKayGraph, hd: HomDims, family: SimpleFamily) -> None:
+def _duality_failure(graph: McKayGraph, hd: HomDims,
+                     family: SimpleFamily) -> tuple[int, int] | None:
+    """The first pair (k, i) where the family's height-projective k does not
+    pair with simple class i to the Kronecker delta, or None."""
     for k in range(graph.size):
         fk = projective_class(family.height, k)
         for i, cls in enumerate(family.classes):
             if euler_char(hd, fk, cls) != (1 if i == k else 0):
-                raise ConsistencyError(
-                    "duality system unsolvable over the twist window "
-                    f"(pair {k}, {i}); enlarge the window")
+                return k, i
+    return None
+
+
+def _assert_duality(graph: McKayGraph, hd: HomDims, family: SimpleFamily) -> None:
+    bad = _duality_failure(graph, hd, family)
+    if bad is not None:
+        raise ConsistencyError("duality system unsolvable over the twist window "
+                               f"(pair {bad[0]}, {bad[1]}); enlarge the window")
 
 
 def flip_family(graph: McKayGraph, family: SimpleFamily, vertex: int,
@@ -198,8 +207,8 @@ def cartan_form(hd: HomDims, x: P1Class, y: P1Class) -> int:
     return euler_char(hd, x, y) + euler_char(hd, y, x)
 
 
-def twist_class(hd: HomDims, graph: McKayGraph, family: SimpleFamily,
-                vertex: int, x: P1Class) -> P1Class:
+def twist_class(hd: HomDims, family: SimpleFamily, vertex: int,
+                x: P1Class) -> P1Class:
     """Reflection of any class x in the hyperplane of one simple:
     x - <[E_vertex], x> [E_vertex] under the symmetrized form."""
     e = family.classes[vertex]
@@ -209,13 +218,7 @@ def twist_class(hd: HomDims, graph: McKayGraph, family: SimpleFamily,
 def verify_dual_bases(graph: McKayGraph, hd: HomDims, h: HeightFunction) -> bool:
     """Pairing of height-h projectives against height-h simples must be the
     identity matrix."""
-    family = simple_family(graph, hd, h)
-    for k in range(graph.size):
-        fk = projective_class(h, k)
-        for i, cls in enumerate(family.classes):
-            if euler_char(hd, fk, cls) != (1 if i == k else 0):
-                return False
-    return True
+    return _duality_failure(graph, hd, simple_family(graph, hd, h)) is None
 
 
 def verify_twist_vs_flip(graph: McKayGraph, hd: HomDims, h: HeightFunction,
@@ -235,7 +238,7 @@ def verify_twist_vs_flip(graph: McKayGraph, hd: HomDims, h: HeightFunction,
     else:
         raise PreconditionError(f"vertex {vertex} is neither source nor sink")
     for j in range(graph.size):
-        twisted = twist_class(hd, graph, family, vertex, family.classes[j])
+        twisted = twist_class(hd, family, vertex, family.classes[j])
         if not classes_equal(hd, graph, twisted, flipped.classes[j]):
             return False
     return True

@@ -126,17 +126,5 @@ def inverse(mat) -> list[list[Fraction]] | None:
 
 def primitive_integer_vector(vec) -> list[int]:
     """Scale a rational vector to coprime integers with positive first support."""
-    fracs = [Fraction(x) for x in vec]
-    denom = 1
-    for q in fracs:
-        denom = denom * q.denominator // gcd(denom, q.denominator)
-    ints = [int(q * denom) for q in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return ints
+    ints = _primitive(_integer_row(vec))
+    return [-v for v in ints] if next((v for v in ints if v), 0) < 0 else ints

@@ -76,7 +76,6 @@ class MolienMatrices:
     P: tuple[tuple[Poly, ...], ...]
     delta: Poly
     E: tuple[tuple[Poly, ...], ...]
-    convention: str = S_CONVENTION
 
     @property
     def count(self) -> int:
@@ -91,7 +90,7 @@ class MolienMatrices:
     def to_json(self, max_degree: int = 6) -> dict:
         s = self.S
         return {
-            "convention": self.convention,
+            "convention": S_CONVENTION,
             "S": [[str(entry) for entry in row] for row in s],
             "E": [[str(RatFunc.from_poly(entry)) for entry in row] for row in self.E],
             "S_series": [[[str(c) for c in series_of_ratfunc(entry, max_degree)]

@@ -36,6 +36,14 @@ KOSZUL_GROUPS = ["cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6",
 QUIVER_GROUPS = ["cyclic:2", "cyclic:4", "bd:2"]          # A1~, A3~, D4~
 HILBERT_GROUPS = ["cyclic:2", "cyclic:3", "cyclic:4", "bd:2"]  # + A2~
 
+# Fixed parameters of the battery; the statements quote the degree and the
+# twist, so they are not arguments.
+WINDOW = 2           # height window of criteria 4, 5, 6, 8 and 9
+EXT_TWIST = 5        # criterion 5: tangent twists checked
+HILBERT_DEGREE = 6   # criterion 6: truncation degree
+BGP_SAMPLES = 100    # criterion 8: seeded representations per orientation
+BGP_SEED = 13
+
 _context_cache: dict[str, tuple[MatrixGroup, CharacterTable, McKayGraph, HomDims]] = {}
 
 
@@ -120,13 +128,13 @@ def check_chartab_soundness() -> dict:
         ok, witness or None)
 
 
-def check_kirillov(window: int = 2) -> dict:
+def check_kirillov() -> dict:
     """Criterion 4: path counts equal Hom dimensions for every ordered pair."""
     witness = []
     ok = True
     for label in QUIVER_GROUPS:
         _, _, graph, hd = context(label)
-        for h in enumerate_heights(graph, window):
+        for h in enumerate_heights(graph, WINDOW):
             good, rows = kirillov_check(h, hd)
             if not good:
                 ok = False
@@ -139,21 +147,21 @@ def check_kirillov(window: int = 2) -> dict:
         ok, witness or None)
 
 
-def check_ext_vanishing(d_max: int = 5, window: int = 2) -> dict:
+def check_ext_vanishing() -> dict:
     """Criterion 5: no first Ext between twisted projectives."""
     witness = []
     ok = True
     for label in ["cyclic:4", "bd:2"]:
         _, _, graph, hd = context(label)
-        for h in enumerate_heights(graph, window):
-            good, bad = ext_vanishing_check(h, hd, d_max)
+        for h in enumerate_heights(graph, WINDOW):
+            good, bad = ext_vanishing_check(h, hd, EXT_TWIST)
             if not good:
                 ok = False
                 witness.append({"group": label, "height": list(h.values), "bad": bad})
     return _record(
         "ext-vanishing",
         "first Ext groups between height projectives vanish through tangent "
-        "twist 5 on every canonical height",
+        f"twist {EXT_TWIST} on every canonical height",
         ok, witness or None)
 
 
@@ -186,23 +194,23 @@ def regraded_mismatches(hd: HomDims, h: HeightFunction, dims: GradedDims) -> lis
     return rows
 
 
-def check_hilbert_match(max_degree: int = 6, window: int = 2) -> dict:
+def check_hilbert_match() -> dict:
     """Criterion 6: preprojective graded dimensions equal the Molien table,
     and the height regrading reproduces the same numbers."""
     witness = []
     for label in HILBERT_GROUPS:
         _, _, graph, hd = context(label)
-        dims = truncated_hilbert(preprojective_presentation(graph), max_degree)
+        dims = truncated_hilbert(preprojective_presentation(graph), HILBERT_DEGREE)
         rows = hilbert_mismatches(graph, hd, dims)
         if graph.parity is not None:
-            for h in enumerate_heights(graph, window):
+            for h in enumerate_heights(graph, WINDOW):
                 rows += regraded_mismatches(hd, h, dims)
         witness += [{"group": label, **row} for row in rows]
     return _record(
         "preprojective-molien-match",
         "truncated path-algebra dimensions of the preprojective quotient "
-        "equal the invariant-theory dimensions through degree 6, in both the "
-        "path grading and the height regrading",
+        "equal the invariant-theory dimensions through degree "
+        f"{HILBERT_DEGREE}, in both the path grading and the height regrading",
         not witness, witness or None)
 
 
@@ -235,27 +243,19 @@ def check_quadratic_duality() -> dict:
         ok, witness or None)
 
 
-def check_bgp(reps_per_orientation: int = 100, seed: int = 13) -> dict:
+def check_bgp() -> dict:
     """Criterion 8: reflected dimension vectors and round-trip isomorphisms
     on seeded random representations for every canonical orientation."""
     witness = []
-    ok = True
-    rng = random.Random(seed)
+    rng = random.Random(BGP_SEED)
     for label in ["cyclic:4", "bd:2"]:
         _, _, graph, _ = context(label)
         n_matrix = [list(row) for row in graph.n]
-        orientations = []
-        seen = set()
-        for h in enumerate_heights(graph, 2):
-            q = h.quiver()
-            if q.arrows not in seen:
-                seen.add(q.arrows)
-                orientations.append(q)
-        for quiver in orientations:
-            candidates = list(quiver.sinks()) + list(quiver.sources())
-            for k in range(reps_per_orientation):
+        for quiver in dict.fromkeys(h.quiver() for h in enumerate_heights(graph, WINDOW)):
+            sinks = quiver.sinks()
+            candidates = list(sinks) + list(quiver.sources())
+            for k in range(BGP_SAMPLES):
                 vertex = candidates[k % len(candidates)]
-                is_sink = vertex in quiver.sinks()
                 rep = None
                 for _ in range(60):
                     cand = bgp.random_representation(quiver, rng)
@@ -263,34 +263,25 @@ def check_bgp(reps_per_orientation: int = 100, seed: int = 13) -> dict:
                         rep = cand
                         break
                 if rep is None:
-                    ok = False
                     witness.append({"group": label, "error": "no admissible sample"})
                     continue
+                is_sink = vertex in sinks
+                reflect = bgp.reflect_plus if is_sink else bgp.reflect_minus
+                reflected = reflect(rep, vertex)
                 expected = bgp.dim_vector_reflect(rep.dims, vertex, n_matrix)
-                if is_sink:
-                    reflected = bgp.reflect_plus(rep, vertex)
-                    if reflected.dims != expected:
-                        ok = False
-                        witness.append({"group": label, "vertex": vertex,
-                                        "dims": rep.dims, "got": reflected.dims,
-                                        "expected": expected})
-                    if bgp.round_trip_isomorphism(rep, vertex) is None:
-                        ok = False
-                        witness.append({"group": label, "vertex": vertex,
-                                        "dims": rep.dims,
-                                        "error": "no invertible intertwiner"})
-                else:
-                    reflected = bgp.reflect_minus(rep, vertex)
-                    if reflected.dims != expected:
-                        ok = False
-                        witness.append({"group": label, "vertex": vertex,
-                                        "dims": rep.dims, "got": reflected.dims,
-                                        "expected": expected})
+                if reflected.dims != expected:
+                    witness.append({"group": label, "vertex": vertex,
+                                    "dims": rep.dims, "got": reflected.dims,
+                                    "expected": expected})
+                if is_sink and bgp.round_trip_isomorphism(rep, vertex) is None:
+                    witness.append({"group": label, "vertex": vertex,
+                                    "dims": rep.dims,
+                                    "error": "no invertible intertwiner"})
     return _record(
         "bgp-reflections",
         "reflection functors act on dimension vectors by simple reflections, "
         "and reflecting twice at a sink is isomorphic to the identity",
-        ok, witness or None)
+        not witness, witness or None)
 
 
 def lattice_failures(graph: McKayGraph, hd: HomDims, h: HeightFunction) -> list[dict]:
@@ -313,13 +304,13 @@ def lattice_failures(graph: McKayGraph, hd: HomDims, h: HeightFunction) -> list[
     return rows
 
 
-def check_lattice(window: int = 2) -> dict:
+def check_lattice() -> dict:
     """Criterion 9: Cartan form on simple classes, dual bases, twist-flip
     agreement, and the Weyl relations."""
     witness = []
     for label in QUIVER_GROUPS:
         _, _, graph, hd = context(label)
-        heights = enumerate_heights(graph, window)
+        heights = enumerate_heights(graph, WINDOW)
         for h in heights:
             witness += [{"group": label, **row}
                         for row in lattice_failures(graph, hd, h)]

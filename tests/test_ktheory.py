@@ -50,7 +50,7 @@ def test_parity_family_duality_defines_it():
 def test_flip_rules_at_class_level():
     _, _, graph, hd = context("cyclic:2")
     family = parity_family(graph, hd)
-    source = family.height.sources()[0]
+    source = family.height.quiver().sources()[0]
     flipped = flip_family(graph, family, source, "minus")
     assert flipped.classes[source] == -family.classes[source]
     other = 1 - source
@@ -96,10 +96,10 @@ def test_twist_examples_and_involution():
     _, _, graph, hd = context("cyclic:2")
     family = parity_family(graph, hd)
     e0, e1 = family.classes
-    assert classes_equal(hd, graph, twist_class(hd, graph, family, 0, e0), -e0)
-    t1 = twist_class(hd, graph, family, 0, e1)
+    assert classes_equal(hd, graph, twist_class(hd, family, 0, e0), -e0)
+    t1 = twist_class(hd, family, 0, e1)
     assert classes_equal(hd, graph, t1, e1 + 2 * e0)
-    assert classes_equal(hd, graph, twist_class(hd, graph, family, 0, t1), e1)
+    assert classes_equal(hd, graph, twist_class(hd, family, 0, t1), e1)
 
 
 def test_symbols_have_integral_family_coordinates():
@@ -125,7 +125,7 @@ def test_dual_bases_all_heights(label):
 def test_dual_bases_after_one_flip():
     _, _, graph, hd = context("bd:2")
     base = parity_height(graph)
-    sink = base.sinks()[0]
+    sink = base.quiver().sinks()[0]
     raised = base.with_value(sink, base.values[sink] + 2)
     assert verify_dual_bases(graph, hd, raised)
 
@@ -144,11 +144,11 @@ def test_twist_vs_flip_diagonal_and_nonneighbors():
     h = HeightFunction(graph, (0, 0, 1, 1))
     family = simple_family(graph, hd, h)
     source = h.quiver().sources()[0]
-    twisted_self = twist_class(hd, graph, family, source, family.classes[source])
+    twisted_self = twist_class(hd, family, source, family.classes[source])
     assert classes_equal(hd, graph, twisted_self, -family.classes[source])
     for j in range(graph.size):
         if j != source and graph.n[source][j] == 0:
-            tw = twist_class(hd, graph, family, source, family.classes[j])
+            tw = twist_class(hd, family, source, family.classes[j])
             assert classes_equal(hd, graph, tw, family.classes[j])
 
 
