@@ -130,17 +130,14 @@ def reflect_plus(rep: QuiverRep, vertex: int) -> QuiverRep:
     arrows, offs, total, assembled = _assemble_into(rep, vertex)
     kernel = linalg.nullspace(assembled) if assembled else \
         [[Fraction(1 if i == j else 0) for i in range(total)] for j in range(total)]
-    new_dim = len(kernel)
-    new_quiver = quiver.reverse_at(vertex)
     new_dims = list(rep.dims)
-    new_dims[vertex] = new_dim
+    new_dims[vertex] = len(kernel)
     new_maps = list(rep.maps)
+    coords = list(zip(*kernel))  # coords[t]: coordinate t of every kernel vector
     for (idx, a), off in zip(arrows, offs):
         d = rep.dims[a.src]
-        block = tuple(tuple(kernel[c][off + r] for c in range(new_dim))
-                      for r in range(d))
-        new_maps[idx] = block
-    return QuiverRep(new_quiver, tuple(new_dims), tuple(new_maps))
+        new_maps[idx] = _freeze(coords[off:off + d], d)
+    return QuiverRep(quiver.reverse_at(vertex), tuple(new_dims), tuple(new_maps))
 
 
 def reflect_minus(rep: QuiverRep, vertex: int) -> QuiverRep:

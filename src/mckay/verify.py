@@ -36,8 +36,7 @@ KOSZUL_GROUPS = ["cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6",
 QUIVER_GROUPS = ["cyclic:2", "cyclic:4", "bd:2"]          # A1~, A3~, D4~
 HILBERT_GROUPS = ["cyclic:2", "cyclic:3", "cyclic:4", "bd:2"]  # + A2~
 
-# Fixed parameters of the battery; the statements quote the degree and the
-# twist, so they are not arguments.
+# The battery's fixed parameters; the statements below quote them.
 WINDOW = 2           # height window of criteria 4, 5, 6, 8 and 9
 EXT_TWIST = 5        # criterion 5: tangent twists checked
 HILBERT_DEGREE = 6   # criterion 6: truncation degree
