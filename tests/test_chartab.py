@@ -3,13 +3,16 @@ lift, canonical ordering, caching."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from mckay.chartab import (character_table, class_constants, dixon_character_table,
                            dixon_prime, verify_table, CharacterTable)
+from mckay.errors import ConsistencyError
 from mckay.exactnum import CycloNum
 from mckay.groups import build_group, parse_descriptor
 
@@ -171,3 +174,74 @@ def test_value_json_wire_shape():
     assert set(blob) == {"conductor", "coeffs"}
     assert all(isinstance(k, str) and "/" in v for k, v in blob["coeffs"].items())
     assert CycloNum.from_json(blob) == t.values[1][1]
+
+
+def _tampered(label, **changes):
+    """The canonical table of the group with some fields replaced."""
+    g = group(label)
+    return dataclasses.replace(dixon_character_table(g), **changes), g
+
+
+def _with_value(t, i, c, value):
+    rows = [list(row) for row in t.values]
+    rows[i][c] = value
+    return tuple(map(tuple, rows))
+
+
+def test_verify_table_rejects_wrong_square_sum():
+    t, g = _tampered("bd:2", dims=(1, 1, 1, 1, 1))
+    with pytest.raises(ConsistencyError, match="sum of squared dimensions"):
+        verify_table(t, g)
+
+
+def test_verify_table_rejects_wrong_identity_column():
+    # The square sum still reads 8; row 3 is linear but claims dimension 2.
+    t, g = _tampered("bd:2", dims=(1, 1, 1, 2, 1))
+    with pytest.raises(ConsistencyError, match="character at identity"):
+        verify_table(t, g)
+
+
+def test_verify_table_rejects_non_integral_value():
+    t = dixon_character_table(group("2T"))
+    half = CycloNum.from_rational(Fraction(1, 2))
+    t, g = _tampered("2T", values=_with_value(t, 1, 1, half))
+    with pytest.raises(ConsistencyError, match="algebraic integer"):
+        verify_table(t, g)
+
+
+@pytest.mark.parametrize("label", ["bd:2", "2T"])
+def test_verify_table_rejects_swapped_entries(label):
+    t = dixon_character_table(group(label))
+    row = list(t.values[1])
+    a, b = next((a, b) for a in range(1, len(row)) for b in range(a + 1, len(row))
+                if row[a] != row[b])
+    row[a], row[b] = row[b], row[a]
+    t, g = _tampered(label, values=(t.values[0], tuple(row)) + t.values[2:])
+    with pytest.raises(ConsistencyError, match="row orthogonality"):
+        verify_table(t, g)
+
+
+def test_verify_table_rejects_changed_class_size():
+    # Split the size-2 class 1 of bd:2 into two classes of size 1 with the
+    # same column: every row sum is unchanged, so row orthogonality holds,
+    # and the column relation at the split class fails.
+    t = dixon_character_table(group("bd:2"))
+    values = tuple(row[:2] + row[1:] for row in t.values)
+    t, g = _tampered("bd:2", values=values, class_sizes=(1, 1, 1, 2, 1, 2))
+    with pytest.raises(ConsistencyError, match="column orthogonality"):
+        verify_table(t, g)
+
+
+def test_verify_table_rejects_changed_class_size_in_place():
+    # A class size alone cannot change with the rows still orthogonal: the
+    # sizes are determined by the table, so the row relation fails first.
+    t, g = _tampered("bd:2", class_sizes=(1, 2, 2, 2, 1))
+    with pytest.raises(ConsistencyError, match="row orthogonality"):
+        verify_table(t, g)
+
+
+def test_verify_table_rejects_wrong_defining_traces():
+    t = dixon_character_table(group("2T"))
+    t, g = _tampered("2T", defining_values=t.values[1])
+    with pytest.raises(ConsistencyError, match="defining character"):
+        verify_table(t, g)

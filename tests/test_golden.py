@@ -2,7 +2,8 @@
 
 Each case runs `main()` in-process with the disk cache off and compares
 against `tests/golden/<case>.out` and the exit code recorded in
-`tests/golden/exit_codes.json`.  Regenerate (only when an output change is
+`tests/golden/exit_codes.json`; `all.out` holds the whole acceptance
+battery.  Regenerate (only when an output change is
 intended) with `python tests/test_golden.py`.
 """
 
@@ -72,6 +73,14 @@ def test_golden_output(name, monkeypatch):
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
+def test_all_matches_golden(monkeypatch):
+    """The whole acceptance battery, byte for byte."""
+    monkeypatch.delenv("MCKAY_CACHE_DIR", raising=False)
+    code, out = _run(["all"])
+    assert code == 0
+    assert out == (GOLDEN / "all.out").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     os.environ.pop("MCKAY_CACHE_DIR", None)
@@ -79,4 +88,5 @@ if __name__ == "__main__":
     for name, argv in sorted(CASES.items()):
         codes[name], out = _run(argv)
         (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+    (GOLDEN / "all.out").write_text(_run(["all"])[1], encoding="utf-8")
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
