@@ -12,8 +12,10 @@ Bernstein-Gelfand-Ponomarev), so one kernel elimination serves both.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import linalg
 from .errors import PreconditionError
@@ -23,11 +25,12 @@ from .heights import Arrow, OrientedQuiver
 @dataclass(frozen=True)
 class QuiverRep:
     """Finite-dimensional representation: a space per vertex, a matrix per
-    arrow of shape (target dim) x (source dim)."""
+    arrow of shape (target dim) x (source dim), with int or Fraction
+    entries."""
 
     quiver: OrientedQuiver
     dims: tuple[int, ...]
-    maps: tuple[tuple[tuple[Fraction, ...], ...], ...]  # indexed like quiver.arrows
+    maps: tuple[tuple[tuple[Fraction | int, ...], ...], ...]  # indexed like quiver.arrows
 
     def __post_init__(self):
         if len(self.maps) != len(self.quiver.arrows):
@@ -53,22 +56,23 @@ class QuiverRep:
 
     @staticmethod
     def from_json(data: dict) -> QuiverRep:
-        """Parse the `to_json` shape; malformed data raises PreconditionError."""
+        """Parse the `to_json` shape; malformed data raises PreconditionError.
+        Dimensions and endpoints are JSON integers, a matrix is a list of row
+        lists, and an entry is an integer or a "p/q" string."""
         try:
             dims = tuple(data["dims"])
-            if not all(isinstance(d, int) and d >= 0 for d in dims):
+            if not all(type(d) is int and d >= 0 for d in dims):
                 raise ValueError(f"dims must be nonnegative integers, got {list(dims)}")
             entries = sorted(data["arrows"], key=lambda item: item["index"])
             for item in entries:
-                if not all(isinstance(item[end], int) and 0 <= item[end] < len(dims)
+                if not all(type(item[end]) is int and 0 <= item[end] < len(dims)
                            for end in ("from", "to")):
                     raise ValueError(
                         f"arrow {item['index']} has an endpoint outside the "
                         f"{len(dims)} vertices")
             arrows = tuple(Arrow(item["from"], item["to"], item["index"])
                            for item in entries)
-            maps = tuple(_freeze([[Fraction(x) for x in row] for row in item["matrix"]],
-                                 dims[item["to"]])
+            maps = tuple(_freeze(_matrix(item["matrix"]), dims[item["to"]])
                          for item in entries)
         except KeyError as exc:
             raise PreconditionError(f"representation is missing the key {exc}") from None
@@ -76,6 +80,18 @@ class QuiverRep:
             raise PreconditionError(f"malformed representation: {exc}") from None
         quiver = OrientedQuiver(len(dims), arrows)
         return QuiverRep(quiver, dims, maps)
+
+
+_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _matrix(rows) -> list[list[Fraction]]:
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError(f"a matrix must be a list of row lists, got {rows!r}")
+    for x in (x for row in rows for x in row):
+        if not (type(x) is int or isinstance(x, str) and _ENTRY.fullmatch(x)):
+            raise ValueError(f'matrix entry {x!r} is not an integer or a "p/q" string')
+    return [[Fraction(x) for x in row] for row in rows]
 
 
 def _freeze(rows, nrows):
@@ -106,17 +122,10 @@ def _assemble_into(rep: QuiverRep, vertex: int):
     """Stacked matrix of the combined map (sum of sources) -> V_vertex,
     together with the slot offsets of each incoming arrow."""
     arrows = [(i, a) for i, a in enumerate(rep.quiver.arrows) if a.tgt == vertex]
-    offs = []
-    total = 0
-    for _, a in arrows:
-        offs.append(total)
-        total += rep.dims[a.src]
-    rows = []
-    for r in range(rep.dims[vertex]):
-        row = []
-        for idx, a in arrows:
-            row.extend(rep.maps[idx][r])
-        rows.append(row)
+    offs = list(accumulate((rep.dims[a.src] for _, a in arrows), initial=0))
+    total = offs.pop()
+    rows = [[x for idx, _ in arrows for x in rep.maps[idx][r]]
+            for r in range(rep.dims[vertex])]
     return arrows, offs, total, rows
 
 
@@ -150,14 +159,15 @@ def reflect_minus(rep: QuiverRep, vertex: int) -> QuiverRep:
 
 
 def assembled_rank(rep: QuiverRep, vertex: int) -> int:
-    """Rank of the combined map at the vertex (into a sink / out of a source,
-    the latter as the map into it in the dual representation)."""
+    """Rank of the combined map at the vertex: into a sink, the matrices of
+    the incoming arrows side by side; out of a source, the matrices of the
+    outgoing arrows stacked."""
     if vertex in rep.quiver.sources():
-        rep = _dual(rep)
-    elif vertex not in rep.quiver.sinks():
+        return linalg.rank([row for a, mat in zip(rep.quiver.arrows, rep.maps)
+                            if a.src == vertex for row in mat])
+    if vertex not in rep.quiver.sinks():
         raise PreconditionError(f"vertex {vertex} is neither sink nor source")
-    assembled = _assemble_into(rep, vertex)[3]
-    return linalg.rank(assembled) if assembled and assembled[0] else 0
+    return linalg.rank(_assemble_into(rep, vertex)[3])
 
 
 def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7,
@@ -221,14 +231,20 @@ def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7,
 
 def round_trip_isomorphism(rep: QuiverRep, vertex: int):
     """Reflect at a sink and back, then exhibit an explicit invertible
-    intertwiner to the original representation, or return None.
+    intertwiner to the original representation, or return None."""
+    return round_trip_from(rep, reflect_plus(rep, vertex), vertex)
+
+
+def round_trip_from(rep: QuiverRep, reflected: QuiverRep, vertex: int):
+    """`round_trip_isomorphism` for a sink reflection already made:
+    reflect back and solve for the intertwiner.
 
     Away from the reflected vertex the double reflection leaves spaces and
     matrices untouched, so the intertwiner ansatz is the identity there and
     only the vertex block is solved for.  When the assembled map at the sink
     is surjective that block is forced and invertible.
     """
-    back = reflect_minus(reflect_plus(rep, vertex), vertex)
+    back = reflect_minus(reflected, vertex)
     if back.dims != rep.dims:
         return None
     d = rep.dims[vertex]
@@ -259,7 +275,7 @@ def random_representation(quiver: OrientedQuiver, rng: random.Random,
     dims = tuple(rng.randint(1, max_dim) for _ in range(quiver.size))
     maps = []
     for arrow in quiver.arrows:
-        maps.append(tuple(tuple(Fraction(rng.randint(low, high))
+        maps.append(tuple(tuple(rng.randint(low, high)
                                 for _ in range(dims[arrow.src]))
                           for _ in range(dims[arrow.tgt])))
     return QuiverRep(quiver, dims, tuple(maps))

@@ -11,17 +11,18 @@ values) makes it deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from hashlib import sha256
+from math import isqrt
 
 from . import linalg
 from .errors import ConsistencyError
-from .exactnum import CycloNum, cyclo_sort_key
+from .exactnum import CycloNum, cyclo_sort_key, phi_reduce
 from .groups import MatrixGroup
 
 DEFAULT_SEED = 1
@@ -52,14 +53,7 @@ def class_constants(group: MatrixGroup) -> list[list[list[int]]]:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def dixon_prime(exponent: int, order: int, after: int = 0) -> int:
@@ -72,21 +66,8 @@ def dixon_prime(exponent: int, order: int, after: int = 0) -> int:
 
 
 def _primitive_root(p: int) -> int:
-    m = p - 1
-    factors = []
-    d, mm = 2, m
-    while d * d <= mm:
-        if mm % d == 0:
-            factors.append(d)
-            while mm % d == 0:
-                mm //= d
-        d += 1
-    if mm > 1:
-        factors.append(mm)
-    for cand in range(2, p):
-        if all(pow(cand, m // q, p) != 1 for q in factors):
-            return cand
-    raise ConsistencyError(f"no primitive root mod {p}")
+    factors = [q for q in range(2, p) if (p - 1) % q == 0 and _is_prime(q)]
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +103,6 @@ class CharacterTable:
     @property
     def trivial_index(self) -> int:
         return 0
-
-    def value(self, irrep: int, cls: int) -> CycloNum:
-        return self.values[irrep][cls]
 
     def to_json(self) -> dict:
         return {
@@ -186,12 +164,8 @@ def dixon_character_table(group: MatrixGroup, seed: int = DEFAULT_SEED,
 
     eta = pow(_primitive_root(p), (p - 1) // exponent, p)
     class_of_mod = {}
-    tables = []
-    for d, chi_mod in rows:
-        values = _lift_row(group, chi_mod, d, eta, p, exponent, class_of_mod)
-        tables.append((d, values))
-
-    tables = _canonical_rows(tables, k)
+    tables = _canonical_rows([(d, _lift_row(group, chi_mod, d, eta, p, exponent, class_of_mod))
+                              for d, chi_mod in rows], k)
     dims = tuple(t[0] for t in tables)
     values = tuple(tuple(t[1]) for t in tables)
 
@@ -270,17 +244,35 @@ def _split_once(m, basis, p):
         r_cols.append(col)
     rmat = [[r_cols[j][i] for j in range(dim)] for i in range(dim)]
     pieces = []
-    for lam in range(p):
+    for lam in _eigenvalues(rmat, p):
         shifted = [[(rmat[i][j] - (lam if i == j else 0)) % p for j in range(dim)]
                    for i in range(dim)]
-        null = linalg.nullspace(shifted, p)
-        if null:
-            pieces.append([
-                [sum(basis[j][r] * v[j] for j in range(dim)) % p for r in range(k)]
-                for v in null])
+        pieces.append([
+            [sum(basis[j][r] * v[j] for j in range(dim)) % p for r in range(k)]
+            for v in linalg.nullspace(shifted, p)])
     if sum(len(piece) for piece in pieces) != dim:
         raise ConsistencyError("restricted class matrix is not diagonalizable")
     return pieces
+
+
+def _eigenvalues(mat, p):
+    """The roots in F_p, ascending, of the characteristic polynomial of a
+    square matrix over F_p, from the Faddeev-LeVerrier recursion: one matrix
+    product per degree instead of one elimination per element of F_p.  It
+    divides by 1..n, so it needs n < p (the class count is below every
+    valid Dixon prime of the groups built here)."""
+    n = len(mat)
+    if n >= p:
+        raise ConsistencyError(f"the prime {p} does not exceed the class count")
+    coeffs, prod = [1], [[0] * n for _ in range(n)]  # leading coefficient first
+    for k in range(1, n + 1):
+        for i in range(n):
+            prod[i][i] += coeffs[-1]
+        cols = list(zip(*prod))
+        prod = [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in mat]
+        coeffs.append(-sum(prod[i][i] for i in range(n)) * pow(k, -1, p) % p)
+    return [lam for lam in range(p)
+            if not functools.reduce(lambda acc, c: (acc * lam + c) % p, coeffs, 0)]
 
 
 def _lift_row(group, chi_mod, degree, eta, p, exponent, class_of_mod):
@@ -288,23 +280,21 @@ def _lift_row(group, chi_mod, degree, eta, p, exponent, class_of_mod):
 
     For a representative g of order o, the eigenvalue multiplicities
     m_k of z_o^k satisfy m_k = (1/o) * sum_j chi(g^j) eta_o^{-jk} (mod p)
-    and are bounded by the degree, hence uniquely liftable.
+    and are bounded by the degree, hence uniquely liftable; the value is
+    chi(g) = sum_k m_k z_o^k.
     """
     data = group.conjugacy_classes()
     k = data.count
     values = []
     for ci in range(k):
         o = group.element_order(data.reps[ci])
-        key = ci
-        powers = class_of_mod.get(key)
+        powers = class_of_mod.get(ci)
         if powers is None:
-            powers = [group.class_of_power(ci, j) for j in range(o)]
-            class_of_mod[key] = powers
+            powers = class_of_mod[ci] = [group.class_of_power(ci, j) for j in range(o)]
         theta = pow(eta, exponent // o, p)
         theta_inv = pow(theta, p - 2, p)
         o_inv = pow(o % p, p - 2, p)
-        vec = [Fraction(0)] * exponent
-        total = 0
+        mults = []
         for kk in range(o):
             acc = 0
             t = 1
@@ -315,13 +305,19 @@ def _lift_row(group, chi_mod, degree, eta, p, exponent, class_of_mod):
             m = (acc * o_inv) % p
             if m > degree:
                 raise ConsistencyError("eigenvalue multiplicity exceeds the degree")
-            total += m
-            if m:
-                vec[(kk * (exponent // o)) % exponent] += m
-        if total != degree:
+            mults.append(m)
+        if sum(mults) != degree:
             raise ConsistencyError("eigenvalue multiplicities do not sum to the degree")
-        values.append(CycloNum(exponent, vec).reduced())
+        values.append(_class_value(o, tuple(mults)))
     return values
+
+
+@functools.lru_cache(maxsize=None)
+def _class_value(order, mults):
+    """sum_k mults[k] z_order^k at its minimal conductor.  Built at the
+    element's order, not the group exponent, so the Galois descent runs over
+    fewer divisors; the canonical form is unique, so the value is the same."""
+    return CycloNum(order, mults).reduced()
 
 
 def _canonical_rows(tables, num_classes):
@@ -344,39 +340,59 @@ def _canonical_rows(tables, num_classes):
 # ---------------------------------------------------------------------------
 
 def verify_table(table: CharacterTable, group: MatrixGroup) -> None:
-    """Exact soundness checks; raises ConsistencyError on any failure."""
+    """Exact soundness checks; raises ConsistencyError on any failure.
+
+    Both orthogonality relations are summed in the group ring
+    Z[x]/(x^N - 1), N the exponent: each value becomes its (power,
+    coefficient) pairs once, conjugation is x^k -> x^(N-k), and each sum is
+    an integer convolution reduced modulo the N-th cyclotomic polynomial at
+    the end.  The quotient map onto Z[z_N] is a ring homomorphism that
+    commutes with conjugation, so the reduced sums are the exact ones and
+    every check is an identity.
+    """
     order = group.order
+    n = table.exponent
     k = len(table.class_sizes)
     if sum(d * d for d in table.dims) != order:
         raise ConsistencyError("sum of squared dimensions != |G|")
+    rows = []
     for i, row in enumerate(table.values):
+        if len(row) != k:
+            raise ConsistencyError("a character row does not have one value per class")
         if row[0] != table.dims[i]:
             raise ConsistencyError("character at identity != dimension")
-        for v in row:
-            # Z[z_N] has the power basis, so integrality is a unit denominator.
-            if v.den != 1:
-                raise ConsistencyError("character value is not an algebraic integer")
-    # Row orthogonality.
-    for i in range(len(table.dims)):
-        for j in range(i, len(table.dims)):
-            acc = CycloNum.from_rational(0)
-            for c in range(k):
-                acc = acc + table.class_sizes[c] * table.values[i][c] * table.values[j][c].conj()
+        # Z[z_N] has the power basis, so integrality is a unit denominator.
+        if any(v.den != 1 or n % v.conductor for v in row):
+            raise ConsistencyError("character value is not an algebraic integer of "
+                                   "Q(z_N), N the exponent")
+        rows.append([[(e * (n // v.conductor), c) for e, c in enumerate(v.num) if c]
+                     for v in row])
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
             expected = order if i == j else 0
-            if acc != expected:
+            if _ring_sum(rows[i], rows[j], table.class_sizes, n) != phi_reduce([expected], n):
                 raise ConsistencyError(f"row orthogonality fails at ({i}, {j})")
     # Column orthogonality against centralizer orders.
+    columns = list(zip(*rows))
     for a in range(k):
         for b in range(a, k):
-            acc = CycloNum.from_rational(0)
-            for i in range(len(table.dims)):
-                acc = acc + table.values[i][a] * table.values[i][b].conj()
             expected = order // table.class_sizes[a] if a == b else 0
-            if acc != expected:
+            if _ring_sum(columns[a], columns[b], [1] * len(rows), n) != phi_reduce([expected], n):
                 raise ConsistencyError(f"column orthogonality fails at ({a}, {b})")
     # The defining character must be the matrix trace.
     if table.defining_values != group.traces():
         raise ConsistencyError("stored defining character != matrix traces")
+
+
+def _ring_sum(xs, ys, weights, n):
+    """sum of w * x * conj(y) over Z[x]/(x^n - 1), reduced modulo the n-th
+    cyclotomic polynomial; x and y are lists of (power, coefficient)."""
+    acc = [0] * n
+    for x, y, w in zip(xs, ys, weights):
+        for a, u in x:
+            for b, v in y:
+                acc[(a - b) % n] += w * u * v
+    return phi_reduce(acc, n)
 
 
 # ---------------------------------------------------------------------------

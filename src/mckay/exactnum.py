@@ -32,38 +32,11 @@ MAX_CONDUCTOR = 120
 
 def euler_phi(n: int) -> int:
     assert n >= 1
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return sum(gcd(k, n) == 1 for k in range(1, n + 1))
 
 
 def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def format_fraction(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +65,6 @@ class Poly:
     @staticmethod
     def one() -> Poly:
         return Poly([Fraction(1)])
-
-    @staticmethod
-    def x() -> Poly:
-        return Poly([Fraction(0), Fraction(1)])
 
     @property
     def degree(self) -> int:
@@ -249,7 +218,7 @@ def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return len(coeffs) - 1, tuple((j, int(c)) for j, c in enumerate(coeffs[:-1]) if c)
 
 
-def _phi_reduce(vec: list[int], n: int) -> tuple[int, ...]:
+def phi_reduce(vec: list[int], n: int) -> tuple[int, ...]:
     """Reduce an integer coefficient vector in z_n modulo the n-th cyclotomic
     polynomial and pad to length phi(n).  Works in place on `vec`."""
     deg, terms = _phi_terms(n)
@@ -314,7 +283,7 @@ class CycloNum:
         vec = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in vec))
         num = [c.numerator * (den // c.denominator) for c in vec]
-        _store(self, conductor, _phi_reduce(num, conductor), den)
+        _store(self, conductor, phi_reduce(num, conductor), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNum is immutable")
@@ -338,7 +307,7 @@ class CycloNum:
         k %= n
         vec = [0] * (k + 1)
         vec[k] = 1
-        return _make(n, _phi_reduce(vec, n), 1)
+        return _make(n, phi_reduce(vec, n), 1)
 
     # -- conductor plumbing -------------------------------------------------
 
@@ -351,7 +320,7 @@ class CycloNum:
         for k, c in enumerate(self.num):
             if c:
                 vec[k * step] = c
-        return _phi_reduce(vec, m)
+        return phi_reduce(vec, m)
 
     def _unify(self, other: CycloNum) -> tuple[int, tuple, tuple]:
         a, b = self.conductor, other.conductor
@@ -419,7 +388,7 @@ class CycloNum:
                 for j, y in enumerate(b):
                     if y:
                         out[i + j] += x * y
-        return _make(n, _phi_reduce(out, n), self.den * other.den)
+        return _make(n, phi_reduce(out, n), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -471,7 +440,7 @@ class CycloNum:
         for k, c in enumerate(self.num):
             if c:
                 vec[(k * a) % n] = c
-        return _make(n, _phi_reduce(vec, n), self.den)
+        return _make(n, phi_reduce(vec, n), self.den)
 
     def conj(self) -> CycloNum:
         """Complex conjugation: z -> z^(N-1)."""
@@ -552,7 +521,8 @@ class CycloNum:
         n, coeffs = self.canonical()
         return {
             "conductor": n,
-            "coeffs": {str(k): format_fraction(c) for k, c in enumerate(coeffs) if c},
+            "coeffs": {str(k): f"{c.numerator}/{c.denominator}"
+                       for k, c in enumerate(coeffs) if c},
         }
 
     @staticmethod
@@ -565,7 +535,7 @@ class CycloNum:
             if not (key.isascii() and key.isdigit() and int(key) < len(vec)):
                 raise PreconditionError(
                     f"coefficient index {key!r} is outside 0..{len(vec) - 1}")
-            vec[int(key)] = parse_fraction(text)
+            vec[int(key)] = Fraction(text)
         return CycloNum(n, vec)
 
 

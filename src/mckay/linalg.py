@@ -14,6 +14,7 @@ with g = gcd(a_rc, a_ic), and every new row is divided by the gcd of its
 entries.  Fractions are built once at the end, each pivot row divided by its
 pivot.  The reduced echelon form is unique, so this is the same result as
 elimination on Fractions, without an allocation per multiply and subtract.
+`rank` counts the pivots of the integer rows and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -22,15 +23,21 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def transpose(mat):
-    if not mat:
-        return []
-    return [list(col) for col in zip(*mat)]
-
-
 def rref(mat, p: int = 0) -> tuple[list[list], list[int]]:
     """Reduced row echelon form together with the pivot column list, over Q
     when p is 0 and over F_p when p is a prime."""
+    a, pivots = _eliminate(mat, p)
+    if p:
+        return a, pivots
+    zero = Fraction(0)
+    return ([[Fraction(x, row[c]) if x else zero for x in row]
+             for row, c in zip(a, pivots)]
+            + [[zero] * len(row) for row in a[len(pivots):]]), pivots
+
+
+def _eliminate(mat, p):
+    """The elimination behind `rref`: over F_p the reduced echelon form,
+    over Q the same rows as primitive integer multiples."""
     if p:
         a = [[x % p for x in row] for row in mat]
     else:
@@ -63,10 +70,6 @@ def rref(mat, p: int = 0) -> tuple[list[list], list[int]]:
         r += 1
         if r == rows:
             break
-    if not p:
-        zero = Fraction(0)
-        a = ([[Fraction(x, row[c]) if x else zero for x in row]
-              for row, c in zip(a, pivots)] + [[zero] * cols for _ in a[r:]])
     return a, pivots
 
 
@@ -82,7 +85,8 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def rank(mat) -> int:
-    return len(rref(mat)[1])
+    """Rank over Q, read off the integer echelon form."""
+    return len(_eliminate(mat, 0)[1])
 
 
 def nullspace(mat, p: int = 0) -> list[list]:

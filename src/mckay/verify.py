@@ -11,8 +11,7 @@ from __future__ import annotations
 import random
 
 from . import bgp
-from .chartab import CharacterTable, dixon_character_table, dixon_prime, verify_table
-from .errors import ConsistencyError
+from .chartab import CharacterTable, dixon_character_table, dixon_prime
 from .groups import MatrixGroup, build_group, parse_descriptor
 from .heights import (HeightFunction, enumerate_heights, ext_vanishing_check,
                       kirillov_check)
@@ -59,9 +58,7 @@ def context(label: str):
 
 
 def _record(name: str, statement: str, ok: bool, witness=None) -> dict:
-    rec = {"name": name, "statement": statement, "pass": bool(ok)}
-    rec["witness"] = witness
-    return rec
+    return {"name": name, "statement": statement, "pass": bool(ok), "witness": witness}
 
 
 def check_ade_classification() -> dict:
@@ -103,17 +100,13 @@ def check_koszul() -> dict:
 
 
 def check_chartab_soundness() -> dict:
-    """Criterion 3: orthogonality, dimension sums, and prime independence."""
+    """Criterion 3: orthogonality, dimension sums, and prime independence.
+    `dixon_character_table` verifies every table it returns, the context's
+    and the second prime's, so what is left to check is their equality."""
     witness = []
     ok = True
     for label, _ in ADE_EXPECTATIONS:
         group, table, _, _ = context(label)
-        try:
-            verify_table(table, group)
-        except ConsistencyError as exc:
-            ok = False
-            witness.append({"group": label, "error": str(exc)})
-            continue
         second = dixon_prime(group.exponent(), group.order, after=table.prime)
         retry = dixon_character_table(group, prime=second)
         if retry.values != table.values or retry.dims != table.dims:
@@ -272,7 +265,7 @@ def check_bgp() -> dict:
                     witness.append({"group": label, "vertex": vertex,
                                     "dims": rep.dims, "got": reflected.dims,
                                     "expected": expected})
-                if is_sink and bgp.round_trip_isomorphism(rep, vertex) is None:
+                if is_sink and bgp.round_trip_from(rep, reflected, vertex) is None:
                     witness.append({"group": label, "vertex": vertex,
                                     "dims": rep.dims,
                                     "error": "no invertible intertwiner"})

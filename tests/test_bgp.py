@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from mckay import linalg
-from mckay.bgp import (QuiverRep, assembled_rank, dim_vector_reflect,
+from mckay.bgp import (QuiverRep, _dual, assembled_rank, dim_vector_reflect,
                        find_isomorphism, random_representation,
                        reflect_minus, reflect_plus, round_trip_isomorphism)
 from mckay.chartab import dixon_character_table
@@ -207,6 +207,25 @@ def test_quiver_rep_json_round_trip():
     assert again.dims == rep.dims
     assert again.maps == rep.maps
     assert again.quiver.arrows == rep.quiver.arrows
+
+
+def test_source_rank_is_the_sink_rank_of_the_dual():
+    """At a source the stacked outgoing matrices have the rank of the
+    assembled map into the same vertex, a sink, of the dual representation."""
+    rng = random.Random(2024)
+    checked = 0
+    for label in ("cyclic:2", "cyclic:4", "bd:2", "2T"):
+        for quiver in dict.fromkeys(h.quiver() for h in enumerate_heights(graph_for(label), 2)):
+            for vertex in quiver.sources():
+                for _ in range(25):
+                    dims = [rng.randint(0, 4) for _ in range(quiver.size)]
+                    rep = make_rep(quiver, dims, [
+                        [[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 3)))
+                          for _ in range(dims[a.src])] for _ in range(dims[a.tgt])]
+                        for a in quiver.arrows])
+                    assert assembled_rank(rep, vertex) == assembled_rank(_dual(rep), vertex)
+                    checked += 1
+    assert checked > 500
 
 
 _GOLDEN_REFLECT = Path(__file__).parent / "golden" / "reflect.json"

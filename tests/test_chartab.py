@@ -10,11 +10,14 @@ from fractions import Fraction
 
 import pytest
 
+from mckay import chartab, linalg
+from mckay.chartab import _eigenvalues as eigenvalues
 from mckay.chartab import (character_table, class_constants, dixon_character_table,
                            dixon_prime, verify_table, CharacterTable)
 from mckay.errors import ConsistencyError
 from mckay.exactnum import CycloNum
 from mckay.groups import build_group, parse_descriptor
+from mckay.verify import ADE_EXPECTATIONS
 
 
 def group(label):
@@ -128,6 +131,31 @@ def test_trivial_character_is_first_and_rows_sorted():
     t = table("2O")
     assert all(v == 1 for v in t.values[0])
     assert list(t.dims) == sorted(t.dims)
+
+
+def test_eigenvalues_match_the_full_scan(monkeypatch):
+    """The characteristic-polynomial roots equal the eigenvalues found by a
+    nullspace at every element of F_p, on every restricted class matrix the
+    splitting meets for the 20 battery groups at both Dixon primes."""
+    seen = []
+
+    def recording(mat, p):
+        roots = eigenvalues(mat, p)
+        seen.append((mat, p, roots))
+        return roots
+
+    monkeypatch.setattr(chartab, "_eigenvalues", recording)
+    for label, _ in ADE_EXPECTATIONS:
+        g = group(label)
+        first = dixon_character_table(g)
+        dixon_character_table(g, prime=dixon_prime(g.exponent(), g.order, after=first.prime))
+    assert len({p for _, p, _ in seen}) > 10
+    for mat, p, roots in seen:
+        n = len(mat)
+        scan = [lam for lam in range(p) if linalg.nullspace(
+            [[(mat[i][j] - (lam if i == j else 0)) % p for j in range(n)]
+             for i in range(n)], p)]
+        assert roots == scan
 
 
 def test_json_round_trip_and_cache(tmp_path):

@@ -245,6 +245,26 @@ def test_reflect_ragged_matrix(tmp_path, capsys, vertex, direction):
     _reflect_error(capsys, path, vertex, direction)
 
 
+NOT_EXACT = {
+    "string-rows": {"dims": [2, 2], "arrows": [
+        {"from": 1, "to": 0, "index": 0, "matrix": ["12", "34"]}]},
+    "bool-dim": {"dims": [True, 1], "arrows": [
+        {"from": 1, "to": 0, "index": 0, "matrix": [["1/1"]]}]},
+    "float-entry": {"dims": [1, 1], "arrows": [
+        {"from": 1, "to": 0, "index": 0, "matrix": [[1.5]]}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_EXACT))
+def test_reflect_rejects_inexact_json(tmp_path, capsys, case):
+    # Only JSON lists of rows, integer dimensions and integer or "p/q"
+    # entries are read; each of these once loaded as some other matrix.
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(NOT_EXACT[case]))
+    for vertex, direction in (("0", "plus"), ("1", "minus")):
+        _reflect_error(capsys, path, vertex, direction)
+
+
 def test_ext_check_d_max_guard(capsys):
     for value in ("-1", "13"):
         code, _, err = run(capsys, "ext-check", "cyclic:2", "--d-max", value)

@@ -118,6 +118,14 @@ def test_rref_matches_golden_record():
     assert _golden_rref_records() == json.loads(_GOLDEN_RREF.read_text())
 
 
+def test_rank_counts_the_rref_pivots():
+    mats = [[[Fraction(x) for x in row] for row in r["mat"]]
+            for r in json.loads(_GOLDEN_RREF.read_text())]
+    assert len(mats) == 301
+    for mat in mats:
+        assert linalg.rank(mat) == len(linalg.rref(mat)[1])
+
+
 if __name__ == "__main__":
     lines = [json.dumps(r, sort_keys=True) for r in _golden_rref_records()]
     _GOLDEN_RREF.write_text("[\n" + ",\n".join(lines) + "\n]\n")
