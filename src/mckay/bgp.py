@@ -82,14 +82,14 @@ class QuiverRep:
         return QuiverRep(quiver, dims, maps)
 
 
-_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_ENTRY = r"[+-]?[0-9]+(/[0-9]+)?"
 
 
 def _matrix(rows) -> list[list[Fraction]]:
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError(f"a matrix must be a list of row lists, got {rows!r}")
     for x in (x for row in rows for x in row):
-        if not (type(x) is int or isinstance(x, str) and _ENTRY.fullmatch(x)):
+        if not (type(x) is int or isinstance(x, str) and re.fullmatch(_ENTRY, x)):
             raise ValueError(f'matrix entry {x!r} is not an integer or a "p/q" string')
     return [[Fraction(x) for x in row] for row in rows]
 

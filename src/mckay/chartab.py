@@ -315,8 +315,9 @@ def _lift_row(group, chi_mod, degree, eta, p, exponent, class_of_mod):
 @functools.lru_cache(maxsize=None)
 def _class_value(order, mults):
     """sum_k mults[k] z_order^k at its minimal conductor.  Built at the
-    element's order, not the group exponent, so the Galois descent runs over
-    fewer divisors; the canonical form is unique, so the value is the same."""
+    element's order, not the group exponent, so the Galois descent scans
+    fewer divisors; the canonical form is unique, so the value is the same.
+    A pure function, so the memo serves later tables and primes too."""
     return CycloNum(order, mults).reduced()
 
 
@@ -379,7 +380,6 @@ def verify_table(table: CharacterTable, group: MatrixGroup) -> None:
             expected = order // table.class_sizes[a] if a == b else 0
             if _ring_sum(columns[a], columns[b], [1] * len(rows), n) != phi_reduce([expected], n):
                 raise ConsistencyError(f"column orthogonality fails at ({a}, {b})")
-    # The defining character must be the matrix trace.
     if table.defining_values != group.traces():
         raise ConsistencyError("stored defining character != matrix traces")
 

@@ -257,8 +257,8 @@ NOT_EXACT = {
 
 @pytest.mark.parametrize("case", sorted(NOT_EXACT))
 def test_reflect_rejects_inexact_json(tmp_path, capsys, case):
-    # Only JSON lists of rows, integer dimensions and integer or "p/q"
-    # entries are read; each of these once loaded as some other matrix.
+    # Read loosely, the string row is a row of digits, `true` the dimension
+    # 1 and 1.5 an exact rational: each would reflect a matrix never given.
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(NOT_EXACT[case]))
     for vertex, direction in (("0", "plus"), ("1", "minus")):
