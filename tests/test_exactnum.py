@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from mckay.errors import PreconditionError, ResourceLimitError
-from mckay.exactnum import (CycloNum, Poly, RatFunc, cyclo_sort_key,
+from mckay.exactnum import (MAX_CONDUCTOR, CycloNum, Poly, RatFunc, cyclo_sort_key,
                             cyclotomic_polynomial, euler_phi, poly_gcd,
                             series_of_ratfunc)
+from mckay.verify import ADE_EXPECTATIONS, context
 
 
 def frac_poly(*values) -> Poly:
@@ -125,6 +126,31 @@ def test_canonical_reduction_and_hash_agree():
     assert z5_at_20 == z5
     assert hash(z5_at_20) == hash(z5)
     assert z5_at_20.canonical()[0] == 5
+
+
+def test_canonical_form_of_every_table_value_from_lifted_conductors():
+    # Every distinct character value and trace of the 20 groups, stored at
+    # its minimal conductor, lifted to the exponent of every table holding it,
+    # to twice its conductor and to 120; the descent must come back to the
+    # stored form.
+    values = {}
+    for label, _ in ADE_EXPECTATIONS:
+        table = context(label)[1]
+        for v in [x for row in table.values for x in row] + list(table.defining_values):
+            values.setdefault(v, set()).add(table.exponent)
+    assert len(values) == 74
+    lifts = 0
+    for v, exponents in values.items():
+        stored = (v.conductor, v.coeffs)
+        assert v.canonical() == stored
+        for m in sorted(exponents | {2 * v.conductor, 120}):
+            if m % v.conductor or m > MAX_CONDUCTOR:
+                continue
+            lifted = v + CycloNum(m, [0])
+            assert lifted.conductor == m
+            assert lifted.canonical() == stored
+            lifts += 1
+    assert lifts == 250
 
 
 def test_cyclo_json_round_trip():

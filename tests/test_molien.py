@@ -160,16 +160,35 @@ def test_hom_dims_need_only_the_mckay_matrix(monkeypatch):
     assert tables == [t]
 
 
-def test_e_matrix_encodes_multiplicities():
-    for label in ("cyclic:4", "bd:2", "2T"):
-        g, t, m = built(label)
-        graph = mckay_graph(g, t)
-        for q in range(t.count):
-            for r in range(t.count):
-                coeffs = list(m.E[q][r].coeffs) + [0, 0, 0]
-                assert coeffs[0] == (1 if q == r else 0)
-                assert coeffs[1] == graph.n[q][r]
-                assert coeffs[2] == (1 if q == r else 0)
+def class_average_e(table):
+    """E(t) as the class average sum_c |C_c| conj chi_q(c) chi_p(c)
+    (1 + tau_c t + t^2) / |G|, with tau_c the trace: the oracle for E."""
+    order = sum(table.class_sizes)
+    rows = []
+    for p in range(table.count):
+        row = []
+        for q in range(table.count):
+            acc = [CycloNum.from_rational(0)] * 3
+            for c, size in enumerate(table.class_sizes):
+                weight = size * table.values[q][c].conj() * table.values[p][c]
+                tau = table.defining_values[c]
+                acc = [acc[0] + weight, acc[1] + weight * tau, acc[2] + weight]
+            row.append(Poly([a.as_rational() * Fraction(1, order) for a in acc]))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("label", ALL_GROUPS)
+def test_e_matrix_encodes_multiplicities(label):
+    g, t, m = built(label)
+    assert m.E == class_average_e(t)
+    graph = mckay_graph(g, t)
+    for q in range(t.count):
+        for r in range(t.count):
+            coeffs = list(m.E[q][r].coeffs) + [0, 0, 0]
+            assert coeffs[0] == (1 if q == r else 0)
+            assert coeffs[1] == graph.n[q][r]
+            assert coeffs[2] == (1 if q == r else 0)
 
 
 def test_graded_dims_by_height():
