@@ -1,14 +1,16 @@
 """Exact scalar arithmetic: rationals, polynomials, reduced rational
-functions with their Maclaurin coefficients, and cyclotomic field elements.
+functions with their Maclaurin coefficients, and cyclotomic numbers.
 
 Rationals are stdlib ``fractions.Fraction``.  A cyclotomic number is a vector
 in the power basis 1, z, ..., z^(phi(N)-1) of Q(z_N), reduced modulo the N-th
 cyclotomic polynomial, and stored as integer numerators over one common
 denominator in lowest terms, so ring operations run on ints and structural
-equality of the stored form is field equality.  Operations on numbers with
-different conductors lift both operands to the lcm conductor first; the lcm
-is capped (see MAX_CONDUCTOR) because the groups served by this package
-never need more.
+equality of the stored form is field equality.  Cyclotomic numbers form a
+ring here, with no division: every division the package makes is by an
+integer (a group order or a class size), which scales the denominator.
+Operations on numbers with different conductors lift both operands to the
+lcm conductor first; the lcm is capped (see MAX_CONDUCTOR) because the
+groups served by this package never need more.
 
 Polynomials are dense coefficient tuples and are deliberately generic: the
 same class is used with Fraction coefficients (rational functions, Hilbert
@@ -46,8 +48,9 @@ def divisors(n: int) -> list[int]:
 class Poly:
     """Univariate polynomial as a dense coefficient tuple (constant first).
 
-    Coefficients may be Fraction or CycloNum; they only need ring operations
-    and truthiness for zero tests.  The zero polynomial has an empty tuple.
+    Coefficients may be Fraction or CycloNum: sums, products and zero tests
+    need only ring operations, and division (divmod, monic) is for Fraction
+    coefficients.  The zero polynomial has an empty tuple.
     """
 
     __slots__ = ("coeffs",)
@@ -140,12 +143,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __call__(self, value):
-        result = None
-        for c in reversed(self.coeffs):
-            result = c if result is None else result * value + c
-        return result if result is not None else Fraction(0)
-
     def compose_neg(self) -> Poly:
         """The polynomial p(-t)."""
         return Poly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
@@ -173,23 +170,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
-
-
-def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, u, v) with u*a + v*b = g and g monic."""
-    r0, r1 = a, b
-    u0, u1 = Poly.one(), Poly()
-    v0, v1 = Poly(), Poly.one()
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    lead = r0.coeffs[-1]
-    inv = 1 / lead
-    return r0.monic(), u0 * inv, v0 * inv
 
 
 @functools.lru_cache(maxsize=None)
@@ -392,43 +372,6 @@ class CycloNum:
 
     __rmul__ = __mul__
 
-    def inv(self) -> CycloNum:
-        """Multiplicative inverse via the extended Euclidean algorithm against
-        the conductor's cyclotomic polynomial."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        q = self.as_rational()
-        if q is not None:
-            return CycloNum(1, [1 / q])
-        g, u, _ = poly_ext_gcd(Poly(self.coeffs), cyclotomic_polynomial(self.conductor))
-        assert g.degree == 0
-        scale = 1 / g.coeffs[0]
-        return CycloNum(self.conductor, [c * scale for c in u.coeffs])
-
-    def __truediv__(self, other):
-        o = CycloNum._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = CycloNum._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inv() ** (-exponent)
-        result = CycloNum.from_rational(1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def galois(self, a: int) -> CycloNum:
         """Apply the Galois automorphism z -> z^a (a coprime to the conductor)."""
         n = self.conductor
@@ -461,24 +404,21 @@ class CycloNum:
 
     def canonical(self) -> tuple[int, tuple[Fraction, ...]]:
         """(conductor, coefficients) at the smallest conductor containing the
-        value, found by Galois-invariance descent through the divisors."""
+        value: for each proper divisor d, ascending, solve for the value on
+        the power basis of Q(z_d) lifted to the conductor (read off where that
+        basis is invertible) and stop at the first d whose solution
+        reproduces every coordinate.  The coordinates are unique."""
         if self._canon is not None:
             return self._canon
         n = self.conductor
         result = (n, self.coeffs)
-        for d in divisors(n):
-            if d == n:
-                break
-            stabilizer = [a for a in range(1, n + 1)
-                          if gcd(a, n) == 1 and a % d == 1 % d]
-            if all(self.galois(a).num == self.num for a in stabilizer):
-                basis = [CycloNum.root_of_unity(d, j)._lifted(n)
-                         for j in range(euler_phi(d))]
-                columns = [[basis[j][row] for j in range(len(basis))]
-                           for row in range(len(self.num))]
-                sol = linalg.solve(columns, list(self.coeffs))
-                assert sol is not None
-                result = (d, tuple(sol))
+        num = self.num
+        for d in divisors(n)[:-1]:
+            basis, rows, inverse, scale = _subfield(d, n)
+            x = [sum(a * num[r] for a, r in zip(line, rows)) for line in inverse]
+            if all(sum(c * b[k] for c, b in zip(x, basis)) == scale * v
+                   for k, v in enumerate(num)):
+                result = (d, tuple(Fraction(c, scale * self.den) for c in x))
                 break
         _set(self, "_canon", result)
         return result
@@ -539,6 +479,17 @@ class CycloNum:
         return CycloNum(n, vec)
 
 
+@functools.lru_cache(maxsize=None)
+def _subfield(d: int, n: int):
+    """The power basis of Q(z_d) lifted to conductor n, the coordinates on
+    which it is invertible, and that inverse as integers over one scale."""
+    basis = [CycloNum.root_of_unity(d, j)._lifted(n) for j in range(euler_phi(d))]
+    rows = linalg.rref(basis)[1]
+    inverse = linalg.inverse([[b[r] for b in basis] for r in rows])
+    scale = lcm(*(x.denominator for line in inverse for x in line))
+    return basis, rows, [[int(x * scale) for x in line] for line in inverse], scale
+
+
 def cyclo_sort_key(value: CycloNum):
     """Total order key for cyclotomic numbers (canonical conductor first)."""
     n, coeffs = value.canonical()
@@ -563,15 +514,10 @@ class RatFunc:
         if num.is_zero():
             num, den = Poly(), Poly.one()
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            lead = den.coeffs[-1]
-            if lead != 1:
-                inv = 1 / lead
-                num = num * inv
-                den = den * inv
+            # The monic gcd times the leading coefficient of den: both
+            # quotients are exact and the new denominator is monic.
+            g = poly_gcd(num, den) * den.coeffs[-1]
+            num, den = num // g, den // g
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

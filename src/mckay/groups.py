@@ -164,8 +164,7 @@ def _generators(desc: GroupDescriptor) -> list[Mat2]:
     # Binary icosahedral: the quaternions (1+i+j+k)/2 and (phi + i/phi + j)/2,
     # with phi the golden ratio, written over Q(z_20).
     i = zeta(4)
-    z5 = zeta(5)
-    sqrt5 = z5 - z5 ** 2 - z5 ** 3 + z5 ** 4
+    sqrt5 = zeta(5) - zeta(5, 2) - zeta(5, 3) + zeta(5, 4)
     half = Fraction(1, 2)
     phi = (sqrt5 + 1) * half
     phi_inv = (sqrt5 - 1) * half

@@ -3,8 +3,11 @@ equivariant Hom-dimension calculator every later module leans on.
 
 For a 2x2 unimodular g both eigenvalues are determined by the trace, so
 det(1 - g^{-1} t) = 1 - tr(g) t + t^2 needs no eigenvalue case analysis at
-+-1.  The Molien averages are taken in exact cyclotomic arithmetic and must
-produce plain rationals, which is asserted, never assumed.
++-1.  The Molien average for S(t) is taken in exact cyclotomic arithmetic and
+must produce plain rationals, which is asserted, never assumed.  E(t) is the
+graded character of the exterior algebra of V: Lambda^0 V and Lambda^2 V are
+trivial and Lambda^1 V = V, so E(t) = Id + N t + Id t^2 with N the McKay
+matrix, and only S is averaged.
 
 Every entry of S(t) is summed over one common denominator
 delta(t) = prod_c det(1 - g_c^{-1} t), so S = P / delta with a polynomial
@@ -70,8 +73,8 @@ class HomDims:
 @dataclass(frozen=True)
 class MolienMatrices:
     """S(t) = P(t) / delta(t): P a matrix of polynomials over the common
-    denominator delta; E(t): matrix of polynomials of degree at most 2.  All
-    have rational coefficients after averaging."""
+    denominator delta, with rational coefficients after averaging; E(t) =
+    Id + N t + Id t^2, a matrix of rational polynomials of degree at most 2."""
 
     P: tuple[tuple[Poly, ...], ...]
     delta: Poly
@@ -110,17 +113,16 @@ def _cyclo_poly_rational(poly: Poly) -> Poly:
 
 
 def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices:
-    """The two Molien averages, summed over conjugacy classes with class-size
-    weights over the common denominator, and asserted rational."""
+    """S(t) as the Molien average, summed over conjugacy classes with
+    class-size weights over the common denominator and asserted rational;
+    E(t) = Id + N t + Id t^2 read off the McKay matrix N."""
     k = len(table.class_sizes)
     count = table.count
-    order = group.order
     chi_v = table.defining_values
     one = CycloNum.from_rational(1)
 
-    # det(1 - g^{-1} t) and det(1 + g t) per class, as cyclotomic polynomials.
+    # det(1 - g^{-1} t) per class, as a cyclotomic polynomial.
     delta = [Poly([one, -chi_v[c], one]) for c in range(k)]
-    plus = [Poly([one, chi_v[c], one]) for c in range(k)]
 
     # Partial products prod_{c' != c} delta_{c'} for the common denominator.
     prefix = [Poly([one])]
@@ -132,28 +134,22 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
     partial = [prefix[c] * suffix[c + 1] for c in range(k)]
     denominator = _cyclo_poly_rational(prefix[k])
 
-    inv_order = Fraction(1, order)
+    inv_order = Fraction(1, group.order)
     p_rows = []
-    e_rows = []
     for p in range(count):
         p_row = []
-        e_row = []
         for q in range(count):
             num = Poly()
-            epoly = Poly()
             for c in range(k):
                 weight = table.class_sizes[c] * table.values[q][c].conj() * table.values[p][c]
                 if weight:
                     num = num + weight * partial[c]
-                    epoly = epoly + weight * plus[c]
             p_row.append(_cyclo_poly_rational(num) * inv_order)
-            e_entry = _cyclo_poly_rational(epoly) * inv_order
-            if e_entry.degree > 2:
-                raise ConsistencyError("E entry has degree above 2")
-            e_row.append(e_entry)
         p_rows.append(tuple(p_row))
-        e_rows.append(tuple(e_row))
-    matrices = MolienMatrices(P=tuple(p_rows), delta=denominator, E=tuple(e_rows))
+    n = mckay_matrix(table, group)
+    e_rows = tuple(tuple(Poly.rational([int(p == q), n[p][q], int(p == q)])
+                         for q in range(count)) for p in range(count))
+    matrices = MolienMatrices(P=tuple(p_rows), delta=denominator, E=e_rows)
     _check_degree_zero(matrices)
     return matrices
 

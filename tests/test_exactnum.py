@@ -57,13 +57,6 @@ def test_root_of_unity_squares():
     assert z3 + z3 * z3 == -1
 
 
-def test_inverse_against_multiply_back():
-    x = 1 + CycloNum.root_of_unity(5)
-    assert x * x.inv() == 1
-    with pytest.raises(ZeroDivisionError):
-        CycloNum.from_rational(0).inv()
-
-
 def test_cross_conductor_arithmetic():
     z4 = CycloNum.root_of_unity(4)
     z6 = CycloNum.root_of_unity(6)
@@ -96,8 +89,6 @@ def test_field_laws_on_random_triples():
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        if a:
-            assert a * a.inv() == 1
 
 
 def test_galois_maps_compose_multiplicatively():
@@ -253,7 +244,7 @@ def _golden_cyclo_records() -> list[dict]:
         n = a.conductor
         u = rng.choice([k for k in range(1, n + 1) if gcd(k, n) == 1])
         results = {"a": a, "b": b, "a+b": a + b, "a-b": a - b, "a*b": a * b,
-                   "a/b": a / b, f"a.galois({u})": a.galois(u), "a.conj()": a.conj()}
+                   f"a.galois({u})": a.galois(u), "a.conj()": a.conj()}
         entry = {op: _record(v) for op, v in results.items()}
         cn, cc = a.canonical()
         entry["a.canonical()"] = [cn, [str(c) for c in cc]]

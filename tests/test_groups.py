@@ -58,14 +58,12 @@ def test_closure_and_inverses(label):
 
 def test_cyclic_four_is_diagonal_powers():
     g = group("cyclic:4")
-    from mckay.exactnum import CycloNum
-    i_val = CycloNum.root_of_unity(4)
     diag_entries = set()
     for m in g.elements:
         assert m.b == 0 and m.c == 0
         assert m.a * m.d == 1
         diag_entries.add(m.a)
-    assert diag_entries == {i_val ** k for k in range(4)}
+    assert diag_entries == {CycloNum.root_of_unity(4, k) for k in range(4)}
 
 
 def test_quaternion_group_structure():
