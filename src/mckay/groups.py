@@ -212,6 +212,7 @@ class MatrixGroup:
         self.minus_identity = minus_identity
         self._orders: dict[int, int] = {}
         self._classes: ConjugacyClasses | None = None
+        self._traces: tuple[CycloNum, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -286,9 +287,12 @@ class MatrixGroup:
         return data.class_of[x]
 
     def traces(self) -> tuple[CycloNum, ...]:
-        """Trace of each class representative: the defining 2-dim character."""
-        data = self.conjugacy_classes()
-        return tuple(self.elements[r].trace().reduced() for r in data.reps)
+        """Trace of each class representative: the defining 2-dim character,
+        computed on the first call."""
+        if self._traces is None:
+            self._traces = tuple(self.elements[r].trace().reduced()
+                                 for r in self.conjugacy_classes().reps)
+        return self._traces
 
 
 @functools.lru_cache(maxsize=None)

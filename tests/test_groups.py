@@ -127,6 +127,18 @@ def test_binary_icosahedral_class_data():
     assert g.exponent() == 60
 
 
+def test_traces_are_computed_once(monkeypatch):
+    g = group("2I")
+    first = g.traces()
+    assert first[0] == 2
+
+    def refuse(self):
+        raise AssertionError("traces() reduced a trace again")
+
+    monkeypatch.setattr(CycloNum, "reduced", refuse)
+    assert g.traces() == first
+
+
 @pytest.mark.parametrize("label", [label for label, _ in ADE_EXPECTATIONS])
 def test_products_inverses_and_minus_identity_match_matrices(label):
     """Pin mul, inverse and minus_identity to direct Mat2 arithmetic."""
