@@ -122,7 +122,6 @@ class SimpleFamily:
 
     height: HeightFunction
     classes: tuple[P1Class, ...]
-    flips_from_parity: tuple[tuple[int, str], ...]
 
 
 @lru_cache(maxsize=32)
@@ -144,7 +143,7 @@ def parity_family(graph: McKayGraph, hd: HomDims) -> SimpleFamily:
         for arrow in quiver.arrows_from(i):
             cls = cls - projective_class(base, arrow.tgt)
         classes.append(cls)
-    family = SimpleFamily(base, tuple(classes), ())
+    family = SimpleFamily(base, tuple(classes))
     _assert_duality(graph, hd, family)
     return family
 
@@ -188,13 +187,12 @@ def flip_family(graph: McKayGraph, family: SimpleFamily, vertex: int,
             new_classes.append(cls + n[vertex][j] * family.classes[vertex])
         else:
             new_classes.append(cls)
-    return SimpleFamily(new_height, tuple(new_classes),
-                        family.flips_from_parity + ((vertex, direction),))
+    return SimpleFamily(new_height, tuple(new_classes))
 
 
 def simple_family(graph: McKayGraph, hd: HomDims, h: HeightFunction) -> SimpleFamily:
-    """Family at an arbitrary height, reached from the parity height by the
-    recorded flip sequence."""
+    """Family at an arbitrary height, reached from the parity height along
+    its flip path."""
     h.require_valid()
     family = parity_family(graph, hd)
     for vertex, direction in flip_path(family.height, h):

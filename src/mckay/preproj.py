@@ -40,6 +40,8 @@ class DoubleArrow(NamedTuple):
 
 
 def double_quiver(graph: McKayGraph) -> tuple[DoubleArrow, ...]:
+    """Edge k gives arrow 2k and its star 2k + 1, so the star of arrow a is
+    arrow a ^ 1."""
     arrows = []
     for idx, (i, j) in enumerate(graph.edges):
         arrows.append(DoubleArrow(i, j, idx, False))
@@ -90,24 +92,28 @@ class QuadraticPresentation:
                     out.append((a1, a2))
         return out
 
+    def relation_rows(self) -> dict[tuple[int, int], list[list[Fraction]]]:
+        """The relations grouped by block, each as a row over paths2(block)."""
+        rows: dict[tuple[int, int], list[list[Fraction]]] = {}
+        index: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+        for rel in self.relations:
+            block = self.block_of(rel)
+            if block not in index:
+                index[block] = {p: i for i, p in enumerate(self.paths2(block))}
+                rows[block] = []
+            row = [Fraction(0)] * len(index[block])
+            for pair, coeff in rel:
+                row[index[block][pair]] = coeff
+            rows[block].append(row)
+        return rows
+
     def relation_span(self) -> dict[tuple[int, int], list[list[Fraction]]]:
         """Canonical (reduced row echelon) basis of the relation space per
         block; the comparison key for presentation equality."""
-        spans: dict[tuple[int, int], list[list[Fraction]]] = {}
-        grouped: dict[tuple[int, int], list] = {}
-        for rel in self.relations:
-            grouped.setdefault(self.block_of(rel), []).append(dict(rel))
-        for block, rels in grouped.items():
-            pairs = self.paths2(block)
-            index = {p: i for i, p in enumerate(pairs)}
-            rows = []
-            for rel in rels:
-                row = [Fraction(0)] * len(pairs)
-                for pair, coeff in rel.items():
-                    row[index[pair]] = coeff
-                rows.append(row)
+        spans = {}
+        for block, rows in self.relation_rows().items():
             red, pivots = linalg.rref(rows)
-            spans[block] = [red[i] for i in range(len(pivots))]
+            spans[block] = red[:len(pivots)]
         return spans
 
     def to_json(self) -> dict:
@@ -141,10 +147,6 @@ def preprojective_presentation(graph: McKayGraph) -> QuadraticPresentation:
     if not graph.classification.is_ade:
         raise PreconditionError("preprojective presentation needs an affine ADE graph")
     arrows = double_quiver(graph)
-    star_of = {}
-    for idx in range(0, len(arrows), 2):
-        star_of[idx] = idx + 1
-        star_of[idx + 1] = idx
     relations = []
     for v in range(graph.size):
         rel: Relation = {}
@@ -152,7 +154,7 @@ def preprojective_presentation(graph: McKayGraph) -> QuadraticPresentation:
             if arrow.src != v:
                 continue
             sign = Fraction(1) if arrow.is_star else Fraction(-1)
-            rel[(aid, star_of[aid])] = sign
+            rel[(aid, aid ^ 1)] = sign
         if rel:
             relations.append(rel)
     return _make(graph.size, arrows, relations)
@@ -170,10 +172,6 @@ def ext_algebra_presentation(graph: McKayGraph) -> QuadraticPresentation:
     if not graph.classification.is_ade:
         raise PreconditionError("Ext presentation needs an affine ADE graph")
     arrows = double_quiver(graph)
-    star_of = {}
-    for idx in range(0, len(arrows), 2):
-        star_of[idx] = idx + 1
-        star_of[idx + 1] = idx
     relations: list[Relation] = []
     # Paths between distinct endpoints vanish outright.
     for a1, first in enumerate(arrows):
@@ -189,7 +187,7 @@ def ext_algebra_presentation(graph: McKayGraph) -> QuadraticPresentation:
             for a2, second in enumerate(arrows):
                 if second.src == first.tgt and second.tgt == v:
                     pairing = Fraction(0)
-                    if a2 == star_of[a1]:
+                    if a2 == a1 ^ 1:
                         pairing = Fraction(-1) if first.is_star else Fraction(1)
                     loops.append(((a1, a2), pairing))
         unmatched = [pair for pair, s in loops if not s]
@@ -206,29 +204,13 @@ def quadratic_dual(pres: QuadraticPresentation) -> QuadraticPresentation:
     """Same arrows (dual basis, directions preserved); relations are a basis
     of the annihilator of the old relation space, block by block."""
     relations: list[Relation] = []
-    grouped: dict[tuple[int, int], list[Relation]] = {}
-    for rel in pres.relations:
-        grouped.setdefault(pres.block_of(rel), []).append(dict(rel))
-    seen_blocks = set()
-    for a1, first in enumerate(pres.arrows):
-        for a2, second in enumerate(pres.arrows):
-            if first.tgt == second.src:
-                seen_blocks.add((first.src, second.tgt))
-    for block in sorted(seen_blocks):
+    grouped = pres.relation_rows()
+    blocks = {(first.src, second.tgt) for first in pres.arrows
+              for second in pres.arrows if first.tgt == second.src}
+    for block in sorted(blocks):
         pairs = pres.paths2(block)
-        index = {p: i for i, p in enumerate(pairs)}
-        rows = []
-        for rel in grouped.get(block, []):
-            row = [Fraction(0)] * len(pairs)
-            for pair, coeff in rel.items():
-                row[index[pair]] = coeff
-            rows.append(row)
-        if rows:
-            kernel = linalg.nullspace(rows)
-        else:
-            kernel = [[Fraction(1 if i == j else 0) for i in range(len(pairs))]
-                      for j in range(len(pairs))]
-        for vec in kernel:
+        # A block without relations stands in as one zero row: all of it annihilates.
+        for vec in linalg.nullspace(grouped.get(block) or [[0] * len(pairs)]):
             rel = {pairs[i]: c for i, c in enumerate(vec) if c}
             if rel:
                 relations.append(rel)
