@@ -5,20 +5,14 @@ the program no longer has fails here, not only in a benchmark run."""
 from __future__ import annotations
 
 import importlib
-import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _import(name):
-    if str(PERFBENCH) not in sys.path:
-        sys.path.insert(0, str(PERFBENCH))
-    return importlib.import_module(name)
-
-
-def test_tiny_workloads_pass_under_the_tracer(tmp_path):
-    child, tracer = _import("child"), _import("tracer")
+def test_tiny_workloads_pass_under_the_tracer(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    child, tracer = importlib.import_module("child"), importlib.import_module("tracer")
     sizes = child.SIZES["tiny"]
     active = tracer.Tracer(run_id="tiny")
     active.install()
