@@ -209,7 +209,7 @@ def quadratic_dual(pres: QuadraticPresentation) -> QuadraticPresentation:
               for second in pres.arrows if first.tgt == second.src}
     for block in sorted(blocks):
         pairs = pres.paths2(block)
-        # A block without relations stands in as one zero row: all of it annihilates.
+        # A block without relations is one zero row, whose nullspace is all of it.
         for vec in linalg.nullspace(grouped.get(block) or [[0] * len(pairs)]):
             rel = {pairs[i]: c for i, c in enumerate(vec) if c}
             if rel:
