@@ -12,6 +12,7 @@ import pytest
 
 from mckay.bgp import QuiverRep
 from mckay.cli import main
+from mckay.molien import HomDims
 
 
 def run(capsys, *argv):
@@ -170,6 +171,24 @@ def test_lattice_check_single_height(capsys):
 
 
 def test_flip_path_cap_is_a_resource_limit(capsys):
+    code, out, err = run(capsys, "lattice-check", "cyclic:2", "--height", "20000,20001")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "the flip path has 20000 flips, above the cap 10000", "kind": "resource"}
+
+
+def test_flip_cap_comes_before_any_hom_dimension(capsys, monkeypatch):
+    # A height far from the parity height is refused before its classes are
+    # paired: a Hom dimension read at a high degree would fail here instead.
+    hom_dim = HomDims.hom_dim
+
+    def bounded(self, i, j, m):
+        if m > 100:
+            raise AssertionError(f"hom_dim read at degree {m}")
+        return hom_dim(self, i, j, m)
+
+    monkeypatch.setattr(HomDims, "hom_dim", bounded)
+    monkeypatch.setattr(HomDims, "__call__", bounded)
     code, out, err = run(capsys, "lattice-check", "cyclic:2", "--height", "20000,20001")
     assert (code, out) == (3, "")
     assert json.loads(err) == {

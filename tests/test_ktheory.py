@@ -224,6 +224,37 @@ def test_lattice_suite_on_every_group_with_minus_identity(label):
     assert weyl_checks(graph)["ok"]
 
 
+def resolution_classes(h):
+    """The simple classes from the two-step projective resolution over kQ_h:
+    P_i(h) minus the projectives at the heads of the arrows out of i."""
+    quiver = h.quiver()
+    return [sum((-P1Class.symbol(a.tgt, h.values[a.tgt]) for a in quiver.arrows_from(i)),
+                P1Class.symbol(i, h.values[i]))
+            for i in range(h.graph.size)]
+
+
+def flip_rule(graph, classes, vertex):
+    """The classes after flipping a source or sink: the class at the vertex
+    is negated and each neighbour j gains n[vertex][j] copies of it."""
+    return [-cls if j == vertex else cls + graph.n[vertex][j] * classes[vertex]
+            for j, cls in enumerate(classes)]
+
+
+@pytest.mark.parametrize("label", MINUS_IDENTITY_GROUPS)
+def test_simple_family_is_the_resolution_and_follows_flips(label):
+    _, _, graph, hd = context(label)
+    for h in enumerate_heights(graph, 2):
+        family = simple_family(graph, hd, h).classes
+        for got, want in zip(family, resolution_classes(h), strict=True):
+            assert classes_equal(hd, graph, got, want), (h.values, "resolution")
+        quiver = h.quiver()
+        steps = [(v, -2) for v in quiver.sources()] + [(v, 2) for v in quiver.sinks()]
+        for v, step in steps:
+            flipped = simple_family(graph, hd, h.with_value(v, h.values[v] + step)).classes
+            for got, want in zip(flipped, flip_rule(graph, family, v), strict=True):
+                assert classes_equal(hd, graph, got, want), (h.values, v)
+
+
 def test_weyl_relations():
     _, _, graph, _ = context("cyclic:2")
     report = weyl_checks(graph)
