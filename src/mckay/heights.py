@@ -15,11 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError
 from .mckaygraph import McKayGraph
-
-#: Most flips one flip path may take.
-FLIP_CAP = 10000
 
 
 class Arrow(NamedTuple):
@@ -100,22 +97,6 @@ def parity_height(graph: McKayGraph) -> HeightFunction:
     if graph.parity is None:
         raise PreconditionError("graph has no parity data")
     return HeightFunction(graph, tuple(graph.parity))
-
-
-def flip(h: HeightFunction, vertex: int, direction: str) -> HeightFunction:
-    """Raise a sink (direction "plus") or lower a source ("minus") by 2,
-    swapping its sink/source status."""
-    h.require_valid()
-    quiver = h.quiver()
-    if direction == "plus":
-        if vertex not in quiver.sinks():
-            raise PreconditionError(f"vertex {vertex} is not a sink; cannot raise")
-        return h.with_value(vertex, h.values[vertex] + 2)
-    if direction == "minus":
-        if vertex not in quiver.sources():
-            raise PreconditionError(f"vertex {vertex} is not a source; cannot lower")
-        return h.with_value(vertex, h.values[vertex] - 2)
-    raise PreconditionError(f"unknown flip direction {direction!r}")
 
 
 def enumerate_heights(graph: McKayGraph, window: int) -> list[HeightFunction]:
@@ -224,38 +205,3 @@ def ext_vanishing_check(h: HeightFunction, hom_dim,
                 if dim:
                     witnesses.append({"pair": [k, l], "twist": d, "dim": dim})
     return not witnesses, witnesses
-
-
-def flip_path(h_from: HeightFunction, h_to: HeightFunction) -> list[tuple[int, str]]:
-    """A flip sequence transforming one height into another.
-
-    Greedy and deterministic: among vertices still below the target pick the
-    lowest-index sink and raise it; otherwise lower the lowest-index source
-    above the target.  Each step shrinks the L1 distance by 2, so the path
-    has exactly half that distance in flips, at most FLIP_CAP.
-    """
-    h_from.require_valid()
-    h_to.require_valid()
-    flips = sum(abs(a - b) for a, b in zip(h_from.values, h_to.values)) // 2
-    if flips > FLIP_CAP:
-        raise ResourceLimitError(
-            f"the flip path has {flips} flips, above the cap {FLIP_CAP}")
-    current = h_from
-    steps: list[tuple[int, str]] = []
-    while current.values != h_to.values:
-        quiver = current.quiver()
-        below = [v for v in range(current.graph.size)
-                 if current.values[v] < h_to.values[v]]
-        if below:
-            sinks = set(quiver.sinks())
-            vertex = min(v for v in below if v in sinks)
-            current = current.with_value(vertex, current.values[vertex] + 2)
-            steps.append((vertex, "plus"))
-            continue
-        above = [v for v in range(current.graph.size)
-                 if current.values[v] > h_to.values[v]]
-        sources = set(quiver.sources())
-        vertex = min(v for v in above if v in sources)
-        current = current.with_value(vertex, current.values[vertex] - 2)
-        steps.append((vertex, "minus"))
-    return steps

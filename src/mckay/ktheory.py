@@ -1,29 +1,31 @@
 """Lattice shadow of the zero-section category: classes of the twisted
 projectives and of the simple spherical objects, the Euler pairing on the
 projective line, its symmetrization (the affine Cartan form), reflection by
-spherical twists, and the bookkeeping that ties twists to height flips.
+spherical twists, and the check that twists realize height flips.
 
 Classes live in the free abelian group on symbols (irreducible, twist); the
 single relation family coming from the Euler sequence is never imposed.
 Instead, equality is decided by pairing against a fixed probe set (the
 parity-height projectives and their degree-one twists), which separates the
-classes in play.  The base family of simple classes at the parity height
-comes from the projective resolution of a vertex simple over a path algebra
-and is then checked against its defining duality system.
-"""
+classes in play.  The simple classes at every height are read off that
+height's own downhill quiver, from the projective resolution of a vertex
+simple over its path algebra; the dual-basis check pairs them against the
+height's projectives."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .errors import ConsistencyError, PreconditionError
-from .heights import HeightFunction, flip_path, parity_height
+from .errors import PreconditionError, ResourceLimitError
+from .heights import HeightFunction, parity_height
 from .mckaygraph import McKayGraph
 from .molien import HomDims
+
+#: Most flips a height may lie from the parity height.
+FLIP_CAP = 10000
 
 
 class P1Class:
@@ -116,88 +118,24 @@ def classes_equal(hd: HomDims, graph: McKayGraph, x: P1Class, y: P1Class) -> boo
     return all(euler_char(hd, p, diff) == 0 for p in probe_set(graph))
 
 
-@dataclass(frozen=True)
-class SimpleFamily:
-    """Classes of the simple objects attached to one height function."""
+def simple_family(h: HeightFunction) -> tuple[P1Class, ...]:
+    """Classes of the vertex simples at height h, read off the downhill
+    quiver Q_h: over its path algebra each simple has the projective
+    resolution 0 -> (+)_{i->j} P_j -> P_i -> S_i -> 0, so
+    [S_i] = [P_i(h)] - sum over arrows i -> j of [P_j(h)].
 
-    height: HeightFunction
-    classes: tuple[P1Class, ...]
-
-
-@lru_cache(maxsize=32)
-def parity_family(graph: McKayGraph, hd: HomDims) -> SimpleFamily:
-    """Base family at the parity height.
-
-    The class of the vertex simple is projective minus the sum over outgoing
-    arrows, from the standard two-step projective resolution over the path
-    algebra; the defining duality system (pairing against the projectives is
-    the identity) is then verified, and its failure reports a too-small twist
-    window.  Built and verified once per graph and HomDims (keyed by
-    identity, as HomDims defines no equality).
+    A height more than FLIP_CAP flips from the parity height (half the L1
+    distance) is refused before any class is paired.
     """
-    base = parity_height(graph)
-    quiver = base.quiver()
-    classes = []
-    for i in range(graph.size):
-        cls = projective_class(base, i)
-        for arrow in quiver.arrows_from(i):
-            cls = cls - projective_class(base, arrow.tgt)
-        classes.append(cls)
-    family = SimpleFamily(base, tuple(classes))
-    _assert_duality(graph, hd, family)
-    return family
-
-
-def _duality_failure(graph: McKayGraph, hd: HomDims,
-                     family: SimpleFamily) -> tuple[int, int] | None:
-    """The first pair (k, i) where the family's height-projective k does not
-    pair with simple class i to the Kronecker delta, or None."""
-    for k in range(graph.size):
-        fk = projective_class(family.height, k)
-        for i, cls in enumerate(family.classes):
-            if euler_char(hd, fk, cls) != (1 if i == k else 0):
-                return k, i
-    return None
-
-
-def _assert_duality(graph: McKayGraph, hd: HomDims, family: SimpleFamily) -> None:
-    bad = _duality_failure(graph, hd, family)
-    if bad is not None:
-        raise ConsistencyError("duality system unsolvable over the twist window "
-                               f"(pair {bad[0]}, {bad[1]}); enlarge the window")
-
-
-def flip_family(graph: McKayGraph, family: SimpleFamily, vertex: int,
-                direction: str) -> SimpleFamily:
-    """Class bookkeeping for one sink/source flip.
-
-    At the flipped vertex the class is negated; neighbors gain the flipped
-    class with edge multiplicity; everything else is fixed.  Lowering needs a
-    source, raising needs a sink (same rules as height flips).
-    """
-    from .heights import flip as height_flip
-
-    new_height = height_flip(family.height, vertex, direction)
-    n = graph.n
-    new_classes = []
-    for j, cls in enumerate(family.classes):
-        if j == vertex:
-            new_classes.append(-cls)
-        elif n[vertex][j]:
-            new_classes.append(cls + n[vertex][j] * family.classes[vertex])
-        else:
-            new_classes.append(cls)
-    return SimpleFamily(new_height, tuple(new_classes))
-
-
-def simple_family(graph: McKayGraph, hd: HomDims, h: HeightFunction) -> SimpleFamily:
-    """Family at an arbitrary height, reached from the parity height along
-    its flip path."""
     h.require_valid()
-    family = parity_family(graph, hd)
-    for vertex, direction in flip_path(family.height, h):
-        family = flip_family(graph, family, vertex, direction)
-    return family
+    flips = sum(abs(a - b) for a, b in zip(h.values, h.graph.parity)) // 2
+    if flips > FLIP_CAP:
+        raise ResourceLimitError(
+            f"the flip path has {flips} flips, above the cap {FLIP_CAP}")
+    quiver = h.quiver()
+    return tuple(sum((-projective_class(h, a.tgt) for a in quiver.arrows_from(i)),
+                     projective_class(h, i))
+                 for i in range(h.graph.size))
 
 
 def cartan_form(hd: HomDims, x: P1Class, y: P1Class) -> int:
@@ -205,54 +143,51 @@ def cartan_form(hd: HomDims, x: P1Class, y: P1Class) -> int:
     return euler_char(hd, x, y) + euler_char(hd, y, x)
 
 
-def twist_class(hd: HomDims, family: SimpleFamily, vertex: int,
+def twist_class(hd: HomDims, family: tuple[P1Class, ...], vertex: int,
                 x: P1Class) -> P1Class:
     """Reflection of any class x in the hyperplane of one simple:
     x - <[E_vertex], x> [E_vertex] under the symmetrized form."""
-    e = family.classes[vertex]
+    e = family[vertex]
     return x - cartan_form(hd, e, x) * e
 
 
 def verify_dual_bases(graph: McKayGraph, hd: HomDims, h: HeightFunction) -> bool:
     """Pairing of height-h projectives against height-h simples must be the
     identity matrix."""
-    return _duality_failure(graph, hd, simple_family(graph, hd, h)) is None
+    family = simple_family(h)
+    return all(euler_char(hd, projective_class(h, k), cls) == int(i == k)
+               for k in range(graph.size) for i, cls in enumerate(family))
 
 
 def verify_twist_vs_flip(graph: McKayGraph, hd: HomDims, h: HeightFunction,
                          vertex: int) -> bool:
-    """The reflection computed from the Euler form must match the flip
-    recursion computed from the graph: twisting at a source realizes the
-    lowered height's simples, inverse-twisting at a sink the raised ones."""
+    """The reflection computed from the Euler form must give the simples of
+    the flipped height, each read off its own quiver: twisting at a source
+    realizes the simples at h - 2e_vertex, inverse-twisting at a sink those
+    at h + 2e_vertex."""
     h.require_valid()
     quiver = h.quiver()
-    family = simple_family(graph, hd, h)
     if vertex in quiver.sources():
-        flipped = simple_family(graph, hd,
-                                h.with_value(vertex, h.values[vertex] - 2))
+        step = -2
     elif vertex in quiver.sinks():
-        flipped = simple_family(graph, hd,
-                                h.with_value(vertex, h.values[vertex] + 2))
+        step = 2
     else:
         raise PreconditionError(f"vertex {vertex} is neither source nor sink")
-    for j in range(graph.size):
-        twisted = twist_class(hd, family, vertex, family.classes[j])
-        if not classes_equal(hd, graph, twisted, flipped.classes[j]):
-            return False
-    return True
+    family = simple_family(h)
+    flipped = simple_family(h.with_value(vertex, h.values[vertex] + step))
+    return all(classes_equal(hd, graph, twist_class(hd, family, vertex, cls), want)
+               for cls, want in zip(family, flipped))
 
 
 def basis_change_unimodular(graph: McKayGraph, hd: HomDims,
                             h1: HeightFunction, h2: HeightFunction) -> bool:
     """The simple classes of two heights differ by an invertible integer
     matrix (they span the same lattice)."""
-    fam1 = simple_family(graph, hd, h1)
-    fam2 = simple_family(graph, hd, h2)
-    cols1 = [probe_vector(hd, graph, c) for c in fam1.classes]
+    cols1 = [probe_vector(hd, graph, c) for c in simple_family(h1)]
     mat = [[Fraction(cols1[j][r]) for j in range(len(cols1))]
            for r in range(2 * graph.size)]
     change = []
-    for cls in fam2.classes:
+    for cls in simple_family(h2):
         target = [Fraction(t) for t in probe_vector(hd, graph, cls)]
         sol = linalg.solve(mat, target)
         if sol is None or any(c.denominator != 1 for c in sol):

@@ -280,9 +280,9 @@ def lattice_failures(graph: McKayGraph, hd: HomDims, h: HeightFunction) -> list[
     """Failures at one height of the Cartan form on simple classes, the dual
     bases, and the twist-flip agreement at every source and sink."""
     rows = []
-    family = simple_family(graph, hd, h)
-    for i, a in enumerate(family.classes):
-        for j, b in enumerate(family.classes):
+    family = simple_family(h)
+    for i, a in enumerate(family):
+        for j, b in enumerate(family):
             if cartan_form(hd, a, b) != graph.cartan[i][j]:
                 rows.append({"height": list(h.values), "entry": [i, j],
                              "error": "cartan form mismatch"})

@@ -33,5 +33,5 @@ def test_tiny_workloads_pass_under_the_tracer(tmp_path, monkeypatch):
     # when it runs as __main__; these are reached through module attributes.
     for name in ("molien.hom_dim", "mckaygraph.mckay_matrix", "preproj.truncated_hilbert",
                  "bgp.round_trip_isomorphism", "bgp.find_isomorphism",
-                 "ktheory.flip_family"):
+                 "ktheory.simple_family"):
         assert names[name]["calls"] > 0, name

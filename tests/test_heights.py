@@ -1,4 +1,4 @@
-"""Heights, flips, path counting, and the Hom/path and Ext identities."""
+"""Heights, path counting, and the Hom/path and Ext identities."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from mckay.chartab import dixon_character_table
 from mckay.errors import PreconditionError
 from mckay.groups import build_group, parse_descriptor
 from mckay.heights import (HeightFunction, enumerate_heights, ext_vanishing_check,
-                           flip, flip_path, kirillov_check, parity_height,
-                           path_count)
+                           kirillov_check, parity_height, path_count)
 from mckay.mckaygraph import mckay_graph
 from mckay.molien import HomDims
 
@@ -75,18 +74,6 @@ def test_validity_rules():
     assert not HeightFunction(graph, (0, 0)).is_valid()   # parity clash
     with pytest.raises(PreconditionError):
         HeightFunction(graph, (0,))
-
-
-def test_flip_examples_and_involution():
-    graph, _ = setup("cyclic:2")
-    h = HeightFunction(graph, (0, 1))
-    assert flip(h, 0, "plus").values == (2, 1)
-    assert flip(h, 1, "minus").values == (0, -1)
-    assert flip(flip(h, 0, "plus"), 0, "minus").values == h.values
-    with pytest.raises(PreconditionError):
-        flip(h, 1, "plus")       # 1 is a source, not a sink
-    with pytest.raises(PreconditionError):
-        flip(h, 0, "minus")
 
 
 def test_quiver_orientation_and_path_counts():
@@ -164,16 +151,6 @@ def test_sinks_and_sources_partition_bipartite_orientation():
         for h in enumerate_heights(graph, 2):
             qh = h.quiver()
             assert not set(qh.sinks()) & set(qh.sources())
-
-
-def test_flip_path_reaches_every_canonical_height():
-    graph, _ = setup("bd:2")
-    base = parity_height(graph)
-    for h in enumerate_heights(graph, 2):
-        current = base
-        for vertex, direction in flip_path(base, h):
-            current = flip(current, vertex, direction)
-        assert current.values == h.values
 
 
 def test_kirillov_and_ext_on_the_e6_graph():

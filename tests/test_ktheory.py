@@ -9,8 +9,7 @@ import pytest
 from mckay import ktheory, linalg
 from mckay.heights import HeightFunction, enumerate_heights, parity_height
 from mckay.ktheory import (P1Class, basis_change_unimodular, cartan_form,
-                           classes_equal, euler_char, flip_family,
-                           parity_family, probe_vector, simple_family,
+                           classes_equal, euler_char, probe_vector, simple_family,
                            twist_class, verify_dual_bases,
                            verify_twist_vs_flip, weyl_checks)
 from mckay.verify import ADE_EXPECTATIONS, context, lattice_failures
@@ -28,16 +27,16 @@ def test_euler_pairing_base_cases():
 
 def test_parity_family_duality_defines_it():
     _, _, graph, hd = context("cyclic:2")
-    family = parity_family(graph, hd)
+    family = simple_family(parity_height(graph))
     for k in range(2):
         fk = P1Class.symbol(k, graph.parity[k])
-        for i, cls in enumerate(family.classes):
+        for i, cls in enumerate(family):
             assert euler_char(hd, fk, cls) == (1 if i == k else 0)
     # Exact linear solve oracle: the duality system over the twist window
     # {p(j), p(j)-2} admits the family as a solution, and pairing against
     # the probe set pins the solution uniquely.
     window = [(j, e) for j in range(2) for e in (graph.parity[j], graph.parity[j] - 2)]
-    for i, cls in enumerate(family.classes):
+    for i, cls in enumerate(family):
         matrix = [[euler_char(hd, P1Class.symbol(k, graph.parity[k]),
                               P1Class.symbol(j, e)) for (j, e) in window]
                   for k in range(2)]
@@ -49,53 +48,54 @@ def test_parity_family_duality_defines_it():
 
 def test_flip_rules_at_class_level():
     _, _, graph, hd = context("cyclic:2")
-    family = parity_family(graph, hd)
-    source = family.height.quiver().sources()[0]
-    flipped = flip_family(graph, family, source, "minus")
-    assert flipped.classes[source] == -family.classes[source]
+    base = parity_height(graph)
+    family = simple_family(base)
+    source = base.quiver().sources()[0]
+    flipped = simple_family(base.with_value(source, base.values[source] - 2))
+    assert classes_equal(hd, graph, flipped[source], -family[source])
     other = 1 - source
-    expected = family.classes[other] + 2 * family.classes[source]
-    assert flipped.classes[other] == expected
+    expected = family[other] + 2 * family[source]
+    assert classes_equal(hd, graph, flipped[other], expected)
 
 
 def test_nonneighbor_class_is_fixed():
     _, _, graph, hd = context("bd:2")
-    family = parity_family(graph, hd)
+    base = parity_height(graph)
+    family = simple_family(base)
     center = 4
-    h = family.height
     # Raise one leaf: in the parity orientation leaves are sinks.
     leaf = 1
-    flipped = flip_family(graph, family, leaf, "plus")
+    flipped = simple_family(base.with_value(leaf, base.values[leaf] + 2))
     for j in range(graph.size):
         if j != leaf and graph.n[leaf][j] == 0:
-            assert flipped.classes[j] == family.classes[j]
-    assert flipped.classes[center] == family.classes[center] + family.classes[leaf]
+            assert classes_equal(hd, graph, flipped[j], family[j])
+    assert classes_equal(hd, graph, flipped[center], family[center] + family[leaf])
 
 
 def test_cartan_form_on_simple_classes():
     for label in ("cyclic:2", "cyclic:4", "bd:2"):
         _, _, graph, hd = context(label)
         for h in enumerate_heights(graph, 2):
-            family = simple_family(graph, hd, h)
-            for i, a in enumerate(family.classes):
-                for j, b in enumerate(family.classes):
+            family = simple_family(h)
+            for i, a in enumerate(family):
+                for j, b in enumerate(family):
                     assert cartan_form(hd, a, b) == graph.cartan[i][j]
 
 
 def test_delta_combination_is_radical():
     _, _, graph, hd = context("cyclic:4")
-    family = parity_family(graph, hd)
+    family = simple_family(parity_height(graph))
     delta_class = P1Class()
     for i, coeff in enumerate(graph.delta):
-        delta_class = delta_class + coeff * family.classes[i]
-    for cls in family.classes:
+        delta_class = delta_class + coeff * family[i]
+    for cls in family:
         assert cartan_form(hd, delta_class, cls) == 0
 
 
 def test_twist_examples_and_involution():
     _, _, graph, hd = context("cyclic:2")
-    family = parity_family(graph, hd)
-    e0, e1 = family.classes
+    family = simple_family(parity_height(graph))
+    e0, e1 = family
     assert classes_equal(hd, graph, twist_class(hd, family, 0, e0), -e0)
     t1 = twist_class(hd, family, 0, e1)
     assert classes_equal(hd, graph, t1, e1 + 2 * e0)
@@ -104,10 +104,10 @@ def test_twist_examples_and_involution():
 
 def test_symbols_have_integral_family_coordinates():
     _, _, graph, hd = context("cyclic:2")
-    family = parity_family(graph, hd)
+    family = simple_family(parity_height(graph))
     # The classes are a lattice basis, so W_0(4) has integral coordinates in
     # the family: solve for them on probe vectors.
-    columns = [probe_vector(hd, graph, cls) for cls in family.classes]
+    columns = [probe_vector(hd, graph, cls) for cls in family]
     target = probe_vector(hd, graph, P1Class.symbol(0, 4))
     coords = linalg.solve([[Fraction(col[r]) for col in columns]
                            for r in range(len(target))],
@@ -142,14 +142,14 @@ def test_twist_matches_flip_everywhere(label):
 def test_twist_vs_flip_diagonal_and_nonneighbors():
     _, _, graph, hd = context("cyclic:4")
     h = HeightFunction(graph, (0, 0, 1, 1))
-    family = simple_family(graph, hd, h)
+    family = simple_family(h)
     source = h.quiver().sources()[0]
-    twisted_self = twist_class(hd, family, source, family.classes[source])
-    assert classes_equal(hd, graph, twisted_self, -family.classes[source])
+    twisted_self = twist_class(hd, family, source, family[source])
+    assert classes_equal(hd, graph, twisted_self, -family[source])
     for j in range(graph.size):
         if j != source and graph.n[source][j] == 0:
-            tw = twist_class(hd, family, source, family.classes[j])
-            assert classes_equal(hd, graph, tw, family.classes[j])
+            tw = twist_class(hd, family, source, family[j])
+            assert classes_equal(hd, graph, tw, family[j])
 
 
 def twist_failure_rows(graph):
@@ -177,24 +177,10 @@ def test_twist_reads_the_cartan_form(label, count, monkeypatch):
     assert rows == twist_failure_rows(graph)
 
 
-def test_parity_family_is_verified_once(monkeypatch):
-    # Every height's family starts from the parity family; its duality check
-    # runs when that family is first built, not once per height and flip.
-    calls = []
-    check = ktheory._assert_duality
-    monkeypatch.setattr(ktheory, "_assert_duality",
-                        lambda *args: calls.append(args) or check(*args))
-    ktheory.parity_family.cache_clear()
-    _, _, graph, hd = context("bd:2")
-    heights = enumerate_heights(graph, 2)
-    assert all(lattice_failures(graph, hd, h) == [] for h in heights)
-    assert len(heights) > 1 and len(calls) == 1
-
-
 def test_probe_vectors_separate_and_span():
     _, _, graph, hd = context("cyclic:4")
-    family = parity_family(graph, hd)
-    vectors = [probe_vector(hd, graph, cls) for cls in family.classes]
+    family = simple_family(parity_height(graph))
+    vectors = [probe_vector(hd, graph, cls) for cls in family]
     assert len(set(vectors)) == graph.size
     assert basis_change_unimodular(
         graph, hd, enumerate_heights(graph, 2)[0], enumerate_heights(graph, 2)[-1])
@@ -244,13 +230,13 @@ def flip_rule(graph, classes, vertex):
 def test_simple_family_is_the_resolution_and_follows_flips(label):
     _, _, graph, hd = context(label)
     for h in enumerate_heights(graph, 2):
-        family = simple_family(graph, hd, h).classes
+        family = simple_family(h)
         for got, want in zip(family, resolution_classes(h), strict=True):
             assert classes_equal(hd, graph, got, want), (h.values, "resolution")
         quiver = h.quiver()
         steps = [(v, -2) for v in quiver.sources()] + [(v, 2) for v in quiver.sinks()]
         for v, step in steps:
-            flipped = simple_family(graph, hd, h.with_value(v, h.values[v] + step)).classes
+            flipped = simple_family(h.with_value(v, h.values[v] + step))
             for got, want in zip(flipped, flip_rule(graph, family, v), strict=True):
                 assert classes_equal(hd, graph, got, want), (h.values, v)
 
