@@ -104,6 +104,26 @@ class CharacterTable:
     def trivial_index(self) -> int:
         return 0
 
+    @functools.cached_property
+    def mckay_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Multiplicities n[i][j] of W_i in V (x) W_j, from the class-weighted
+        character average over |G| = sum of the class sizes; computed once
+        per table."""
+        order = sum(self.class_sizes)
+        n = [[0] * self.count for _ in range(self.count)]
+        for i in range(self.count):
+            for j in range(i, self.count):
+                acc = CycloNum.from_rational(0)
+                for size, chi_i, chi_v, chi_j in zip(self.class_sizes, self.values[i],
+                                                     self.defining_values, self.values[j]):
+                    acc = acc + size * chi_i.conj() * chi_v * chi_j
+                q = acc.as_rational()
+                if q is None or q.denominator != 1 or q < 0 or q % order:
+                    raise ConsistencyError(
+                        f"multiplicity ({i},{j}) is not a nonnegative integer: {acc!r}")
+                n[i][j] = n[j][i] = int(q) // order
+        return tuple(map(tuple, n))
+
     def to_json(self) -> dict:
         return {
             "descriptor": self.descriptor,

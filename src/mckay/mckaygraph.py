@@ -18,29 +18,7 @@ from fractions import Fraction
 from . import linalg
 from .chartab import CharacterTable
 from .errors import ConsistencyError, PreconditionError
-from .exactnum import CycloNum
 from .groups import MatrixGroup
-
-
-def mckay_matrix(table: CharacterTable, group: MatrixGroup) -> list[list[int]]:
-    """Multiplicities n[i][j] from the class-weighted character average."""
-    k = len(table.class_sizes)
-    count = table.count
-    order = group.order
-    chi_v = table.defining_values
-    n = [[0] * count for _ in range(count)]
-    for i in range(count):
-        for j in range(i, count):
-            acc = CycloNum.from_rational(0)
-            for c in range(k):
-                acc = acc + table.class_sizes[c] * table.values[i][c].conj() \
-                    * chi_v[c] * table.values[j][c]
-            q = acc.as_rational()
-            if q is None or q.denominator != 1 or q < 0 or q % order:
-                raise ConsistencyError(
-                    f"multiplicity ({i},{j}) is not a nonnegative integer: {acc!r}")
-            n[i][j] = n[j][i] = int(q) // order
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +271,7 @@ class McKayGraph:
 
 def mckay_graph(group: MatrixGroup, table: CharacterTable) -> McKayGraph:
     """Assemble the McKay graph; the trivial character sits at the affine node."""
-    n = mckay_matrix(table, group)
+    n = table.mckay_matrix
     size = len(n)
     for i in range(size):
         if n[i][i]:

@@ -30,7 +30,6 @@ from .chartab import CharacterTable
 from .errors import ConsistencyError, PreconditionError
 from .exactnum import CycloNum, Poly, RatFunc, series_of_ratfunc
 from .groups import MatrixGroup
-from .mckaygraph import mckay_matrix
 
 S_CONVENTION = ("S[p][q](t) = sum_m dim Hom(W_q, Sym^m V* x W_p)_invariant t^m; "
                 "identity checked: S(t) * E(-t) = Id")
@@ -42,7 +41,8 @@ class HomDims:
 
     V (x) Sym^{m-1} V = Sym^m V (+) Sym^{m-2} V gives the integer matrices
     H_0 = Id, H_1 = N and H_m = N H_{m-1} - H_{m-2}, memoized by degree.  N
-    is built on the first query, so constructing one costs nothing.
+    is read off the table on the first query, so constructing one costs
+    nothing.
     Negative m gives 0 by convention.
     """
 
@@ -56,7 +56,7 @@ class HomDims:
             return 0
         h = self._by_degree
         if not h:
-            n = mckay_matrix(self.table, self.group)
+            n = self.table.mckay_matrix
             h.append([[int(r == c) for c in range(len(n))] for r in range(len(n))])
             h.append(n)
         n = h[1]
@@ -146,7 +146,7 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
                     num = num + weight * partial[c]
             p_row.append(_cyclo_poly_rational(num) * inv_order)
         p_rows.append(tuple(p_row))
-    n = mckay_matrix(table, group)
+    n = table.mckay_matrix
     e_rows = tuple(tuple(Poly.rational([int(p == q), n[p][q], int(p == q)])
                          for q in range(count)) for p in range(count))
     matrices = MolienMatrices(P=tuple(p_rows), delta=denominator, E=e_rows)

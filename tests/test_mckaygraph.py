@@ -9,7 +9,7 @@ from mckay.errors import PreconditionError
 from mckay.exactnum import CycloNum
 from mckay.groups import build_group, parse_descriptor
 from mckay.mckaygraph import (canonical_label, classify_affine_ade, mckay_graph,
-                              mckay_matrix, parity_function, reference_diagram)
+                              parity_function, reference_diagram)
 
 
 def setup(label):
@@ -25,7 +25,7 @@ def graph_for(label):
 
 def test_order_two_double_edge():
     g, t = setup("cyclic:2")
-    assert mckay_matrix(t, g) == [[0, 2], [2, 0]]
+    assert t.mckay_matrix == ((0, 2), (2, 0))
     cls = classify_affine_ade([[0, 2], [2, 0]])
     assert cls.label == "A1~"
     assert cls.delta == (1, 1)
@@ -34,7 +34,7 @@ def test_order_two_double_edge():
 def test_mckay_matrix_against_character_sum_oracle():
     # Recompute the multiplicities with an independent elementwise sum.
     g, t = setup("bd:2")
-    n = mckay_matrix(t, g)
+    n = t.mckay_matrix
     data = g.conjugacy_classes()
     class_of = data.class_of
     for i in range(t.count):

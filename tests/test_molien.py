@@ -10,7 +10,8 @@ import pytest
 
 from mckay import exactnum, molien
 from mckay.exactnum import CycloNum, Poly, RatFunc, series_of_ratfunc
-from mckay.mckaygraph import mckay_graph, mckay_matrix
+from mckay.chartab import CharacterTable
+from mckay.mckaygraph import mckay_graph
 from mckay.molien import HomDims, graded_dim_Bh, koszul_check, molien_matrices
 from mckay.heights import HeightFunction
 from mckay.verify import ADE_EXPECTATIONS, context
@@ -148,16 +149,20 @@ def test_hom_dims_need_only_the_mckay_matrix(monkeypatch):
 
     # The constructor builds nothing; the first query builds N, once.
     tables = []
+    average = CharacterTable.mckay_matrix.func
 
-    def counted(table, group):
+    def counted(table):
         tables.append(table)
-        return mckay_matrix(table, group)
+        return average(table)
 
-    monkeypatch.setattr(molien, "mckay_matrix", counted)
-    hd = HomDims(g, t)
+    counted_matrix = functools.cached_property(counted)
+    counted_matrix.__set_name__(CharacterTable, "mckay_matrix")
+    monkeypatch.setattr(CharacterTable, "mckay_matrix", counted_matrix)
+    fresh = dataclasses.replace(t)
+    hd = HomDims(g, fresh)
     assert tables == []
     assert (hd(0, 0, 12), hd(8, 8, 6)) == (1, 4)
-    assert tables == [t]
+    assert len(tables) == 1 and tables[0] is fresh
 
 
 def class_average_e(table):
