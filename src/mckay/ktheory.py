@@ -26,6 +26,8 @@ from .molien import HomDims
 
 #: Most flips a height may lie from the parity height.
 FLIP_CAP = 10000
+#: Seeded vector pairs on which weyl_checks tests invariance of the form.
+WEYL_SAMPLES = 20
 
 
 class P1Class:
@@ -220,7 +222,7 @@ def _is_identity(mat) -> bool:
                for r in range(len(mat)) for c in range(len(mat)))
 
 
-def weyl_checks(graph: McKayGraph, seed: int = 5, samples: int = 20) -> dict:
+def weyl_checks(graph: McKayGraph, seed: int = 5) -> dict:
     """Reflection identities on the root lattice in the simple-class basis:
     involutions, the single-edge braid relation, infinite order across the
     double edge, invariance of the imaginary root, invariance of the form.
@@ -258,7 +260,7 @@ def weyl_checks(graph: McKayGraph, seed: int = 5, samples: int = 20) -> dict:
                     power = _mat_mul_int(power, prod)
                 report["double_edge_infinite"] = no_small_order
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(WEYL_SAMPLES):
         x = [rng.randint(-4, 4) for _ in range(n)]
         y = [rng.randint(-4, 4) for _ in range(n)]
         bil = _cartan_bilinear(cartan, x, y)

@@ -302,12 +302,11 @@ def truncated_hilbert(pres: QuadraticPresentation, max_degree: int,
     return GradedDims(nv, tuple(mats))
 
 
-def truncated_koszul_check(pres: QuadraticPresentation, max_degree: int,
-                           column_cap: int = DEFAULT_COLUMN_CAP):
+def truncated_koszul_check(pres: QuadraticPresentation, max_degree: int):
     """Truncated Poincare identity: H(P, t) * H(P^!, -t) = Id through the
     given degree.  Returns (ok, witness)."""
-    h = truncated_hilbert(pres, max_degree, column_cap)
-    hdual = truncated_hilbert(quadratic_dual(pres), max_degree, column_cap)
+    h = truncated_hilbert(pres, max_degree)
+    hdual = truncated_hilbert(quadratic_dual(pres), max_degree)
     nv = pres.num_vertices
     for d in range(max_degree + 1):
         for i in range(nv):

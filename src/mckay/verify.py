@@ -64,39 +64,35 @@ def _record(name: str, statement: str, ok: bool, witness=None) -> dict:
 def check_ade_classification() -> dict:
     """Criterion 1: family-by-family affine ADE types and imaginary roots."""
     witness = []
-    ok = True
     for label, expected in ADE_EXPECTATIONS:
         _, table, graph, _ = context(label)
         got = graph.classification.label
         good = (got == canonical_label(expected)
                 and graph.delta == graph.dims)
         if not good:
-            ok = False
             witness.append({"group": label, "expected": expected, "got": got,
                             "delta": graph.delta, "dims": graph.dims})
     return _record(
         "ade-classification",
         "each finite SL2 subgroup's multiplicity graph is the expected affine "
         "ADE diagram and the Cartan null vector equals the irrep dimensions",
-        ok, witness or None)
+        not witness, witness or None)
 
 
 def check_koszul() -> dict:
     """Criterion 2: the exact rational-function identity S(t) * E(-t) = Id,
     checked as P(t) * E(-t) = delta(t) * Id over the common denominator."""
     witness = []
-    ok = True
     for label in KOSZUL_GROUPS:
         group, table, _, _ = context(label)
         good, bad = koszul_check(molien_matrices(group, table))
         if not good:
-            ok = False
             witness.append({"group": label, "witness": bad})
     return _record(
         "koszul-criterion",
         "the symmetric-power and exterior-power Molien matrices satisfy "
         "S(t) * E(-t) = Id as exact rational functions",
-        ok, witness or None)
+        not witness, witness or None)
 
 
 def check_chartab_soundness() -> dict:
@@ -104,57 +100,51 @@ def check_chartab_soundness() -> dict:
     `dixon_character_table` verifies every table it returns, the context's
     and the second prime's, so what is left to check is their equality."""
     witness = []
-    ok = True
     for label, _ in ADE_EXPECTATIONS:
         group, table, _, _ = context(label)
         second = dixon_prime(group.exponent(), group.order, after=table.prime)
         retry = dixon_character_table(group, prime=second)
         if retry.values != table.values or retry.dims != table.dims:
-            ok = False
             witness.append({"group": label, "error": "tables differ between primes",
                             "primes": [table.prime, second]})
     return _record(
         "character-table-soundness",
         "both orthogonality relations and sum d_i^2 = |G| hold exactly, and a "
         "second valid prime reproduces the identical canonical table",
-        ok, witness or None)
+        not witness, witness or None)
 
 
 def check_kirillov() -> dict:
     """Criterion 4: path counts equal Hom dimensions for every ordered pair."""
     witness = []
-    ok = True
     for label in QUIVER_GROUPS:
         _, _, graph, hd = context(label)
         for h in enumerate_heights(graph, WINDOW):
             good, rows = kirillov_check(h, hd)
             if not good:
-                ok = False
                 witness.append({"group": label, "height": list(h.values),
                                 "rows": [r for r in rows if not r["ok"]]})
     return _record(
         "path-hom-identity",
         "for every canonical height, directed path counts in the downhill "
         "quiver equal the equivariant Hom dimensions, all ordered pairs",
-        ok, witness or None)
+        not witness, witness or None)
 
 
 def check_ext_vanishing() -> dict:
     """Criterion 5: no first Ext between twisted projectives."""
     witness = []
-    ok = True
     for label in ["cyclic:4", "bd:2"]:
         _, _, graph, hd = context(label)
         for h in enumerate_heights(graph, WINDOW):
             good, bad = ext_vanishing_check(h, hd, EXT_TWIST)
             if not good:
-                ok = False
                 witness.append({"group": label, "height": list(h.values), "bad": bad})
     return _record(
         "ext-vanishing",
         "first Ext groups between height projectives vanish through tangent "
         f"twist {EXT_TWIST} on every canonical height",
-        ok, witness or None)
+        not witness, witness or None)
 
 
 def hilbert_mismatches(graph: McKayGraph, hd: HomDims, dims: GradedDims) -> list[dict]:
@@ -210,29 +200,25 @@ def check_quadratic_duality() -> dict:
     """Criterion 7: double dual is the identity; the dual of the Ext algebra
     presentation is the preprojective presentation."""
     witness = []
-    ok = True
     for label in ["cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "bd:2"]:
         _, _, graph, _ = context(label)
         pre = preprojective_presentation(graph)
         ext = ext_algebra_presentation(graph)
         double = quadratic_dual(quadratic_dual(ext))
         if not presentations_match(double, ext):
-            ok = False
             witness.append({"group": label, "error": "double dual differs"})
         if not presentations_match(quadratic_dual(ext), pre):
-            ok = False
             witness.append({"group": label,
                             "error": "dual of Ext presentation != preprojective"})
         good, bad = truncated_koszul_check(pre, 6)
         if not good:
-            ok = False
             witness.append({"group": label, "error": "truncated Poincare identity",
                             "witness": bad})
     return _record(
         "quadratic-duality",
         "the annihilator construction is an involution and sends the Ext "
         "presentation to the preprojective presentation",
-        ok, witness or None)
+        not witness, witness or None)
 
 
 def check_bgp() -> dict:
