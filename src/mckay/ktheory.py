@@ -10,7 +10,8 @@ parity-height projectives and their degree-one twists), which separates the
 classes in play.  The simple classes at every height are read off that
 height's own downhill quiver, from the projective resolution of a vertex
 simple over its path algebra; the dual-basis check pairs them against the
-height's projectives."""
+height's projectives.
+"""
 
 from __future__ import annotations
 

@@ -290,7 +290,7 @@ def mckay_graph(group: MatrixGroup, table: CharacterTable) -> McKayGraph:
             edges.extend([(i, j)] * n[i][j])
     return McKayGraph(
         descriptor=group.descriptor.label,
-        n=tuple(tuple(row) for row in n),
+        n=n,
         cartan=cartan,
         dims=table.dims,
         classification=classification,

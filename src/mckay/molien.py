@@ -42,12 +42,11 @@ class HomDims:
     V (x) Sym^{m-1} V = Sym^m V (+) Sym^{m-2} V gives the integer matrices
     H_0 = Id, H_1 = N and H_m = N H_{m-1} - H_{m-2}, memoized by degree.  N
     is read off the table on the first query, so constructing one costs
-    nothing.
+    nothing; the group adds nothing to what the table holds.
     Negative m gives 0 by convention.
     """
 
     def __init__(self, group: MatrixGroup, table: CharacterTable):
-        self.group = group
         self.table = table
         self._by_degree: list[list[list[int]]] = []
 
