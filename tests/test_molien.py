@@ -207,3 +207,37 @@ def test_graded_dims_by_height():
     assert graded_dim_Bh(hd, h, 0, 0, 2) == 3
     # Degree parity that cannot be written as h(j) + 2d - h(i) gives zero.
     assert graded_dim_Bh(hd, h, 0, 1, 2) == 0
+
+
+def class_average_s(table):
+    """S(t) as the per-class Molien average sum_c |C_c| conj chi_q(c)
+    chi_p(c) / ((1 - tau_c t + t^2) |G|) over one factor per class, with
+    tau_c the trace, reduced entry by entry: the oracle for S."""
+    one = CycloNum.from_rational(1)
+    factors = [Poly([one, -tau, one]) for tau in table.defining_values]
+    # prod_{c' != c} of the factors, from prefix and suffix products.
+    prefix, suffix = [Poly([one])], [Poly([one])]
+    for a, b in zip(factors, reversed(factors)):
+        prefix.append(prefix[-1] * a)
+        suffix.insert(0, suffix[0] * b)
+    partial = [a * b for a, b in zip(prefix, suffix[1:])]
+    delta = prefix[-1]
+    order = sum(table.class_sizes)
+    rows = []
+    for p in range(table.count):
+        row = []
+        for q in range(table.count):
+            num = Poly()
+            for c, size in enumerate(table.class_sizes):
+                weight = size * table.values[q][c].conj() * table.values[p][c]
+                num = num + weight * partial[c]
+            row.append(RatFunc(Poly([x.as_rational() / order for x in num.coeffs]),
+                               Poly([x.as_rational() for x in delta.coeffs])))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("label", ALL_GROUPS)
+def test_trace_grouped_molien_equals_class_average(label):
+    _, t, m = built(label)
+    assert m.S == class_average_s(t)
