@@ -10,8 +10,10 @@ trivial and Lambda^1 V = V, so E(t) = Id + N t + Id t^2 with N the McKay
 matrix, and only S is averaged.
 
 Every entry of S(t) is summed over one common denominator
-delta(t) = prod_c det(1 - g_c^{-1} t), so S = P / delta with a polynomial
-matrix P.  The Koszul identity S(t) * E(-t) = Id is checked with the
+delta(t) = prod_tau (1 - tau t + t^2), one factor per distinct trace tau:
+det(1 - g^{-1} t) depends on g only through tr(g), so classes with equal
+trace share a factor, and S = P / delta with a polynomial matrix P.  The
+Koszul identity S(t) * E(-t) = Id is checked with the
 denominator cleared, as P(t) * E(-t) = delta(t) * Id: polynomial products and
 sums only, and the same identity because delta is not zero.
 
@@ -112,37 +114,40 @@ def _cyclo_poly_rational(poly: Poly) -> Poly:
 
 
 def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices:
-    """S(t) as the Molien average, summed over conjugacy classes with
-    class-size weights over the common denominator and asserted rational;
-    E(t) = Id + N t + Id t^2 read off the McKay matrix N."""
-    k = len(table.class_sizes)
+    """S(t) as the Molien average over the common denominator, one factor
+    1 - tau t + t^2 per distinct trace tau: each entry sums the class-size
+    weights of the classes of one trace before multiplying by that trace's
+    partial product, and is asserted rational; E(t) = Id + N t + Id t^2 read
+    off the McKay matrix N."""
     count = table.count
-    chi_v = table.defining_values
     one = CycloNum.from_rational(1)
+    traces = list(dict.fromkeys(table.defining_values))
+    slot = [traces.index(tau) for tau in table.defining_values]
+    factors = [Poly([one, -tau, one]) for tau in traces]
+    k = len(factors)
 
-    # det(1 - g^{-1} t) per class, as a cyclotomic polynomial.
-    delta = [Poly([one, -chi_v[c], one]) for c in range(k)]
-
-    # Partial products prod_{c' != c} delta_{c'} for the common denominator.
+    # Partial products prod_{s' != s} of the factors for the common denominator.
     prefix = [Poly([one])]
-    for c in range(k):
-        prefix.append(prefix[-1] * delta[c])
+    for factor in factors:
+        prefix.append(prefix[-1] * factor)
     suffix = [Poly([one])] * (k + 1)
-    for c in range(k - 1, -1, -1):
-        suffix[c] = suffix[c + 1] * delta[c]
-    partial = [prefix[c] * suffix[c + 1] for c in range(k)]
+    for s in range(k - 1, -1, -1):
+        suffix[s] = suffix[s + 1] * factors[s]
+    partial = [prefix[s] * suffix[s + 1] for s in range(k)]
     denominator = _cyclo_poly_rational(prefix[k])
 
     inv_order = Fraction(1, group.order)
+    weighted = [[size * x for size, x in zip(table.class_sizes, row)]
+                for row in table.values]
+    conj = [[x.conj() for x in row] for row in table.values]
     p_rows = []
     for p in range(count):
         p_row = []
         for q in range(count):
-            num = Poly()
-            for c in range(k):
-                weight = table.class_sizes[c] * table.values[q][c].conj() * table.values[p][c]
-                if weight:
-                    num = num + weight * partial[c]
+            by_trace = [0] * k
+            for s, x, y in zip(slot, weighted[p], conj[q]):
+                by_trace[s] = x * y + by_trace[s]
+            num = sum((w * part for w, part in zip(by_trace, partial) if w), Poly())
             p_row.append(_cyclo_poly_rational(num) * inv_order)
         p_rows.append(tuple(p_row))
     n = table.mckay_matrix

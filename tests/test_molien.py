@@ -241,3 +241,16 @@ def class_average_s(table):
 def test_trace_grouped_molien_equals_class_average(label):
     _, t, m = built(label)
     assert m.S == class_average_s(t)
+
+
+@pytest.mark.parametrize("label", ALL_GROUPS)
+def test_delta_has_one_factor_per_trace(label):
+    _, t, m = built(label)
+    traces = []
+    for tau in t.defining_values:
+        if tau not in traces:
+            traces.append(tau)
+    assert m.delta.degree == 2 * len(traces)
+    if label == "cyclic:12":
+        # 12 classes, 7 traces: 2 cos(2 pi k / 12) for k = 0, ..., 6.
+        assert (len(t.class_sizes), m.delta.degree) == (12, 14)
