@@ -265,7 +265,7 @@ def round_trip_from(rep: QuiverRep, reflected: QuiverRep, vertex: int):
     for row, piv in zip(red, pivots):
         for r in range(d):
             phi[r][piv] = row[d + r]
-    if linalg.inverse(phi) is None:
+    if linalg.rank(phi) < d:
         return None
     return back, phi
 

@@ -14,7 +14,8 @@ with g = gcd(a_rc, a_ic), and every new row is divided by the gcd of its
 entries.  Fractions are built once at the end, each pivot row divided by its
 pivot.  The reduced echelon form is unique, so this is the same result as
 elimination on Fractions, without an allocation per multiply and subtract.
-`rank` counts the pivots of the integer rows and builds no Fraction.
+`rank` counts the pivots of the integer rows and builds no Fraction;
+`nullspace` reads each kernel entry off them as one Fraction.
 """
 
 from __future__ import annotations
@@ -92,14 +93,14 @@ def rank(mat) -> int:
 def nullspace(mat, p: int = 0) -> list[list]:
     """Basis of the right kernel, one vector per free column."""
     cols = len(mat[0]) if mat else 0
-    red, pivots = rref(mat, p)
+    a, pivots = _eliminate(mat, p)
     zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     basis = []
     for f in (c for c in range(cols) if c not in pivots):
         v = [zero] * cols
         v[f] = one
-        for r, piv in enumerate(pivots):
-            v[piv] = -red[r][f] % p if p else -red[r][f]
+        for row, piv in zip(a, pivots):
+            v[piv] = -row[f] % p if p else Fraction(-row[f], row[piv])
         basis.append(v)
     return basis
 

@@ -179,6 +179,18 @@ def test_round_trip_intertwiner_solves_each_row(label):
     assert found > 20 and missing == 0
 
 
+def test_round_trip_tests_invertibility_by_rank(monkeypatch):
+    rep = make_rep(DOUBLE, (2, 1), [[[1], [0]], [[1], [1]]])
+    expected = round_trip_isomorphism(rep, 0)
+    assert expected is not None and expected[1]
+
+    def refuse(*args):
+        raise AssertionError("the round trip built an inverse")
+
+    monkeypatch.setattr(linalg, "inverse", refuse)
+    assert round_trip_isomorphism(rep, 0) == expected
+
+
 def test_round_trip_general_intertwiner_search():
     rep = make_rep(DOUBLE, (2, 1), [[[1], [0]], [[1], [1]]])
     back = reflect_minus(reflect_plus(rep, 0), 0)

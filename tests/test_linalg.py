@@ -20,6 +20,16 @@ def test_fields_share_pivots_and_kernel_basis():
         assert linalg.nullspace(mat, p) == [[int(x) % p for x in v] for v in kernel]
 
 
+def test_nullspace_over_q_reads_the_integer_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("nullspace built the Fraction echelon form")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    assert linalg.nullspace([[1, 2, 3, 4], [2, 4, 7, 9], [1, 2, 4, 5]]) == \
+        [[-2, 1, 0, 0], [-1, 0, -1, 1]]
+    assert linalg.nullspace([[3, Fraction(1, 2)]]) == [[Fraction(-1, 6), 1]]
+
+
 def test_rank_drops_mod_p():
     mat = [[1, 2], [3, 1]]  # determinant -5
     assert linalg.solve(mat, [1, 1]) == [Fraction(1, 5), Fraction(2, 5)]
