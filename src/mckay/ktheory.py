@@ -134,7 +134,7 @@ def simple_family(h: HeightFunction) -> tuple[P1Class, ...]:
     flips = sum(abs(a - b) for a, b in zip(h.values, h.graph.parity)) // 2
     if flips > FLIP_CAP:
         raise ResourceLimitError(
-            f"the flip path has {flips} flips, above the cap {FLIP_CAP}")
+            f"the height lies {flips} flips from the parity height, above the cap {FLIP_CAP}")
     quiver = h.quiver()
     return tuple(sum((-projective_class(h, a.tgt) for a in quiver.arrows_from(i)),
                      projective_class(h, i))

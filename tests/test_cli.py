@@ -174,7 +174,8 @@ def test_flip_path_cap_is_a_resource_limit(capsys):
     code, out, err = run(capsys, "lattice-check", "cyclic:2", "--height", "20000,20001")
     assert (code, out) == (3, "")
     assert json.loads(err) == {
-        "error": "the flip path has 20000 flips, above the cap 10000", "kind": "resource"}
+        "error": "the height lies 20000 flips from the parity height, above the cap 10000",
+        "kind": "resource"}
 
 
 def test_flip_cap_comes_before_any_hom_dimension(capsys, monkeypatch):
@@ -192,7 +193,8 @@ def test_flip_cap_comes_before_any_hom_dimension(capsys, monkeypatch):
     code, out, err = run(capsys, "lattice-check", "cyclic:2", "--height", "20000,20001")
     assert (code, out) == (3, "")
     assert json.loads(err) == {
-        "error": "the flip path has 20000 flips, above the cap 10000", "kind": "resource"}
+        "error": "the height lies 20000 flips from the parity height, above the cap 10000",
+        "kind": "resource"}
 
 
 def test_all_command_runs_the_battery(capsys):
