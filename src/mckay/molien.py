@@ -13,9 +13,9 @@ Every entry of S(t) is summed over one common denominator
 delta(t) = prod_tau (1 - tau t + t^2), one factor per distinct trace tau:
 det(1 - g^{-1} t) depends on g only through tr(g), so classes with equal
 trace share a factor, and S = P / delta with a polynomial matrix P.  The
-Koszul identity S(t) * E(-t) = Id is checked with the
-denominator cleared, as P(t) * E(-t) = delta(t) * Id: polynomial products and
-sums only, and the same identity because delta is not zero.
+Koszul identity S(t) * E(-t) = Id is checked with the denominator cleared,
+as P(t) * E(-t) = delta(t) * Id: polynomial products and sums only, and the
+same identity because delta is not zero.
 
 Index convention (recorded in output): S[p][q] is the generating function of
 dim Hom(W_q, Sym^m V* (x) W_p) taken equivariantly, i.e. the (q, p) entry of
