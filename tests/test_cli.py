@@ -121,6 +121,13 @@ def test_invalid_height_literal(capsys):
     assert code == 2
 
 
+def test_lattice_check_refuses_an_invalid_height(capsys):
+    code, out, err = run(capsys, "lattice-check", "cyclic:2", "--height", "0,2")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "invalid height function (0, 2)",
+                               "kind": "precondition"}
+
+
 def test_preproj_and_hilbert_match(capsys):
     code, out, _ = run(capsys, "preproj", "cyclic:2", "--max-degree", "4")
     assert code == 0

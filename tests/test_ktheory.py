@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -255,3 +256,46 @@ def test_weyl_relations():
 
     _, _, graph4, _ = context("bd:2")
     assert weyl_checks(graph4)["ok"]
+
+
+def expected_weyl_report(graph):
+    """The Weyl report as the graph's edge multiplicities fix it: one braid
+    entry per single edge i < j, the double-edge flag only when there is a
+    double edge, and every other relation holding."""
+    size = graph.size
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    double = any(graph.n[i][j] >= 2 for i, j in pairs)
+    return {"squares": True,
+            "braid3": [{"pair": [i, j], "ok": True} for i, j in pairs if graph.n[i][j] == 1],
+            "double_edge_infinite": True if double else None,
+            "delta_fixed": True, "form_preserved": True, "ok": True}
+
+
+@pytest.mark.parametrize("label", [label for label, _ in ADE_EXPECTATIONS])
+def test_weyl_report_on_every_group(label):
+    _, _, graph, _ = context(label)
+    assert weyl_checks(graph) == expected_weyl_report(graph)
+
+
+def test_weyl_checks_catch_a_broken_cartan():
+    _, _, graph, _ = context("cyclic:4")
+    cartan = [list(row) for row in graph.cartan]
+    cartan[0][1] = -2
+    broken = dataclasses.replace(graph, cartan=tuple(tuple(row) for row in cartan))
+    report = weyl_checks(broken)
+    assert report["form_preserved"] is False
+    assert report["ok"] is False
+
+
+def test_basis_change_rejects_a_doubled_family(monkeypatch):
+    _, _, graph, hd = context("bd:2")
+    heights = enumerate_heights(graph, 2)
+    h1, h2 = heights[0], heights[-1]
+    family = ktheory.simple_family
+
+    def doubled(h):
+        got = family(h)
+        return tuple(2 * cls for cls in got) if h == h2 else got
+
+    monkeypatch.setattr(ktheory, "simple_family", doubled)
+    assert basis_change_unimodular(graph, hd, h1, h2) is False
