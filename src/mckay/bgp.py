@@ -21,6 +21,9 @@ from . import linalg
 from .errors import PreconditionError
 from .heights import Arrow, OrientedQuiver
 
+#: Random combinations of the intertwiner space find_isomorphism tries.
+ISO_ATTEMPTS = 80
+
 
 @dataclass(frozen=True)
 class QuiverRep:
@@ -170,8 +173,7 @@ def assembled_rank(rep: QuiverRep, vertex: int) -> int:
     return linalg.rank(_assemble_into(rep, vertex)[3])
 
 
-def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7,
-                     attempts: int = 80):
+def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7):
     """An invertible intertwiner b -> a, or None.
 
     Solves the intertwining equations exactly, then searches small random
@@ -215,7 +217,7 @@ def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7,
             blocks.append(block)
         return blocks
 
-    for trial in range(attempts):
+    for trial in range(ISO_ATTEMPTS):
         if trial == 0:
             coeffs = [Fraction(1)] * len(basis)
         else:
@@ -223,8 +225,7 @@ def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7,
         vec = [sum((c * bvec[i] for c, bvec in zip(coeffs, basis)), Fraction(0))
                for i in range(total)]
         blocks = unpack(vec)
-        if all(a.dims[v] == 0 or linalg.inverse(blocks[v]) is not None
-               for v in range(size)):
+        if all(linalg.rank(blocks[v]) == a.dims[v] for v in range(size)):
             return blocks
     return None
 

@@ -198,6 +198,19 @@ def test_round_trip_general_intertwiner_search():
     assert iso is not None
 
 
+def test_intertwiner_search_tests_invertibility_by_rank(monkeypatch):
+    rep = make_rep(DOUBLE, (2, 1), [[[1], [0]], [[1], [1]]])
+    back = reflect_minus(reflect_plus(rep, 0), 0)
+    expected = find_isomorphism(rep, back)
+    assert expected is not None
+
+    def refuse(*args):
+        raise AssertionError("the intertwiner search built an inverse")
+
+    monkeypatch.setattr(linalg, "inverse", refuse)
+    assert find_isomorphism(rep, back) == expected
+
+
 def test_reflection_distributes_over_direct_sums():
     graph = graph_for("bd:2")
     h = enumerate_heights(graph, 1)[0]
