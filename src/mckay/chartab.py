@@ -182,9 +182,17 @@ def dixon_character_table(group: MatrixGroup, seed: int = DEFAULT_SEED,
         chi_mod = [(d * omega[i] * size_inv[i]) % p for i in range(k)]
         rows.append((d, chi_mod))
 
+    # The classes of rep^0, rep^1, ... up to the order of each rep, by a
+    # running product.
+    powers = []
+    for r in data.reps:
+        row, x = [data.class_of[0]], r
+        while x:
+            row.append(data.class_of[x])
+            x = group.mul(x, r)
+        powers.append(row)
     eta = pow(_primitive_root(p), (p - 1) // exponent, p)
-    class_of_mod = {}
-    tables = _canonical_rows([(d, _lift_row(group, chi_mod, d, eta, p, exponent, class_of_mod))
+    tables = _canonical_rows([(d, _lift_row(chi_mod, d, eta, p, exponent, powers))
                               for d, chi_mod in rows], k)
     dims = tuple(t[0] for t in tables)
     values = tuple(tuple(t[1]) for t in tables)
@@ -295,22 +303,18 @@ def _eigenvalues(mat, p):
             if not functools.reduce(lambda acc, c: (acc * lam + c) % p, coeffs, 0)]
 
 
-def _lift_row(group, chi_mod, degree, eta, p, exponent, class_of_mod):
+def _lift_row(chi_mod, degree, eta, p, exponent, powers):
     """Lift one character row from F_p to exact cyclotomic values.
 
     For a representative g of order o, the eigenvalue multiplicities
     m_k of z_o^k satisfy m_k = (1/o) * sum_j chi(g^j) eta_o^{-jk} (mod p)
     and are bounded by the degree, hence uniquely liftable; the value is
-    chi(g) = sum_k m_k z_o^k.
+    chi(g) = sum_k m_k z_o^k.  powers[c][j] is the class of g^j for the
+    representative g of class c.
     """
-    data = group.conjugacy_classes()
-    k = data.count
     values = []
-    for ci in range(k):
-        o = group.element_order(data.reps[ci])
-        powers = class_of_mod.get(ci)
-        if powers is None:
-            powers = class_of_mod[ci] = [group.class_of_power(ci, j) for j in range(o)]
+    for classes in powers:
+        o = len(classes)
         theta = pow(eta, exponent // o, p)
         theta_inv = pow(theta, p - 2, p)
         o_inv = pow(o % p, p - 2, p)
@@ -320,7 +324,7 @@ def _lift_row(group, chi_mod, degree, eta, p, exponent, class_of_mod):
             t = 1
             tik = pow(theta_inv, kk, p)
             for j in range(o):
-                acc = (acc + chi_mod[powers[j]] * t) % p
+                acc = (acc + chi_mod[classes[j]] * t) % p
                 t = (t * tik) % p
             m = (acc * o_inv) % p
             if m > degree:
@@ -428,21 +432,18 @@ def _cache_path(cache_dir: str, descriptor: str, seed: int, version: str) -> str
 
 
 def character_table(group: MatrixGroup, seed: int = DEFAULT_SEED,
-                    prime: int | None = None,
                     cache_dir: str | None = None) -> CharacterTable:
     """Character table with optional on-disk JSON caching.
 
     Cache entries are keyed by descriptor, seed and package version; writes are
     atomic (write to a temp file, then rename).  A cache that cannot be read
-    or written is skipped, so the table is computed all the same.  A prime
-    override bypasses the cache.
+    or written is skipped, so the table is computed all the same.
     """
     from . import __version__
 
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV)
-    use_cache = cache_dir is not None and prime is None
-    if use_cache:
+    if cache_dir is not None:
         path = _cache_path(cache_dir, group.descriptor.label, seed, __version__)
         if os.path.exists(path):
             try:
@@ -456,14 +457,12 @@ def character_table(group: MatrixGroup, seed: int = DEFAULT_SEED,
             except Exception:  # the entry is outside input: whatever fails
                 pass  # to read, parse or verify it is a miss
     try:
-        table = dixon_character_table(group, seed=seed, prime=prime)
+        table = dixon_character_table(group, seed=seed)
     except ConsistencyError:
-        if prime is not None:
-            raise
         retry = dixon_prime(group.exponent(), group.order,
                             after=dixon_prime(group.exponent(), group.order))
         table = dixon_character_table(group, seed=seed, prime=retry)
-    if use_cache:
+    if cache_dir is not None:
         tmp = None
         try:
             os.makedirs(cache_dir, exist_ok=True)

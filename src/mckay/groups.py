@@ -277,15 +277,6 @@ class MatrixGroup:
     def centralizer_orders(self) -> tuple[int, ...]:
         return tuple(self.order // s for s in self.conjugacy_classes().sizes)
 
-    def class_of_power(self, class_index: int, power: int) -> int:
-        """Class index of rep^power for the given class representative."""
-        data = self.conjugacy_classes()
-        rep = data.reps[class_index]
-        x = 0
-        for _ in range(power % self.element_order(rep)):
-            x = self.mul(x, rep)
-        return data.class_of[x]
-
     def traces(self) -> tuple[CycloNum, ...]:
         """Trace of each class representative: the defining 2-dim character,
         computed on the first call."""
