@@ -104,9 +104,7 @@ def _parse_height(graph, text: str) -> HeightFunction:
         values = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise PreconditionError(f"bad height literal {text!r}") from None
-    h = HeightFunction(graph, values)
-    h.require_valid()
-    return h
+    return HeightFunction(graph, values)
 
 
 def _heights_for(args, graph):
@@ -232,7 +230,7 @@ def run(args) -> tuple[dict, int]:
             failures = verify.lattice_failures(graph, hd, h)
             checks.append(_check(f"lattice/{','.join(map(str, h.values))}",
                                  not failures, failures or None))
-        report = weyl_checks(graph, seed=args.seed)
+        report = weyl_checks(graph)
         checks.append(_check("lattice/weyl", report["ok"], report))
 
     else:

@@ -53,27 +53,22 @@ class OrientedQuiver:
 
 @dataclass(frozen=True)
 class HeightFunction:
-    """Integer heights on the vertices of a McKay graph with parity."""
+    """Integer heights on the vertices of a McKay graph with parity, valid
+    by construction: each value matches its vertex's parity and every edge
+    joins values one apart."""
 
     graph: McKayGraph
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if self.graph.parity is None:
+        parity = self.graph.parity
+        if parity is None:
             raise PreconditionError(
                 "height functions need vertex parity, so the group must contain -I")
         if len(self.values) != self.graph.size:
             raise PreconditionError("height vector has the wrong length")
-
-    def is_valid(self) -> bool:
-        parity = self.graph.parity
-        if any((h - p) % 2 for h, p in zip(self.values, parity)):
-            return False
-        return all(abs(self.values[i] - self.values[j]) == 1
-                   for i, j in self.graph.edges)
-
-    def require_valid(self) -> None:
-        if not self.is_valid():
+        if any((h - p) % 2 for h, p in zip(self.values, parity)) or \
+                any(abs(self.values[i] - self.values[j]) != 1 for i, j in self.graph.edges):
             raise PreconditionError(f"invalid height function {self.values}")
 
     def quiver(self) -> OrientedQuiver:
@@ -172,7 +167,6 @@ def kirillov_check(h: HeightFunction, hom_dim) -> tuple[bool, list[dict]]:
     For vertices i, j the number of paths i -> j must equal
     dim Hom(W_j, Sym^{h(i)-h(j)} V* (x) W_i) (zero for negative exponent).
     """
-    h.require_valid()
     quiver = h.quiver()
     size = h.graph.size
     rows = []
@@ -195,7 +189,6 @@ def ext_vanishing_check(h: HeightFunction, hom_dim,
     Serre duality turns each Ext group into a Hom space one tangent twist up,
     so the check is hom_dim(l, k, h(k) - h(l) - 2d - 2) == 0 for all pairs.
     """
-    h.require_valid()
     size = h.graph.size
     witnesses = []
     for k in range(size):

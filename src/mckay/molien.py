@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chartab import CharacterTable
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError
 from .exactnum import CycloNum, Poly, RatFunc, series_of_ratfunc
 from .groups import MatrixGroup
 
@@ -194,8 +194,6 @@ def graded_dim_Bh(hd: HomDims, height, i: int, j: int, n: int) -> int:
     d = (n + h(i) - h(j)) / 2.
     """
     values = height.values
-    if not height.is_valid():
-        raise PreconditionError("invalid height function")
     twice_d = n + values[i] - values[j]
     if twice_d < 0 or twice_d % 2:
         return 0

@@ -27,7 +27,6 @@ def euler_sequence_check(h: HeightFunction, hom_dim, m_max: int) -> bool:
     contravariant side keeps every correction term zero, so the alternating
     sum of dimensions must vanish for all k and m >= 0.
     """
-    h.require_valid()
     quiver = h.quiver()
     values = h.values
     for i in quiver.sources():
@@ -58,7 +57,6 @@ def test_four_cycle_heights_window_two():
     assert spreads == [1, 1, 2, 2, 2, 2]
     for h in heights:
         assert h.values[graph.affine_node] == 0
-        assert h.is_valid()
 
 
 def test_star_heights_window_one():
@@ -70,8 +68,10 @@ def test_star_heights_window_one():
 
 def test_validity_rules():
     graph, _ = setup("cyclic:2")
-    assert not HeightFunction(graph, (0, 2)).is_valid()   # even step
-    assert not HeightFunction(graph, (0, 0)).is_valid()   # parity clash
+    with pytest.raises(PreconditionError, match=r"invalid height function \(0, 2\)"):
+        HeightFunction(graph, (0, 2))   # even step
+    with pytest.raises(PreconditionError, match=r"invalid height function \(0, 0\)"):
+        HeightFunction(graph, (0, 0))   # parity clash
     with pytest.raises(PreconditionError):
         HeightFunction(graph, (0,))
 

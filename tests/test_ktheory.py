@@ -10,10 +10,15 @@ import pytest
 from mckay import ktheory, linalg
 from mckay.heights import HeightFunction, enumerate_heights, parity_height
 from mckay.ktheory import (P1Class, basis_change_unimodular, cartan_form,
-                           classes_equal, euler_char, probe_vector, simple_family,
+                           classes_equal, euler_char, probe_set, simple_family,
                            twist_class, verify_dual_bases,
                            verify_twist_vs_flip, weyl_checks)
 from mckay.verify import ADE_EXPECTATIONS, context, lattice_failures
+
+
+def probe_vector(hd, graph, x):
+    """The class's pairings against the probe set."""
+    return tuple(euler_char(hd, p, x) for p in probe_set(graph))
 
 
 def test_euler_pairing_base_cases():
