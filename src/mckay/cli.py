@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--window", type=int, default=2,
                         help=f"height enumeration window, at most {WINDOW_LIMIT}")
     common.add_argument("--seed", type=int, default=1,
-                        help="seed for the eigenspace splitting and sampling")
+                        help="seed for the eigenspace splitting")
     common.add_argument("--cache-dir", default=None,
                         help="character table cache directory "
                              "(or set MCKAY_CACHE_DIR)")
