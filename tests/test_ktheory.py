@@ -209,9 +209,12 @@ MINUS_IDENTITY_GROUPS = [label for label, _ in ADE_EXPECTATIONS
 def test_lattice_suite_on_every_group_with_minus_identity(label):
     _, _, graph, hd = context(label)
     assert graph.parity is not None
-    heights = enumerate_heights(graph, 1)
+    heights = enumerate_heights(graph, 2)
     for h in heights:
         assert lattice_failures(graph, hd, h) == []
+        quiver = h.quiver()
+        for v in list(quiver.sources()) + list(quiver.sinks()):
+            assert verify_twist_vs_flip(graph, hd, h, v), (h.values, v)
     assert basis_change_unimodular(graph, hd, heights[0], heights[-1])
     assert weyl_checks(graph)["ok"]
 
