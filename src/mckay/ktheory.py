@@ -3,156 +3,128 @@ projectives and of the simple spherical objects, the Euler pairing on the
 projective line, its symmetrization (the affine Cartan form), reflection by
 spherical twists, and the check that twists realize height flips.
 
-Classes live in the free abelian group on symbols (irreducible, twist); the
-single relation family coming from the Euler sequence is never imposed.
-Instead, equality is decided by pairing against a fixed probe set (the
-parity-height projectives and their degree-one twists), which separates the
-classes in play.  The simple classes at every height are read off that
-height's own downhill quiver, from the projective resolution of a vertex
-simple over its path algebra; the dual-basis check pairs them against the
-height's projectives.  Everything here is integer arithmetic: the basis
-change between two heights reads coordinates off the dual pairing, and the
-Weyl relations are exact integer matrix identities.
+K_0 of the equivariant projective line is free on the classes of W_i(0) and
+W_i(1) (Beilinson's tilting bundle): the Euler sequence gives
+[W_i(d)] = sum_j N_ij [W_j(d-1)] - [W_i(d-2)].  So a class is a tuple of 2n
+integers on that basis, classes are equal when their tuples are, and the
+Euler pairing is one Gram matrix G read off the Hom dimensions.  Each
+height's simple classes come from its own downhill quiver.  Every check is
+an exact integer matrix identity: dual bases, the Cartan form, the twist as
+a rank-one update, the basis change between two heights, and the Weyl
+relations.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 
 from .errors import PreconditionError, ResourceLimitError
-from .heights import HeightFunction, parity_height
+from .heights import HeightFunction
 from .mckaygraph import McKayGraph
 from .molien import HomDims
 
 #: Most flips a height may lie from the parity height.
 FLIP_CAP = 10000
 
-
-class P1Class:
-    """Finitely supported integer combination of symbols (irrep, twist)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, int], int] | None = None):
-        clean = {k: v for k, v in (terms or {}).items() if v}
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("P1Class is immutable")
-
-    @staticmethod
-    def symbol(irrep: int, twist: int) -> P1Class:
-        return P1Class({(irrep, twist): 1})
-
-    def __add__(self, other: P1Class) -> P1Class:
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return P1Class(out)
-
-    def __sub__(self, other: P1Class) -> P1Class:
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return P1Class(out)
-
-    def __neg__(self) -> P1Class:
-        return P1Class({k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, scalar: int) -> P1Class:
-        return P1Class({k: v * scalar for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, P1Class):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def twist(self, amount: int) -> P1Class:
-        return P1Class({(i, d + amount): v for (i, d), v in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "P1Class(0)"
-        bits = [f"{v}*[W{i}({d})]" for (i, d), v in sorted(self.terms.items())]
-        return "P1Class(" + " + ".join(bits) + ")"
+Class = tuple[int, ...]
 
 
-def euler_char(hd: HomDims, x: P1Class, y: P1Class) -> int:
-    """Euler pairing, extended bilinearly from
-    chi([W_i(a)], [W_j(b)]) = hom(i, j, b - a) - hom(j, i, a - b - 2):
+def _mul(a, b) -> list[Class]:
+    """Matrix product, each row of a taken as a combination of b's rows."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return out
+
+
+def _identity(size: int) -> list[Class]:
+    return [tuple(int(r == c) for c in range(size)) for r in range(size)]
+
+
+def symbol_class(hd: HomDims, size: int, i: int, d: int) -> Class:
+    """[W_i(d)] on the basis W_0(0), ..., W_{n-1}(0), W_0(1), ..., W_{n-1}(1):
+    row i of [-H_{d-2} | H_{d-1}], with H_m the Hom-dimension matrix in
+    degree m extended below 0 by H_{-m} = -H_{m-2} (so H_{-1} = 0).  This is
+    the Euler-sequence recursion H_m = N H_{m-1} - H_{m-2} solved in both
+    directions from [W_i(0)] and [W_i(1)]."""
+    def hom(j, m):
+        return hd.hom_dim(i, j, m) if m >= 0 else -hd.hom_dim(i, j, -m - 2)
+    return tuple([-hom(j, d - 2) for j in range(size)] + [hom(j, d - 1) for j in range(size)])
+
+
+def gram_matrix(hd: HomDims, size: int) -> list[Class]:
+    """Euler pairing on the basis:
+    chi([W_i(a)], [W_j(b)]) = hom(i, j, b - a) - hom(j, i, a - b - 2),
     Hom minus Ext^1, the latter rewritten by Serre duality with the twist -2.
-    """
-    total = 0
-    for (i, a), u in x.terms.items():
-        for (j, b), v in y.terms.items():
-            total += u * v * (hd.hom_dim(i, j, b - a) - hd.hom_dim(j, i, a - b - 2))
-    return total
+    It comes out as [[I, N], [0, I]]."""
+    basis = [(i, a) for a in (0, 1) for i in range(size)]
+    return [tuple(hd.hom_dim(i, j, b - a) - hd.hom_dim(j, i, a - b - 2) for j, b in basis)
+            for i, a in basis]
 
 
-def projective_class(h: HeightFunction, k: int) -> P1Class:
-    return P1Class.symbol(k, h.values[k])
+def euler_char(gram: list[Class], x: Class, y: Class) -> int:
+    """Euler pairing x G y^T."""
+    return sum(u * sum(map(mul, row, y)) for u, row in zip(x, gram) if u)
 
 
-@lru_cache(maxsize=32)
-def probe_set(graph: McKayGraph) -> tuple[P1Class, ...]:
-    """Parity-height projectives and their degree-one twists; pairing against
-    these separates every class this module manipulates.  Built once per
-    graph."""
-    base = parity_height(graph)
-    probes = [projective_class(base, k) for k in range(graph.size)]
-    return tuple(probes + [p.twist(1) for p in probes])
+def cartan_form(gram: list[Class], x: Class, y: Class) -> int:
+    """Symmetrized Euler pairing: the Euler form of zero-section pushforwards."""
+    return euler_char(gram, x, y) + euler_char(gram, y, x)
 
 
-def classes_equal(hd: HomDims, graph: McKayGraph, x: P1Class, y: P1Class) -> bool:
-    """Equality on the probe set: x - y pairs to 0 against every probe."""
-    diff = x - y
-    return all(euler_char(hd, p, diff) == 0 for p in probe_set(graph))
-
-
-def simple_family(h: HeightFunction) -> tuple[P1Class, ...]:
-    """Classes of the vertex simples at height h, read off the downhill
-    quiver Q_h: over its path algebra each simple has the projective
-    resolution 0 -> (+)_{i->j} P_j -> P_i -> S_i -> 0, so
-    [S_i] = [P_i(h)] - sum over arrows i -> j of [P_j(h)].
+def projective_classes(hd: HomDims, h: HeightFunction) -> list[Class]:
+    """The classes [P_k(h)] = [W_k(h_k)], one row per vertex.
 
     A height more than FLIP_CAP flips from the parity height (half the L1
-    distance) is refused before any class is paired.
+    distance) is refused before any Hom dimension is read.
     """
     flips = sum(abs(a - b) for a, b in zip(h.values, h.graph.parity)) // 2
     if flips > FLIP_CAP:
         raise ResourceLimitError(
             f"the height lies {flips} flips from the parity height, above the cap {FLIP_CAP}")
-    quiver = h.quiver()
-    return tuple(sum((-projective_class(h, a.tgt) for a in quiver.arrows_from(i)),
-                     projective_class(h, i))
-                 for i in range(h.graph.size))
+    return [symbol_class(hd, h.graph.size, k, d) for k, d in enumerate(h.values)]
 
 
-def cartan_form(hd: HomDims, x: P1Class, y: P1Class) -> int:
-    """Symmetrized Euler pairing: the Euler form of zero-section pushforwards."""
-    return euler_char(hd, x, y) + euler_char(hd, y, x)
+def simple_family(h: HeightFunction, proj: list[Class]) -> list[Class]:
+    """Classes of the vertex simples at height h, read off the downhill
+    quiver Q_h: over its path algebra each simple has the projective
+    resolution 0 -> (+)_{i->j} P_j -> P_i -> S_i -> 0, so S = (I - A) P with
+    A the arrow-count matrix of Q_h and P the height's projective classes."""
+    down = [list(row) for row in _identity(h.graph.size)]
+    for arrow in h.quiver().arrows:
+        down[arrow.src][arrow.tgt] -= 1
+    return _mul(down, proj)
 
 
-def twist_class(hd: HomDims, family: tuple[P1Class, ...], vertex: int,
-                x: P1Class) -> P1Class:
+def twist_class(gram: list[Class], family: list[Class], vertex: int, x: Class) -> Class:
     """Reflection of any class x in the hyperplane of one simple:
     x - <[E_vertex], x> [E_vertex] under the symmetrized form."""
     e = family[vertex]
-    return x - cartan_form(hd, e, x) * e
+    coeff = cartan_form(gram, e, x)
+    return tuple(a - coeff * b for a, b in zip(x, e))
 
 
-def verify_dual_bases(graph: McKayGraph, hd: HomDims, h: HeightFunction) -> bool:
-    """Pairing of height-h projectives against height-h simples must be the
-    identity matrix."""
-    family = simple_family(h)
-    return all(euler_char(hd, projective_class(h, k), cls) == int(i == k)
-               for k in range(graph.size) for i, cls in enumerate(family))
+def cartan_matrix(gram: list[Class], family: list[Class]) -> list[Class]:
+    """The symmetrized form on the family, S (G + G^T) S^T."""
+    half = _mul(_mul(family, gram), list(zip(*family)))
+    return [tuple(a + b for a, b in zip(row, col)) for row, col in zip(half, zip(*half))]
+
+
+def verify_dual_bases(gram: list[Class], proj: list[Class], family: list[Class]) -> bool:
+    """Pairing of a height's projectives against its simples must be the
+    identity matrix: P G S^T = I."""
+    return _mul(_mul(proj, gram), list(zip(*family))) == _identity(len(family))
+
+
+def twist_matches_flip(gram: list[Class], family: list[Class], vertex: int,
+                       flipped: list[Class]) -> bool:
+    """Twisting the family at one simple (a rank-one update) gives `flipped`."""
+    return [twist_class(gram, family, vertex, x) for x in family] == flipped
 
 
 def verify_twist_vs_flip(graph: McKayGraph, hd: HomDims, h: HeightFunction,
@@ -162,16 +134,12 @@ def verify_twist_vs_flip(graph: McKayGraph, hd: HomDims, h: HeightFunction,
     realizes the simples at h - 2e_vertex, inverse-twisting at a sink those
     at h + 2e_vertex."""
     quiver = h.quiver()
-    if vertex in quiver.sources():
-        step = -2
-    elif vertex in quiver.sinks():
-        step = 2
-    else:
+    if vertex not in quiver.sources() + quiver.sinks():
         raise PreconditionError(f"vertex {vertex} is neither source nor sink")
-    family = simple_family(h)
-    flipped = simple_family(h.with_value(vertex, h.values[vertex] + step))
-    return all(classes_equal(hd, graph, twist_class(hd, family, vertex, cls), want)
-               for cls, want in zip(family, flipped))
+    other = h.with_value(vertex, h.values[vertex] + (-2 if vertex in quiver.sources() else 2))
+    family = simple_family(h, projective_classes(hd, h))
+    flipped = simple_family(other, projective_classes(hd, other))
+    return twist_matches_flip(gram_matrix(hd, graph.size), family, vertex, flipped)
 
 
 def basis_change_unimodular(graph: McKayGraph, hd: HomDims,
@@ -179,23 +147,16 @@ def basis_change_unimodular(graph: McKayGraph, hd: HomDims,
     """The simple classes of two heights span the same lattice, so they
     differ by an invertible integer matrix.  A class x in the span of the
     simples at h has coefficient chi(P_k(h), x) on S_k(h) by the dual
-    pairing, so x lies in that span exactly when it equals the sum those
-    coefficients give; both containments are checked."""
-    def spans(h, classes):
-        family = simple_family(h)
-        return all(classes_equal(hd, graph, x, sum(
-            (euler_char(hd, projective_class(h, k), x) * cls for k, cls in enumerate(family)),
-            P1Class())) for x in classes)
+    pairing, so the rows X lie in that span exactly when X (P G)^T S = X;
+    both containments are checked."""
+    proj1, proj2 = projective_classes(hd, h1), projective_classes(hd, h2)
+    family1, family2 = simple_family(h1, proj1), simple_family(h2, proj2)
+    gram = gram_matrix(hd, graph.size)
 
-    return spans(h1, simple_family(h2)) and spans(h2, simple_family(h1))
+    def spans(proj, family, classes):
+        return _mul(_mul(classes, list(zip(*_mul(proj, gram)))), family) == classes
 
-
-# ---------------------------------------------------------------------------
-# Weyl group checks on the abstract lattice
-# ---------------------------------------------------------------------------
-
-def _mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    return spans(proj1, family1, family2) and spans(proj2, family2, family1)
 
 
 def weyl_checks(graph: McKayGraph, seed: int = 5) -> dict:
@@ -209,12 +170,12 @@ def weyl_checks(graph: McKayGraph, seed: int = 5) -> dict:
     if not graph.classification.is_ade:
         raise PreconditionError("Weyl checks need an affine ADE graph")
     n = graph.size
-    cartan = [list(row) for row in graph.cartan]
-    ident = [[int(r == c) for c in range(n)] for r in range(n)]
+    cartan = list(graph.cartan)
+    ident = _identity(n)
     # s_i x = x - (C x)_i e_i: the identity with C's row i taken off row i.
-    refls = [[[ident[r][c] - (cartan[i][c] if r == i else 0) for c in range(n)]
-              for r in range(n)] for i in range(n)]
-    delta = [[d] for d in graph.delta]
+    refls = [[tuple(a - b for a, b in zip(row, cartan[i])) if r == i else row
+              for r, row in enumerate(ident)] for i in range(n)]
+    delta = [(d,) for d in graph.delta]
     report: dict = {
         "squares": all(_mul(s, s) == ident for s in refls),
         "braid3": [], "double_edge_infinite": None,
@@ -231,8 +192,7 @@ def weyl_checks(graph: McKayGraph, seed: int = 5) -> dict:
                     {"pair": [i, j], "ok": _mul(_mul(prod, prod), prod) == ident})
             else:
                 report["double_edge_infinite"] = ident not in accumulate([prod] * 12, _mul)
-    report["ok"] = (report["squares"] and report["delta_fixed"]
-                    and report["form_preserved"]
+    report["ok"] = (report["squares"] and report["delta_fixed"] and report["form_preserved"]
                     and all(item["ok"] for item in report["braid3"])
                     and report["double_edge_infinite"] is not False)
     return report

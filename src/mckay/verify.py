@@ -15,8 +15,9 @@ from .chartab import CharacterTable, dixon_character_table, dixon_prime
 from .groups import MatrixGroup, build_group, parse_descriptor
 from .heights import (HeightFunction, enumerate_heights, ext_vanishing_check,
                       kirillov_check)
-from .ktheory import (basis_change_unimodular, cartan_form, simple_family,
-                      verify_dual_bases, verify_twist_vs_flip, weyl_checks)
+from .ktheory import (basis_change_unimodular, cartan_matrix, gram_matrix,
+                      projective_classes, simple_family, twist_matches_flip,
+                      verify_dual_bases, weyl_checks)
 from .mckaygraph import McKayGraph, canonical_label, mckay_graph
 from .molien import HomDims, graded_dim_Bh, koszul_check, molien_matrices
 from .preproj import (GradedDims, ext_algebra_presentation, preprojective_presentation,
@@ -264,19 +265,22 @@ def check_bgp() -> dict:
 
 def lattice_failures(graph: McKayGraph, hd: HomDims, h: HeightFunction) -> list[dict]:
     """Failures at one height of the Cartan form on simple classes, the dual
-    bases, and the twist-flip agreement at every source and sink."""
-    rows = []
-    family = simple_family(h)
-    for i, a in enumerate(family):
-        for j, b in enumerate(family):
-            if cartan_form(hd, a, b) != graph.cartan[i][j]:
-                rows.append({"height": list(h.values), "entry": [i, j],
-                             "error": "cartan form mismatch"})
-    if not verify_dual_bases(graph, hd, h):
+    bases, and the twist-flip agreement at every source and sink.  The
+    height's family is built once, and each flipped family once."""
+    proj = projective_classes(hd, h)
+    family = simple_family(h, proj)
+    gram = gram_matrix(hd, graph.size)
+    rows = [{"height": list(h.values), "entry": [i, j], "error": "cartan form mismatch"}
+            for i, row in enumerate(cartan_matrix(gram, family))
+            for j, value in enumerate(row) if value != graph.cartan[i][j]]
+    if not verify_dual_bases(gram, proj, family):
         rows.append({"height": list(h.values), "error": "dual bases fail"})
     quiver = h.quiver()
-    for vertex in list(quiver.sources()) + list(quiver.sinks()):
-        if not verify_twist_vs_flip(graph, hd, h, vertex):
+    steps = [(v, -2) for v in quiver.sources()] + [(v, 2) for v in quiver.sinks()]
+    for vertex, step in steps:
+        flipped = h.with_value(vertex, h.values[vertex] + step)
+        if not twist_matches_flip(gram, family, vertex,
+                                  simple_family(flipped, projective_classes(hd, flipped))):
             rows.append({"height": list(h.values), "vertex": vertex,
                          "error": "twist does not match flip"})
     return rows

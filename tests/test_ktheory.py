@@ -7,116 +7,156 @@ from fractions import Fraction
 
 import pytest
 
-from mckay import ktheory, linalg
+from mckay import ktheory, linalg, verify
 from mckay.heights import HeightFunction, enumerate_heights, parity_height
-from mckay.ktheory import (P1Class, basis_change_unimodular, cartan_form,
-                           classes_equal, euler_char, probe_set, simple_family,
-                           twist_class, verify_dual_bases,
+from mckay.ktheory import (basis_change_unimodular, cartan_form, euler_char,
+                           gram_matrix, projective_classes, simple_family,
+                           symbol_class, twist_class, verify_dual_bases,
                            verify_twist_vs_flip, weyl_checks)
 from mckay.verify import ADE_EXPECTATIONS, context, lattice_failures
 
 
-def probe_vector(hd, graph, x):
-    """The class's pairings against the probe set."""
-    return tuple(euler_char(hd, p, x) for p in probe_set(graph))
+def comb(*terms):
+    """The integer combination sum of c * x over the (c, x) terms."""
+    return tuple(sum(c * x[k] for c, x in terms) for k in range(len(terms[0][1])))
+
+
+def family_at(hd, h):
+    return simple_family(h, projective_classes(hd, h))
+
+
+def symbol_pairing(hd, x, y):
+    """Oracle Euler pairing on formal sums of symbols {(irrep, twist): coeff}:
+    Hom minus Ext^1, the latter by Serre duality with the twist -2."""
+    return sum(u * v * (hd(i, j, b - a) - hd(j, i, a - b - 2))
+               for (i, a), u in x.items() for (j, b), v in y.items())
 
 
 def test_euler_pairing_base_cases():
-    *_, hd = context("cyclic:2")
-    w0 = P1Class.symbol(0, 0)
-    assert euler_char(hd, w0, w0) == 1
-    assert euler_char(hd, w0, P1Class.symbol(0, -2)) == -1
+    *_, graph, hd = context("cyclic:2")
+    gram = gram_matrix(hd, graph.size)
+    w0 = symbol_class(hd, 2, 0, 0)
+    assert euler_char(gram, w0, w0) == 1
+    assert euler_char(gram, w0, symbol_class(hd, 2, 0, -2)) == -1
     # For the order-2 center every quadratic form is invariant, so the
     # equivariant chi(O, O(2)) sees all three sections.
-    assert euler_char(hd, w0, P1Class.symbol(0, 2)) == hd(0, 0, 2) == 3
+    assert euler_char(gram, w0, symbol_class(hd, 2, 0, 2)) == hd(0, 0, 2) == 3
+
+
+@pytest.mark.parametrize("label", ["cyclic:4", "bd:2", "2T", "2I", "cyclic:12"])
+def test_vector_pairing_is_the_symbol_pairing(label):
+    _, _, graph, hd = context(label)
+    gram = gram_matrix(hd, graph.size)
+    symbols = [(i, d) for i in range(graph.size) for d in range(-3, 4)]
+    vectors = {s: symbol_class(hd, graph.size, *s) for s in symbols}
+    for s in symbols:
+        for t in symbols:
+            assert euler_char(gram, vectors[s], vectors[t]) == \
+                symbol_pairing(hd, {s: 1}, {t: 1}), (s, t)
+
+
+@pytest.mark.parametrize("label", ["cyclic:2", "bd:2", "2I"])
+def test_symbol_classes_satisfy_the_euler_sequence(label):
+    _, _, graph, hd = context(label)
+    size = graph.size
+    for i in range(size):
+        for d in range(-4, 5):
+            terms = [(graph.n[i][j], symbol_class(hd, size, j, d - 1)) for j in range(size)]
+            want = comb(*terms, (-1, symbol_class(hd, size, i, d - 2)))
+            assert symbol_class(hd, size, i, d) == want, (i, d)
+
+
+@pytest.mark.parametrize("label", [label for label, _ in ADE_EXPECTATIONS])
+def test_gram_matrix_is_identity_over_the_mckay_matrix(label):
+    _, table, graph, hd = context(label)
+    size = graph.size
+    n = table.mckay_matrix
+    want = ([tuple([int(i == j) for j in range(size)] + list(n[i])) for i in range(size)]
+            + [tuple([0] * size + [int(i == j) for j in range(size)]) for i in range(size)])
+    assert gram_matrix(hd, size) == want
 
 
 def test_parity_family_duality_defines_it():
     _, _, graph, hd = context("cyclic:2")
-    family = simple_family(parity_height(graph))
-    for k in range(2):
-        fk = P1Class.symbol(k, graph.parity[k])
+    gram = gram_matrix(hd, 2)
+    family = family_at(hd, parity_height(graph))
+    projectives = [symbol_class(hd, 2, k, graph.parity[k]) for k in range(2)]
+    for k, fk in enumerate(projectives):
         for i, cls in enumerate(family):
-            assert euler_char(hd, fk, cls) == (1 if i == k else 0)
+            assert euler_char(gram, fk, cls) == (1 if i == k else 0)
     # Exact linear solve oracle: the duality system over the twist window
-    # {p(j), p(j)-2} admits the family as a solution, and pairing against
-    # the probe set pins the solution uniquely.
-    window = [(j, e) for j in range(2) for e in (graph.parity[j], graph.parity[j] - 2)]
-    for i, cls in enumerate(family):
-        matrix = [[euler_char(hd, P1Class.symbol(k, graph.parity[k]),
-                              P1Class.symbol(j, e)) for (j, e) in window]
-                  for k in range(2)]
-        target = [1 if k == i else 0 for k in range(2)]
-        sol = linalg.solve([[Fraction(x) for x in row] for row in matrix],
-                           [Fraction(t) for t in target])
-        assert sol is not None
+    # {p(j), p(j)-2} admits the family as a solution.
+    window = [symbol_class(hd, 2, j, e) for j in range(2)
+              for e in (graph.parity[j], graph.parity[j] - 2)]
+    matrix = [[Fraction(euler_char(gram, fk, w)) for w in window] for fk in projectives]
+    for i in range(2):
+        target = [Fraction(int(k == i)) for k in range(2)]
+        assert linalg.solve(matrix, target) is not None
 
 
 def test_flip_rules_at_class_level():
     _, _, graph, hd = context("cyclic:2")
     base = parity_height(graph)
-    family = simple_family(base)
+    family = family_at(hd, base)
     source = base.quiver().sources()[0]
-    flipped = simple_family(base.with_value(source, base.values[source] - 2))
-    assert classes_equal(hd, graph, flipped[source], -family[source])
+    flipped = family_at(hd, base.with_value(source, base.values[source] - 2))
+    assert flipped[source] == comb((-1, family[source]))
     other = 1 - source
-    expected = family[other] + 2 * family[source]
-    assert classes_equal(hd, graph, flipped[other], expected)
+    assert flipped[other] == comb((1, family[other]), (2, family[source]))
 
 
 def test_nonneighbor_class_is_fixed():
     _, _, graph, hd = context("bd:2")
     base = parity_height(graph)
-    family = simple_family(base)
+    family = family_at(hd, base)
     center = 4
     # Raise one leaf: in the parity orientation leaves are sinks.
     leaf = 1
-    flipped = simple_family(base.with_value(leaf, base.values[leaf] + 2))
+    flipped = family_at(hd, base.with_value(leaf, base.values[leaf] + 2))
     for j in range(graph.size):
         if j != leaf and graph.n[leaf][j] == 0:
-            assert classes_equal(hd, graph, flipped[j], family[j])
-    assert classes_equal(hd, graph, flipped[center], family[center] + family[leaf])
+            assert flipped[j] == family[j]
+    assert flipped[center] == comb((1, family[center]), (1, family[leaf]))
 
 
 def test_cartan_form_on_simple_classes():
     for label in ("cyclic:2", "cyclic:4", "bd:2"):
         _, _, graph, hd = context(label)
+        gram = gram_matrix(hd, graph.size)
         for h in enumerate_heights(graph, 2):
-            family = simple_family(h)
+            family = family_at(hd, h)
             for i, a in enumerate(family):
                 for j, b in enumerate(family):
-                    assert cartan_form(hd, a, b) == graph.cartan[i][j]
+                    assert cartan_form(gram, a, b) == graph.cartan[i][j]
 
 
 def test_delta_combination_is_radical():
     _, _, graph, hd = context("cyclic:4")
-    family = simple_family(parity_height(graph))
-    delta_class = P1Class()
-    for i, coeff in enumerate(graph.delta):
-        delta_class = delta_class + coeff * family[i]
+    gram = gram_matrix(hd, graph.size)
+    family = family_at(hd, parity_height(graph))
+    delta_class = comb(*zip(graph.delta, family))
     for cls in family:
-        assert cartan_form(hd, delta_class, cls) == 0
+        assert cartan_form(gram, delta_class, cls) == 0
 
 
 def test_twist_examples_and_involution():
     _, _, graph, hd = context("cyclic:2")
-    family = simple_family(parity_height(graph))
+    gram = gram_matrix(hd, 2)
+    family = family_at(hd, parity_height(graph))
     e0, e1 = family
-    assert classes_equal(hd, graph, twist_class(hd, family, 0, e0), -e0)
-    t1 = twist_class(hd, family, 0, e1)
-    assert classes_equal(hd, graph, t1, e1 + 2 * e0)
-    assert classes_equal(hd, graph, twist_class(hd, family, 0, t1), e1)
+    assert twist_class(gram, family, 0, e0) == comb((-1, e0))
+    t1 = twist_class(gram, family, 0, e1)
+    assert t1 == comb((1, e1), (2, e0))
+    assert twist_class(gram, family, 0, t1) == e1
 
 
 def test_symbols_have_integral_family_coordinates():
     _, _, graph, hd = context("cyclic:2")
-    family = simple_family(parity_height(graph))
+    family = family_at(hd, parity_height(graph))
     # The classes are a lattice basis, so W_0(4) has integral coordinates in
-    # the family: solve for them on probe vectors.
-    columns = [probe_vector(hd, graph, cls) for cls in family]
-    target = probe_vector(hd, graph, P1Class.symbol(0, 4))
-    coords = linalg.solve([[Fraction(col[r]) for col in columns]
-                           for r in range(len(target))],
+    # the family: solve for them on the class vectors.
+    target = symbol_class(hd, 2, 0, 4)
+    coords = linalg.solve([[Fraction(cls[r]) for cls in family] for r in range(len(target))],
                           [Fraction(t) for t in target])
     assert coords is not None and all(c.denominator == 1 for c in coords)
 
@@ -124,8 +164,10 @@ def test_symbols_have_integral_family_coordinates():
 @pytest.mark.parametrize("label", ["cyclic:2", "cyclic:4", "bd:2"])
 def test_dual_bases_all_heights(label):
     _, _, graph, hd = context(label)
+    gram = gram_matrix(hd, graph.size)
     for h in enumerate_heights(graph, 2):
-        assert verify_dual_bases(graph, hd, h)
+        proj = projective_classes(hd, h)
+        assert verify_dual_bases(gram, proj, simple_family(h, proj))
 
 
 def test_dual_bases_after_one_flip():
@@ -133,7 +175,8 @@ def test_dual_bases_after_one_flip():
     base = parity_height(graph)
     sink = base.quiver().sinks()[0]
     raised = base.with_value(sink, base.values[sink] + 2)
-    assert verify_dual_bases(graph, hd, raised)
+    proj = projective_classes(hd, raised)
+    assert verify_dual_bases(gram_matrix(hd, graph.size), proj, simple_family(raised, proj))
 
 
 @pytest.mark.parametrize("label", ["cyclic:2", "cyclic:4", "bd:2"])
@@ -147,15 +190,14 @@ def test_twist_matches_flip_everywhere(label):
 
 def test_twist_vs_flip_diagonal_and_nonneighbors():
     _, _, graph, hd = context("cyclic:4")
+    gram = gram_matrix(hd, graph.size)
     h = HeightFunction(graph, (0, 0, 1, 1))
-    family = simple_family(h)
+    family = family_at(hd, h)
     source = h.quiver().sources()[0]
-    twisted_self = twist_class(hd, family, source, family[source])
-    assert classes_equal(hd, graph, twisted_self, -family[source])
+    assert twist_class(gram, family, source, family[source]) == comb((-1, family[source]))
     for j in range(graph.size):
         if j != source and graph.n[source][j] == 0:
-            tw = twist_class(hd, family, source, family[j])
-            assert classes_equal(hd, graph, tw, family[j])
+            assert twist_class(gram, family, source, family[j]) == family[j]
 
 
 def twist_failure_rows(graph):
@@ -174,8 +216,8 @@ def twist_failure_rows(graph):
 def test_twist_reads_the_cartan_form(label, count, monkeypatch):
     # With the symmetrized form patched to 0 every twist is the identity, so
     # it misses the flipped class at the twisted vertex everywhere; the Cartan
-    # check in `verify` reads its own binding and stays silent.
-    monkeypatch.setattr(ktheory, "cartan_form", lambda hd, x, y: 0)
+    # check reads the matrix S (G + G^T) S^T, not this form, and stays silent.
+    monkeypatch.setattr(ktheory, "cartan_form", lambda gram, x, y: 0)
     _, _, graph, hd = context(label)
     rows = [row for h in enumerate_heights(graph, 2)
             for row in lattice_failures(graph, hd, h)]
@@ -183,11 +225,10 @@ def test_twist_reads_the_cartan_form(label, count, monkeypatch):
     assert rows == twist_failure_rows(graph)
 
 
-def test_probe_vectors_separate_and_span():
+def test_simple_classes_separate_and_span():
     _, _, graph, hd = context("cyclic:4")
-    family = simple_family(parity_height(graph))
-    vectors = [probe_vector(hd, graph, cls) for cls in family]
-    assert len(set(vectors)) == graph.size
+    family = family_at(hd, parity_height(graph))
+    assert len(set(family)) == graph.size
     assert basis_change_unimodular(
         graph, hd, enumerate_heights(graph, 2)[0], enumerate_heights(graph, 2)[-1])
 
@@ -219,19 +260,22 @@ def test_lattice_suite_on_every_group_with_minus_identity(label):
     assert weyl_checks(graph)["ok"]
 
 
-def resolution_classes(h):
+def resolution_classes(hd, h):
     """The simple classes from the two-step projective resolution over kQ_h:
     P_i(h) minus the projectives at the heads of the arrows out of i."""
     quiver = h.quiver()
-    return [sum((-P1Class.symbol(a.tgt, h.values[a.tgt]) for a in quiver.arrows_from(i)),
-                P1Class.symbol(i, h.values[i]))
-            for i in range(h.graph.size)]
+    size = h.graph.size
+    return [comb((1, symbol_class(hd, size, i, h.values[i])),
+                 *[(-1, symbol_class(hd, size, a.tgt, h.values[a.tgt]))
+                   for a in quiver.arrows_from(i)])
+            for i in range(size)]
 
 
 def flip_rule(graph, classes, vertex):
     """The classes after flipping a source or sink: the class at the vertex
     is negated and each neighbour j gains n[vertex][j] copies of it."""
-    return [-cls if j == vertex else cls + graph.n[vertex][j] * classes[vertex]
+    return [comb((-1, cls)) if j == vertex
+            else comb((1, cls), (graph.n[vertex][j], classes[vertex]))
             for j, cls in enumerate(classes)]
 
 
@@ -239,15 +283,13 @@ def flip_rule(graph, classes, vertex):
 def test_simple_family_is_the_resolution_and_follows_flips(label):
     _, _, graph, hd = context(label)
     for h in enumerate_heights(graph, 2):
-        family = simple_family(h)
-        for got, want in zip(family, resolution_classes(h), strict=True):
-            assert classes_equal(hd, graph, got, want), (h.values, "resolution")
+        family = family_at(hd, h)
+        assert family == resolution_classes(hd, h), h.values
         quiver = h.quiver()
         steps = [(v, -2) for v in quiver.sources()] + [(v, 2) for v in quiver.sinks()]
         for v, step in steps:
-            flipped = simple_family(h.with_value(v, h.values[v] + step))
-            for got, want in zip(flipped, flip_rule(graph, family, v), strict=True):
-                assert classes_equal(hd, graph, got, want), (h.values, v)
+            flipped = family_at(hd, h.with_value(v, h.values[v] + step))
+            assert flipped == flip_rule(graph, family, v), (h.values, v)
 
 
 def test_weyl_relations():
@@ -301,9 +343,30 @@ def test_basis_change_rejects_a_doubled_family(monkeypatch):
     h1, h2 = heights[0], heights[-1]
     family = ktheory.simple_family
 
-    def doubled(h):
-        got = family(h)
-        return tuple(2 * cls for cls in got) if h == h2 else got
+    def doubled(h, proj):
+        got = family(h, proj)
+        return [comb((2, cls)) for cls in got] if h == h2 else got
 
     monkeypatch.setattr(ktheory, "simple_family", doubled)
     assert basis_change_unimodular(graph, hd, h1, h2) is False
+
+
+@pytest.mark.parametrize("scale", [2, -1])
+def test_a_scaled_simple_fails_the_dual_bases_and_the_cartan_form(scale, monkeypatch):
+    # Doubling or negating the simple class at vertex 0 of every family
+    # breaks the pairing with P_0 and the Cartan entries in row 0.
+    family = verify.simple_family
+
+    def scaled(h, proj):
+        got = family(h, proj)
+        return [comb((scale, got[0]))] + got[1:]
+
+    monkeypatch.setattr(verify, "simple_family", scaled)
+    _, _, graph, hd = context("bd:2")
+    rows = lattice_failures(graph, hd, parity_height(graph))
+    errors = [row["error"] for row in rows]
+    assert "dual bases fail" in errors
+    entries = [row["entry"] for row in rows if row["error"] == "cartan form mismatch"]
+    want = [[0, j] for j in range(graph.size)
+            if graph.cartan[0][j] * scale ** (2 if j == 0 else 1) != graph.cartan[0][j]]
+    assert want and [e for e in entries if e[0] == 0] == want
