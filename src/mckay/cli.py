@@ -40,6 +40,18 @@ STATEMENTS = {
 }
 
 
+class UsageError(Exception):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of printing usage text and exiting, so
+    they reach `main` and end as a JSON error like every other bad input."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("json", "table"), default="json",
@@ -53,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", default=None,
                         help="character table cache directory "
                              "(or set MCKAY_CACHE_DIR)")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mckay",
         parents=[common],
         description="Exact checks for McKay graphs, Molien series, "
@@ -67,6 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("descriptor", help="cyclic:n, bd:n, 2T, 2O or 2I")
         return p
 
+    def add_height_choice(p):
+        choice = p.add_mutually_exclusive_group()
+        choice.add_argument("--height", default=None,
+                            help="one height, comma-separated values in vertex order")
+        choice.add_argument("--all-heights", action="store_true",
+                            help="every height of the window (the default)")
+
     add("group", "build the group and print its class data")
     add("chartab", "irreducible character table")
     add("graph", "multiplicity graph, ADE type, imaginary root, parity")
@@ -76,12 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("paths", "path-count matrix of one height's quiver")
     p.add_argument("--height", required=True,
                    help="comma-separated values in vertex order, e.g. 0,1,2,1")
-    p = add("kirillov-check", "path counts against Hom dimensions")
-    p.add_argument("--height", default=None)
-    p.add_argument("--all-heights", action="store_true")
+    add_height_choice(add("kirillov-check", "path counts against Hom dimensions"))
     p = add("ext-check", "Ext vanishing between height projectives")
-    p.add_argument("--height", default=None)
-    p.add_argument("--all-heights", action="store_true")
+    add_height_choice(p)
     p.add_argument("--d-max", type=int, default=5,
                    help=f"largest twist, at most {MAX_DEGREE_LIMIT}")
     p = add("reflect", "apply a reflection functor to a representation file",
@@ -92,9 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("preproj", "preprojective presentation and truncated dimensions")
     p = add("hilbert-match", "preprojective dimensions against the Molien table")
     p.add_argument("--height", default=None)
-    p = add("lattice-check", "dual bases, Cartan form, twists versus flips")
-    p.add_argument("--height", default=None)
-    p.add_argument("--all-heights", action="store_true")
+    add_height_choice(add("lattice-check", "dual bases, Cartan form, twists versus flips"))
     sub.add_parser("all", help="run the full acceptance battery", parents=[common])
     return parser
 
@@ -108,7 +122,7 @@ def _parse_height(graph, text: str) -> HeightFunction:
 
 
 def _heights_for(args, graph):
-    if getattr(args, "height", None):
+    if args.height is not None:
         return [_parse_height(graph, args.height)]
     return enumerate_heights(graph, args.window)
 
@@ -220,7 +234,7 @@ def run(args) -> tuple[dict, int]:
         dims = truncated_hilbert(preprojective_presentation(graph), args.max_degree)
         mismatch = verify.hilbert_mismatches(graph, hd, dims)
         checks.append(_check("hilbert", not mismatch, mismatch or None))
-        if args.height:
+        if args.height is not None:
             h = _parse_height(graph, args.height)
             bad = verify.regraded_mismatches(hd, h, dims)
             checks.append(_check("hilbert/regraded", not bad, bad or None))
@@ -250,23 +264,19 @@ def _render_table(doc: dict) -> str:
     return "\n".join(lines)
 
 
+# Each error type's JSON kind and exit code.
+ERRORS = {UsageError: ("usage", 2), PreconditionError: ("precondition", 2),
+          ResourceLimitError: ("resource", 3), ConsistencyError: ("consistency", 1)}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         doc, code = run(args)
-    except PreconditionError as exc:
-        print(json.dumps({"error": str(exc), "kind": "precondition"},
-                         sort_keys=True), file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(json.dumps({"error": str(exc), "kind": "resource"},
-                         sort_keys=True), file=sys.stderr)
-        return 3
-    except ConsistencyError as exc:
-        print(json.dumps({"error": str(exc), "kind": "consistency"},
-                         sort_keys=True), file=sys.stderr)
-        return 1
+    except tuple(ERRORS) as exc:
+        kind, code = next(v for t, v in ERRORS.items() if isinstance(exc, t))
+        print(json.dumps({"error": str(exc), "kind": kind}, sort_keys=True), file=sys.stderr)
+        return code
     if args.output == "table":
         print(_render_table(doc))
     else:

@@ -128,6 +128,54 @@ def test_lattice_check_refuses_an_invalid_height(capsys):
                                "kind": "precondition"}
 
 
+@pytest.mark.parametrize("command", ["kirillov-check", "ext-check", "lattice-check",
+                                     "hilbert-match"])
+def test_an_empty_height_is_a_bad_literal(command, capsys):
+    code, out, err = run(capsys, command, "cyclic:2", "--height=")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "bad height literal ''", "kind": "precondition"}
+
+
+@pytest.mark.parametrize("command", ["kirillov-check", "ext-check", "lattice-check"])
+def test_height_and_all_heights_exclude_each_other(command, capsys):
+    code, out, err = run(capsys, command, "cyclic:2", "--height", "0,1", "--all-heights")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "argument --all-heights: not allowed with argument --height",
+        "kind": "usage"}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["lattice-check", "cyclic:2", "--bogus"], "unrecognized arguments: --bogus"),
+    (["heights", "cyclic:2", "--window", "two"],
+     "argument --window: invalid int value: 'two'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_are_json_on_stderr(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": message, "kind": "usage"}
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["lattice-check", "--help"]])
+def test_help_and_version_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_a_height_far_from_parity_still_checks(capsys):
+    # The parity height of 2I translated by 2222 lies 9999 flips away, just
+    # under the cap; its classes read Hom dimensions up to degree 2222.
+    from mckay.verify import context
+
+    height = ",".join(str(p + 2222) for p in context("2I")[2].parity)
+    code, out, _ = run(capsys, "lattice-check", "2I", "--height", height)
+    assert code == 0
+    assert [c["pass"] for c in json.loads(out)["checks"]] == [True, True]
+
+
 def test_preproj_and_hilbert_match(capsys):
     code, out, _ = run(capsys, "preproj", "cyclic:2", "--max-degree", "4")
     assert code == 0
@@ -325,7 +373,7 @@ def test_lattice_check_shares_the_battery_path(monkeypatch, capsys):
 def test_lattice_check_reports_twists_that_miss_their_flips(monkeypatch, capsys):
     from mckay import ktheory
 
-    monkeypatch.setattr(ktheory, "cartan_form", lambda hd, x, y: 0)
+    monkeypatch.setattr(ktheory, "cartan_form", lambda gram, x, y: 0)
     code, out, _ = run(capsys, "lattice-check", "cyclic:4")
     assert code == 1
     checks = json.loads(out)["checks"]
