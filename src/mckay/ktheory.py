@@ -30,7 +30,7 @@ FLIP_CAP = 10000
 Class = tuple[int, ...]
 
 
-def _mul(a, b) -> list[Class]:
+def _matmul(a, b) -> list[Class]:
     """Matrix product, each row of a taken as a combination of b's rows."""
     out = []
     for row in a:
@@ -98,7 +98,7 @@ def simple_family(h: HeightFunction, proj: list[Class]) -> list[Class]:
     down = [list(row) for row in _identity(h.graph.size)]
     for arrow in h.quiver().arrows:
         down[arrow.src][arrow.tgt] -= 1
-    return _mul(down, proj)
+    return _matmul(down, proj)
 
 
 def twist_class(gram: list[Class], family: list[Class], vertex: int, x: Class) -> Class:
@@ -111,14 +111,14 @@ def twist_class(gram: list[Class], family: list[Class], vertex: int, x: Class) -
 
 def cartan_matrix(gram: list[Class], family: list[Class]) -> list[Class]:
     """The symmetrized form on the family, S (G + G^T) S^T."""
-    half = _mul(_mul(family, gram), list(zip(*family)))
+    half = _matmul(_matmul(family, gram), list(zip(*family)))
     return [tuple(a + b for a, b in zip(row, col)) for row, col in zip(half, zip(*half))]
 
 
 def verify_dual_bases(gram: list[Class], proj: list[Class], family: list[Class]) -> bool:
     """Pairing of a height's projectives against its simples must be the
     identity matrix: P G S^T = I."""
-    return _mul(_mul(proj, gram), list(zip(*family))) == _identity(len(family))
+    return _matmul(_matmul(proj, gram), list(zip(*family))) == _identity(len(family))
 
 
 def twist_matches_flip(gram: list[Class], family: list[Class], vertex: int,
@@ -154,7 +154,7 @@ def basis_change_unimodular(graph: McKayGraph, hd: HomDims,
     gram = gram_matrix(hd, graph.size)
 
     def spans(proj, family, classes):
-        return _mul(_mul(classes, list(zip(*_mul(proj, gram)))), family) == classes
+        return _matmul(_matmul(classes, list(zip(*_matmul(proj, gram)))), family) == classes
 
     return spans(proj1, family1, family2) and spans(proj2, family2, family1)
 
@@ -177,21 +177,21 @@ def weyl_checks(graph: McKayGraph, seed: int = 5) -> dict:
               for r, row in enumerate(ident)] for i in range(n)]
     delta = [(d,) for d in graph.delta]
     report: dict = {
-        "squares": all(_mul(s, s) == ident for s in refls),
+        "squares": all(_matmul(s, s) == ident for s in refls),
         "braid3": [], "double_edge_infinite": None,
-        "delta_fixed": all(_mul(s, delta) == delta for s in refls),
-        "form_preserved": all(_mul(_mul(list(zip(*s)), cartan), s) == cartan
+        "delta_fixed": all(_matmul(s, delta) == delta for s in refls),
+        "form_preserved": all(_matmul(_matmul(list(zip(*s)), cartan), s) == cartan
                               for s in refls)}
     for i in range(n):
         for j in range(i + 1, n):
             if not graph.n[i][j]:
                 continue
-            prod = _mul(refls[i], refls[j])
+            prod = _matmul(refls[i], refls[j])
             if graph.n[i][j] == 1:
                 report["braid3"].append(
-                    {"pair": [i, j], "ok": _mul(_mul(prod, prod), prod) == ident})
+                    {"pair": [i, j], "ok": _matmul(_matmul(prod, prod), prod) == ident})
             else:
-                report["double_edge_infinite"] = ident not in accumulate([prod] * 12, _mul)
+                report["double_edge_infinite"] = ident not in accumulate([prod] * 12, _matmul)
     report["ok"] = (report["squares"] and report["delta_fixed"] and report["form_preserved"]
                     and all(item["ok"] for item in report["braid3"])
                     and report["double_edge_infinite"] is not False)
