@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mckay import exactnum, molien
+from mckay.errors import ConsistencyError
 from mckay.exactnum import CycloNum, Poly, RatFunc, series_of_ratfunc
 from mckay.chartab import CharacterTable
 from mckay.mckaygraph import mckay_graph
@@ -254,3 +258,54 @@ def test_delta_has_one_factor_per_trace(label):
     if label == "cyclic:12":
         # 12 classes, 7 traces: 2 cos(2 pi k / 12) for k = 0, ..., 6.
         assert (len(t.class_sizes), m.delta.degree) == (12, 14)
+
+
+GOLDEN_MOLIEN = Path(__file__).parent / "golden" / "molien.json"
+
+
+def molien_record(label):
+    """The sha256 of the degree-12 Molien document and the Koszul verdict."""
+    m = built(label)[2]
+    doc = json.dumps(m.to_json(12), sort_keys=True).encode()
+    return {"sha256": hashlib.sha256(doc).hexdigest(), "koszul": koszul_check(m)[0]}
+
+
+@pytest.mark.parametrize("label", ALL_GROUPS)
+def test_molien_document_matches_golden(label):
+    golden = json.loads(GOLDEN_MOLIEN.read_text())
+    assert molien_record(label) == golden[label]
+
+
+def with_value(table, row, col, value):
+    """The table with one entry of `values` (row, col) or of
+    `defining_values` (row None, col) replaced."""
+    if row is None:
+        traces = list(table.defining_values)
+        traces[col] = value
+        return dataclasses.replace(table, defining_values=tuple(traces))
+    values = [list(r) for r in table.values]
+    values[row][col] = value
+    return dataclasses.replace(table, values=tuple(map(tuple, values)))
+
+
+@pytest.mark.parametrize("label", ["cyclic:3", "2T", "bd:2"])
+def test_a_value_off_by_a_cube_root_of_unity_fails_to_cancel(label):
+    g, t, _ = built(label)
+    bad = with_value(t, 1, 1, t.values[1][1] * CycloNum.root_of_unity(3))
+    with pytest.raises(ConsistencyError, match="cyclotomic parts failed to cancel"):
+        molien_matrices(g, bad)
+
+
+@pytest.mark.parametrize("label", ["cyclic:3", "2T", "bd:2"])
+def test_a_trace_that_is_not_an_algebraic_integer_is_refused(label):
+    g, t, _ = built(label)
+    bad = with_value(t, None, 1, t.defining_values[1] + Fraction(1, 2))
+    assert bad.defining_values[1].den == 2
+    with pytest.raises(ConsistencyError):
+        molien_matrices(g, bad)
+
+
+if __name__ == "__main__":
+    # Regenerate the Molien golden (only when an output change is intended).
+    GOLDEN_MOLIEN.write_text(json.dumps({label: molien_record(label) for label in ALL_GROUPS},
+                                        indent=1, sort_keys=True) + "\n")
