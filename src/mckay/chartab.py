@@ -107,22 +107,24 @@ class CharacterTable:
     @functools.cached_property
     def mckay_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Multiplicities n[i][j] of W_i in V (x) W_j, from the class-weighted
-        character average over |G| = sum of the class sizes; computed once
-        per table."""
-        order = sum(self.class_sizes)
-        n = [[0] * self.count for _ in range(self.count)]
-        for i in range(self.count):
-            for j in range(i, self.count):
-                acc = CycloNum.from_rational(0)
-                for size, chi_i, chi_v, chi_j in zip(self.class_sizes, self.values[i],
-                                                     self.defining_values, self.values[j]):
-                    acc = acc + size * chi_i.conj() * chi_v * chi_j
-                q = acc.as_rational()
-                if q is None or q.denominator != 1 or q < 0 or q % order:
+        character average over |G| = sum of the class sizes, summed in the
+        group ring Z[x]/(x^N - 1) of the exponent N as in verify_table;
+        computed once per table."""
+        order, n, k = sum(self.class_sizes), self.exponent, self.count
+        rows = [_ring_row(row, n) for row in self.values]
+        traces = _ring_row(self.defining_values, n)
+        # chi_j * tau on each class, then paired against chi_i.
+        twisted = [[_ring_product(x, tau, n) for x, tau in zip(row, traces)] for row in rows]
+        out = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                total = _ring_sum(twisted[j], rows[i], self.class_sizes, n)
+                if any(total[1:]) or total[0] < 0 or total[0] % order:
                     raise ConsistencyError(
-                        f"multiplicity ({i},{j}) is not a nonnegative integer: {acc!r}")
-                n[i][j] = n[j][i] = int(q) // order
-        return tuple(map(tuple, n))
+                        f"multiplicity ({i},{j}) is not a nonnegative integer: "
+                        f"{total} / {order} on the power basis of Q(z_{n})")
+                out[i][j] = out[j][i] = total[0] // order
+        return tuple(map(tuple, out))
 
     def to_json(self) -> dict:
         return {
@@ -386,12 +388,7 @@ def verify_table(table: CharacterTable, group: MatrixGroup) -> None:
             raise ConsistencyError("a character row does not have one value per class")
         if row[0] != table.dims[i]:
             raise ConsistencyError("character at identity != dimension")
-        # Z[z_N] has the power basis, so integrality is a unit denominator.
-        if any(v.den != 1 or n % v.conductor for v in row):
-            raise ConsistencyError("character value is not an algebraic integer of "
-                                   "Q(z_N), N the exponent")
-        rows.append([[(e * (n // v.conductor), c) for e, c in enumerate(v.num) if c]
-                     for v in row])
+        rows.append(_ring_row(row, n))
     for i in range(len(rows)):
         for j in range(i, len(rows)):
             expected = order if i == j else 0
@@ -406,6 +403,26 @@ def verify_table(table: CharacterTable, group: MatrixGroup) -> None:
                 raise ConsistencyError(f"column orthogonality fails at ({a}, {b})")
     if table.defining_values != group.traces():
         raise ConsistencyError("stored defining character != matrix traces")
+
+
+def _ring_row(row, n):
+    """Each value of a row as its (power, coefficient) pairs in
+    Z[x]/(x^n - 1).  Z[z_n] has the power basis, so integrality is a unit
+    denominator."""
+    if any(v.den != 1 or n % v.conductor for v in row):
+        raise ConsistencyError("character value is not an algebraic integer of "
+                               "Q(z_N), N the exponent")
+    return [[(e * (n // v.conductor), c) for e, c in enumerate(v.num) if c] for v in row]
+
+
+def _ring_product(xs, ys, n):
+    """Product of two elements of Z[x]/(x^n - 1) given as (power,
+    coefficient) pairs."""
+    acc = {}
+    for a, u in xs:
+        for b, v in ys:
+            acc[(a + b) % n] = acc.get((a + b) % n, 0) + u * v
+    return [(e, c) for e, c in acc.items() if c]
 
 
 def _ring_sum(xs, ys, weights, n):

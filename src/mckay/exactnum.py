@@ -1,5 +1,5 @@
 """Exact scalar arithmetic: rationals, polynomials, reduced rational
-functions with their Maclaurin coefficients, and cyclotomic numbers.
+functions, and cyclotomic numbers.
 
 Rationals are stdlib ``fractions.Fraction``.  A cyclotomic number is a vector
 in the power basis 1, z, ..., z^(phi(N)-1) of Q(z_N), reduced modulo the N-th
@@ -12,10 +12,13 @@ Operations on numbers with different conductors lift both operands to the
 lcm conductor first; the lcm is capped (see MAX_CONDUCTOR) because the
 groups served by this package never need more.
 
-Polynomials are dense coefficient tuples and are deliberately generic: the
-same class is used with Fraction coefficients (rational functions, Hilbert
-series) and with CycloNum coefficients (character-weighted averages before
-the rational parts are extracted).
+Polynomials are dense coefficient tuples with Fraction or int coefficients
+(Molien numerators and denominators, Hilbert series); sums and products
+need only ring operations, so `Poly` with CycloNum coefficients also works,
+and the test suite's class-average oracle uses it.  A rational function
+reduces to its normal form on integer polynomials: both sides are scaled
+to Z[t] and divided by their gcd from the primitive pseudo-remainder
+sequence.
 """
 
 from __future__ import annotations
@@ -165,11 +168,68 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
 
+def _integral(p: Poly) -> tuple[list[int], int]:
+    """p as integer coefficients over one positive denominator."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """A nonzero integer polynomial divided by its content, with a positive
+    leading coefficient."""
+    g = gcd(*a)
+    return [x // g for x in a] if a[-1] > 0 else [-x // g for x in a]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A remainder of a by b in Z[t], up to a power of b's leading
+    coefficient: each step scales a by it before cancelling a's top term."""
+    a, db, lead = list(a), len(b) - 1, b[-1]
+    while len(a) > db:
+        top = a.pop()
+        shift = len(a) - db
+        a = [x * lead for x in a]
+        for j, y in enumerate(b[:-1]):
+            a[shift + j] -= top * y
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd, leading coefficient positive, of two nonzero
+    integer polynomials: Euclid's algorithm on pseudo-remainders, each
+    divided by its content (the primitive PRS)."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _pseudo_remainder(a, b)
+        a, b = b, _primitive(r) if r else []
+    return a
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[t] for a primitive b that divides a over Q, which by
+    Gauss's lemma leaves an integer quotient."""
+    a, db, lead = list(a), len(b) - 1, b[-1]
+    quot = [0] * (len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        q = a[k] // lead
+        quot[k - db] = q
+        if q:
+            for j, y in enumerate(b):
+                a[k - db + j] -= q * y
+    return quot
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over a field (Fraction coefficients)."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd of polynomials with rational coefficients, by the
+    primitive PRS on their integer multiples."""
+    if a.is_zero() or b.is_zero():
+        return (a + b).monic()
+    g = _primitive_gcd(_integral(a)[0], _integral(b)[0])
+    return Poly([Fraction(x, g[-1]) for x in g])
 
 
 @functools.lru_cache(maxsize=None)
@@ -497,12 +557,13 @@ def cyclo_sort_key(value: CycloNum):
 
 
 # ---------------------------------------------------------------------------
-# Rational functions and their series
+# Rational functions
 # ---------------------------------------------------------------------------
 
 class RatFunc:
     """Quotient of Fraction polynomials, normalized so the denominator is
-    monic and coprime to the numerator; equality is structural.  It has no
+    monic and coprime to the numerator; the reduction runs on integer
+    multiples of both, by the primitive PRS.  Equality is structural.  It has no
     arithmetic: identities between rational functions are checked on
     polynomials with the denominators cleared."""
 
@@ -514,10 +575,15 @@ class RatFunc:
         if num.is_zero():
             num, den = Poly(), Poly.one()
         else:
-            # The monic gcd times the leading coefficient of den: both
-            # quotients are exact and the new denominator is monic.
-            g = poly_gcd(num, den) * den.coeffs[-1]
-            num, den = num // g, den // g
+            # num / den = (a / da) / (b / db) with a, b integral; dividing
+            # both by their primitive gcd is exact, and dividing by the
+            # leading coefficient of what is left of b makes den monic.
+            (a, da), (b, db) = _integral(num), _integral(den)
+            g = _primitive_gcd(a, b)
+            a, b = _exact_quotient(a, g), _exact_quotient(b, g)
+            lead = b[-1]
+            num = Poly([Fraction(x * db, da * lead) for x in a])
+            den = Poly([Fraction(x, lead) for x in b])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -557,22 +623,3 @@ class RatFunc:
         if self.den == Poly.one():
             return side(self.num)
         return f"({side(self.num)}) / ({side(self.den)})"
-
-
-def series_of_ratfunc(f: RatFunc, degree: int) -> tuple[Fraction, ...]:
-    """Maclaurin coefficients of a rational function at t^0, ..., t^degree.
-
-    The denominator must not vanish at t = 0.
-    """
-    den = f.den.coeffs
-    if not den or not den[0]:
-        raise PreconditionError("rational function has a pole at t = 0")
-    num = f.num.coeffs
-    inv0 = Fraction(1) / den[0]
-    out = []
-    for k in range(degree + 1):
-        acc = num[k] if k < len(num) else Fraction(0)
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * out[k - j]
-        out.append(acc * inv0)
-    return tuple(out)

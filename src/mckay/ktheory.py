@@ -77,17 +77,33 @@ def cartan_form(gram: list[Class], x: Class, y: Class) -> int:
     return euler_char(gram, x, y) + euler_char(gram, y, x)
 
 
+def _refuse_far(h: HeightFunction) -> None:
+    flips = sum(abs(a - b) for a, b in zip(h.values, h.graph.parity)) // 2
+    if flips > FLIP_CAP:
+        raise ResourceLimitError(
+            f"the height lies {flips} flips from the parity height, above the cap {FLIP_CAP}")
+
+
 def projective_classes(hd: HomDims, h: HeightFunction) -> list[Class]:
     """The classes [P_k(h)] = [W_k(h_k)], one row per vertex.
 
     A height more than FLIP_CAP flips from the parity height (half the L1
     distance) is refused before any Hom dimension is read.
     """
-    flips = sum(abs(a - b) for a, b in zip(h.values, h.graph.parity)) // 2
-    if flips > FLIP_CAP:
-        raise ResourceLimitError(
-            f"the height lies {flips} flips from the parity height, above the cap {FLIP_CAP}")
+    _refuse_far(h)
     return [symbol_class(hd, h.graph.size, k, d) for k, d in enumerate(h.values)]
+
+
+def flipped_classes(hd: HomDims, proj: list[Class], flipped: HeightFunction,
+                    vertex: int) -> list[Class]:
+    """The projective classes at `flipped`, a height that differs from the
+    one of `proj` only at `vertex`: row `vertex` is rebuilt and the others
+    are kept.  The FLIP_CAP refusal applies to `flipped` as in
+    projective_classes."""
+    _refuse_far(flipped)
+    out = list(proj)
+    out[vertex] = symbol_class(hd, flipped.graph.size, vertex, flipped.values[vertex])
+    return out
 
 
 def simple_family(h: HeightFunction, proj: list[Class]) -> list[Class]:
@@ -137,8 +153,9 @@ def verify_twist_vs_flip(graph: McKayGraph, hd: HomDims, h: HeightFunction,
     if vertex not in quiver.sources() + quiver.sinks():
         raise PreconditionError(f"vertex {vertex} is neither source nor sink")
     other = h.with_value(vertex, h.values[vertex] + (-2 if vertex in quiver.sources() else 2))
-    family = simple_family(h, projective_classes(hd, h))
-    flipped = simple_family(other, projective_classes(hd, other))
+    proj = projective_classes(hd, h)
+    family = simple_family(h, proj)
+    flipped = simple_family(other, flipped_classes(hd, proj, other, vertex))
     return twist_matches_flip(gram_matrix(hd, graph.size), family, vertex, flipped)
 
 

@@ -3,8 +3,11 @@ equivariant Hom-dimension calculator every later module leans on.
 
 For a 2x2 unimodular g both eigenvalues are determined by the trace, so
 det(1 - g^{-1} t) = 1 - tr(g) t + t^2 needs no eigenvalue case analysis at
-+-1.  The Molien average for S(t) is taken in exact cyclotomic arithmetic and
-must produce plain rationals, which is asserted, never assumed.  E(t) is the
++-1.  The Molien average for S(t) is taken on integer vectors in Z[z_L], L
+the lcm of the conductors of the character values and the traces (not the
+group exponent, which only makes the vectors longer), and must produce plain
+rationals: every non-constant coordinate is asserted zero, never assumed
+so.  What is left is integer numerators over |G|.  E(t) is the
 graded character of the exterior algebra of V: Lambda^0 V and Lambda^2 V are
 trivial and Lambda^1 V = V, so E(t) = Id + N t + Id t^2 with N the McKay
 matrix, and only S is averaged.
@@ -13,9 +16,11 @@ Every entry of S(t) is summed over one common denominator
 delta(t) = prod_tau (1 - tau t + t^2), one factor per distinct trace tau:
 det(1 - g^{-1} t) depends on g only through tr(g), so classes with equal
 trace share a factor, and S = P / delta with a polynomial matrix P.  The
-Koszul identity S(t) * E(-t) = Id is checked with the denominator cleared,
-as P(t) * E(-t) = delta(t) * Id: polynomial products and sums only, and the
-same identity because delta is not zero.
+Koszul identity S(t) * E(-t) = Id is checked with the denominator and |G|
+cleared, as (|G| P)(t) * E(-t) = |G| delta(t) * Id: integer polynomial
+products and sums only, and the same identity because delta is not zero.
+delta(0) = 1, so the series coefficients of S follow from P and delta by an
+integer recurrence, divided by |G| once at the end.
 
 Index convention (recorded in output): S[p][q] is the generating function of
 dim Hom(W_q, Sym^m V* (x) W_p) taken equivariantly, i.e. the (q, p) entry of
@@ -27,10 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .chartab import CharacterTable
 from .errors import ConsistencyError
-from .exactnum import CycloNum, Poly, RatFunc, series_of_ratfunc
+from .exactnum import CycloNum, Poly, RatFunc, euler_phi, phi_reduce
 from .groups import MatrixGroup
 
 S_CONVENTION = ("S[p][q](t) = sum_m dim Hom(W_q, Sym^m V* x W_p)_invariant t^m; "
@@ -74,12 +81,14 @@ class HomDims:
 @dataclass(frozen=True)
 class MolienMatrices:
     """S(t) = P(t) / delta(t): P a matrix of polynomials over the common
-    denominator delta, with rational coefficients after averaging; E(t) =
-    Id + N t + Id t^2, a matrix of rational polynomials of degree at most 2."""
+    denominator delta, with rational coefficients over the group order;
+    E(t) = Id + N t + Id t^2, a matrix of rational polynomials of degree at
+    most 2."""
 
     P: tuple[tuple[Poly, ...], ...]
     delta: Poly
     E: tuple[tuple[Poly, ...], ...]
+    order: int
 
     @property
     def count(self) -> int:
@@ -92,68 +101,128 @@ class MolienMatrices:
         return tuple(tuple(RatFunc(num, self.delta) for num in row) for row in self.P)
 
     def to_json(self, max_degree: int = 6) -> dict:
-        s = self.S
+        delta = _scaled(self.delta, 1)
         return {
             "convention": S_CONVENTION,
-            "S": [[str(entry) for entry in row] for row in s],
+            "S": [[str(entry) for entry in row] for row in self.S],
             "E": [[str(RatFunc.from_poly(entry)) for entry in row] for row in self.E],
-            "S_series": [[[str(c) for c in series_of_ratfunc(entry, max_degree)]
-                          for entry in row] for row in s],
+            "S_series": [[[str(Fraction(c, self.order))
+                           for c in _series(_scaled(num, self.order), delta, max_degree)]
+                          for num in row] for row in self.P],
         }
 
 
-def _cyclo_poly_rational(poly: Poly) -> Poly:
-    coeffs = []
-    for c in poly.coeffs:
-        q = c.as_rational()
-        if q is None:
-            raise ConsistencyError(
-                "cyclotomic parts failed to cancel in a Molien average")
-        coeffs.append(q)
-    return Poly(coeffs)
+def _scaled(poly: Poly, scale: int) -> list[int]:
+    """scale * poly as integers; scale must clear every denominator."""
+    return [c.numerator * (scale // c.denominator) for c in poly.coeffs]
+
+
+def _series(num: list[int], delta: list[int], degree: int) -> list[int]:
+    """Maclaurin coefficients of num / delta at t^0, ..., t^degree.  Every
+    factor of delta is 1 at t = 0, so the recurrence divides by nothing."""
+    out = []
+    for k in range(degree + 1):
+        acc = num[k] if k < len(num) else 0
+        for j in range(1, min(k, len(delta) - 1) + 1):
+            acc -= delta[j] * out[k - j]
+        out.append(acc)
+    return out
+
+
+def _times(a, b, conductor: int) -> tuple[int, ...]:
+    """Product of two integer vectors in Z[z_conductor]."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return phi_reduce(out, conductor)
+
+
+def _poly_times(f, g, conductor: int) -> list[tuple[int, ...]]:
+    """Product of two polynomials with coefficients in Z[z_conductor]."""
+    out = [[0] * len(f[0]) for _ in range(len(f) + len(g) - 1)]
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = [x + y for x, y in zip(out[i + j], _times(a, b, conductor))]
+    return [tuple(c) for c in out]
+
+
+def _rational(coords, what: str) -> int:
+    """The constant coordinate, after asserting every other one is zero."""
+    if any(coords[1:]):
+        raise ConsistencyError(f"cyclotomic parts failed to cancel in {what}")
+    return coords[0]
 
 
 def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices:
     """S(t) as the Molien average over the common denominator, one factor
-    1 - tau t + t^2 per distinct trace tau: each entry sums the class-size
-    weights of the classes of one trace before multiplying by that trace's
-    partial product, and is asserted rational; E(t) = Id + N t + Id t^2 read
-    off the McKay matrix N."""
+    1 - tau t + t^2 per distinct trace tau, taken on integer vectors in
+    Z[z_L], L the lcm of the conductors of the values and the traces.  Each
+    entry sums the class-size weights of the classes of one trace, pairs
+    them with that trace's partial product by integer dot products against
+    the multiplication matrices of its coefficients, and is asserted
+    rational: |G| P comes out with integer coefficients.  E(t) = Id + N t +
+    Id t^2 is read off the McKay matrix N."""
     count = table.count
-    one = CycloNum.from_rational(1)
-    traces = list(dict.fromkeys(table.defining_values))
-    slot = [traces.index(tau) for tau in table.defining_values]
-    factors = [Poly([one, -tau, one]) for tau in traces]
+    conductor = lcm(*(v.conductor for row in (*table.values, table.defining_values)
+                      for v in row))
+    width = euler_phi(conductor)
+
+    def lift(value: CycloNum) -> tuple[int, ...]:
+        if value.den != 1:
+            raise ConsistencyError("a character value or trace is not an algebraic integer")
+        step = conductor // value.conductor
+        vec = [0] * conductor
+        for e, c in enumerate(value.num):
+            vec[e * step] = c
+        return phi_reduce(vec, conductor)
+
+    lifted = [lift(tau) for tau in table.defining_values]
+    traces = list(dict.fromkeys(lifted))
+    slot = [traces.index(tau) for tau in lifted]
+    one = phi_reduce([1], conductor)
+    factors = [[one, tuple(-x for x in tau), one] for tau in traces]
     k = len(factors)
 
     # Partial products prod_{s' != s} of the factors for the common denominator.
-    prefix = [Poly([one])]
+    prefix = [[one]]
     for factor in factors:
-        prefix.append(prefix[-1] * factor)
-    suffix = [Poly([one])] * (k + 1)
+        prefix.append(_poly_times(prefix[-1], factor, conductor))
+    suffix = [[one]] * (k + 1)
     for s in range(k - 1, -1, -1):
-        suffix[s] = suffix[s + 1] * factors[s]
-    partial = [prefix[s] * suffix[s + 1] for s in range(k)]
-    denominator = _cyclo_poly_rational(prefix[k])
+        suffix[s] = _poly_times(suffix[s + 1], factors[s], conductor)
+    partial = [_poly_times(prefix[s], suffix[s + 1], conductor) for s in range(k)]
+    delta = Poly.rational([_rational(c, "the Molien denominator") for c in prefix[k]])
 
-    inv_order = Fraction(1, group.order)
-    weighted = [[size * x for size, x in zip(table.class_sizes, row)]
+    # Row r of the multiplication matrix of a coefficient c sends a weight w
+    # to coordinate r of w c; one row per degree and coordinate, across the
+    # traces, turns the sum over traces into one dot product.
+    def columns(c):
+        return [phi_reduce([0] * j + list(c), conductor) for j in range(width)]
+    mult = [[columns(part[d]) for part in partial] for d in range(2 * k - 1)]
+    dots = [[[col[r] for cols in per_trace for col in cols] for r in range(width)]
+            for per_trace in mult]
+
+    weighted = [[tuple(size * x for x in lift(v)) for size, v in zip(table.class_sizes, row)]
                 for row in table.values]
-    conj = [[x.conj() for x in row] for row in table.values]
+    conj = [[lift(v.conj()) for v in row] for row in table.values]
     p_rows = []
     for p in range(count):
         p_row = []
         for q in range(count):
-            by_trace = [0] * k
+            by_trace = [[0] * width for _ in range(k)]
             for s, x, y in zip(slot, weighted[p], conj[q]):
-                by_trace[s] = x * y + by_trace[s]
-            num = sum((w * part for w, part in zip(by_trace, partial) if w), Poly())
-            p_row.append(_cyclo_poly_rational(num) * inv_order)
+                by_trace[s] = [a + b for a, b in zip(by_trace[s], _times(x, y, conductor))]
+            w = [x for vec in by_trace for x in vec]
+            p_row.append(Poly([Fraction(_rational([sum(map(mul, row, w)) for row in rows],
+                                                  "a Molien average"), group.order)
+                               for rows in dots]))
         p_rows.append(tuple(p_row))
     n = table.mckay_matrix
     e_rows = tuple(tuple(Poly.rational([int(p == q), n[p][q], int(p == q)])
                          for q in range(count)) for p in range(count))
-    matrices = MolienMatrices(P=tuple(p_rows), delta=denominator, E=e_rows)
+    matrices = MolienMatrices(P=tuple(p_rows), delta=delta, E=e_rows, order=group.order)
     _check_degree_zero(matrices)
     return matrices
 
@@ -168,22 +237,29 @@ def _check_degree_zero(matrices: MolienMatrices) -> None:
 
 
 def koszul_check(matrices: MolienMatrices):
-    """Exact verification that S(t) * E(-t) = Id, checked with the common
-    denominator cleared as P(t) * E(-t) = delta(t) * Id.
+    """Exact verification that S(t) * E(-t) = Id, checked on integer
+    coefficients with the common denominator and |G| cleared, as
+    (|G| P)(t) * E(-t) = |G| delta(t) * Id (E scaled too if it is not
+    integral).
 
     Returns (ok, witness); the witness names the first offending entry and
     gives that entry of S(t) * E(-t) as a reduced rational function.
     """
     count = matrices.count
-    delta = matrices.delta
-    e_neg = [[entry.compose_neg() for entry in row] for row in matrices.E]
+    scale = lcm(*(c.denominator for row in matrices.E for entry in row for c in entry.coeffs))
+    e_neg = [[Poly(_scaled(entry, scale)).compose_neg() for entry in row]
+             for row in matrices.E]
+    nums = [[Poly(_scaled(entry, matrices.order)) for entry in row] for row in matrices.P]
+    scale *= matrices.order
+    target = Poly(_scaled(matrices.delta, scale))
     for p in range(count):
         for r in range(count):
             acc = Poly()
             for q in range(count):
-                acc = acc + matrices.P[p][q] * e_neg[q][r]
-            if acc != (delta if p == r else Poly()):
-                return False, {"entry": [p, r], "value": str(RatFunc(acc, delta))}
+                acc = acc + nums[p][q] * e_neg[q][r]
+            if acc != (target if p == r else Poly()):
+                value = RatFunc(acc * Fraction(1, scale), matrices.delta)
+                return False, {"entry": [p, r], "value": str(value)}
     return True, None
 
 

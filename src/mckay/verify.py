@@ -15,9 +15,9 @@ from .chartab import CharacterTable, dixon_character_table, dixon_prime
 from .groups import MatrixGroup, build_group, parse_descriptor
 from .heights import (HeightFunction, enumerate_heights, ext_vanishing_check,
                       kirillov_check)
-from .ktheory import (basis_change_unimodular, cartan_matrix, gram_matrix,
-                      projective_classes, simple_family, twist_matches_flip,
-                      verify_dual_bases, weyl_checks)
+from .ktheory import (basis_change_unimodular, cartan_matrix, flipped_classes,
+                      gram_matrix, projective_classes, simple_family,
+                      twist_matches_flip, verify_dual_bases, weyl_checks)
 from .mckaygraph import McKayGraph, canonical_label, mckay_graph
 from .molien import HomDims, graded_dim_Bh, koszul_check, molien_matrices
 from .preproj import (GradedDims, ext_algebra_presentation, preprojective_presentation,
@@ -266,7 +266,8 @@ def check_bgp() -> dict:
 def lattice_failures(graph: McKayGraph, hd: HomDims, h: HeightFunction) -> list[dict]:
     """Failures at one height of the Cartan form on simple classes, the dual
     bases, and the twist-flip agreement at every source and sink.  The
-    height's family is built once, and each flipped family once."""
+    height's family is built once, and each flipped family once from the
+    height's projectives with the one flipped row rebuilt."""
     proj = projective_classes(hd, h)
     family = simple_family(h, proj)
     gram = gram_matrix(hd, graph.size)
@@ -279,8 +280,8 @@ def lattice_failures(graph: McKayGraph, hd: HomDims, h: HeightFunction) -> list[
     steps = [(v, -2) for v in quiver.sources()] + [(v, 2) for v in quiver.sinks()]
     for vertex, step in steps:
         flipped = h.with_value(vertex, h.values[vertex] + step)
-        if not twist_matches_flip(gram, family, vertex,
-                                  simple_family(flipped, projective_classes(hd, flipped))):
+        if not twist_matches_flip(gram, family, vertex, simple_family(
+                flipped, flipped_classes(hd, proj, flipped, vertex))):
             rows.append({"height": list(h.values), "vertex": vertex,
                          "error": "twist does not match flip"})
     return rows

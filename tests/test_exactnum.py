@@ -12,9 +12,9 @@ import pytest
 
 from mckay.errors import PreconditionError, ResourceLimitError
 from mckay.exactnum import (MAX_CONDUCTOR, CycloNum, Poly, RatFunc, cyclo_sort_key,
-                            cyclotomic_polynomial, euler_phi, poly_gcd,
-                            series_of_ratfunc)
+                            cyclotomic_polynomial, euler_phi, poly_gcd)
 from mckay.verify import ADE_EXPECTATIONS, context
+from test_molien import series_of_ratfunc
 
 
 def frac_poly(*values) -> Poly:
@@ -195,6 +195,53 @@ def test_ratfunc_normal_form():
     assert a == b
     assert a.den.coeffs[-1] == 1
     assert poly_gcd(a.num, a.den).degree == 0
+
+
+def euclid_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm on Fraction polynomials."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def euclid_normal_form(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num / den reduced by the Fraction Euclid gcd, the denominator made
+    monic: the oracle for the integer normal form."""
+    if num.is_zero():
+        return Poly(), Poly.one()
+    g = euclid_gcd(num, den) * den.coeffs[-1]
+    return num // g, den // g
+
+
+def random_poly(rng, degree, spread=5) -> Poly:
+    return Poly([Fraction(rng.randint(-spread, spread), rng.choice([1, 1, 2, 3, 6]))
+                 for _ in range(degree + 1)])
+
+
+def test_ratfunc_normal_form_matches_fraction_euclid():
+    rng = random.Random(18)
+    shared = [cyclotomic_polynomial(n) for n in (1, 2, 3, 4, 6, 8, 12)]
+    pairs = [(Poly(), frac_poly(3, 0, -6)),              # zero numerator
+             (frac_poly(4, -6, 2), frac_poly(-5)),       # constant denominator
+             (frac_poly(-6, 0, 6), frac_poly(9, 0, -9)),  # content 6 and 9
+             (frac_poly(0, -2), frac_poly(-4, 0, 4))]     # negative leading terms
+    for _ in range(200):
+        num = random_poly(rng, rng.randint(0, 5))
+        den = random_poly(rng, rng.randint(0, 4))
+        common = Poly.one()
+        for _ in range(rng.randint(0, 3)):
+            common = common * rng.choice(shared)
+        content = Fraction(rng.choice([-12, -3, 2, 5, 30]), rng.choice([1, 4, 7]))
+        pairs.append((num * common * content, den * common))
+    checked = 0
+    for num, den in pairs:
+        if den.is_zero():
+            continue
+        got = RatFunc(num, den)
+        assert (got.num, got.den) == euclid_normal_form(num, den), (num, den)
+        assert poly_gcd(num, den) == euclid_gcd(num, den), (num, den)
+        checked += 1
+    assert checked > 190
 
 
 def test_poly_division_invariants():

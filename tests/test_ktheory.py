@@ -9,8 +9,9 @@ import pytest
 
 from mckay import ktheory, linalg, verify
 from mckay.heights import HeightFunction, enumerate_heights, parity_height
-from mckay.ktheory import (basis_change_unimodular, cartan_form, euler_char,
-                           gram_matrix, projective_classes, simple_family,
+from mckay.errors import ResourceLimitError
+from mckay.ktheory import (FLIP_CAP, basis_change_unimodular, cartan_form, euler_char,
+                           flipped_classes, gram_matrix, projective_classes, simple_family,
                            symbol_class, twist_class, verify_dual_bases,
                            verify_twist_vs_flip, weyl_checks)
 from mckay.verify import ADE_EXPECTATIONS, context, lattice_failures
@@ -290,6 +291,28 @@ def test_simple_family_is_the_resolution_and_follows_flips(label):
         for v, step in steps:
             flipped = family_at(hd, h.with_value(v, h.values[v] + step))
             assert flipped == flip_rule(graph, family, v), (h.values, v)
+
+
+@pytest.mark.parametrize("label", ["cyclic:4", "bd:2", "2T"])
+def test_flipped_classes_rebuild_only_the_flipped_row(label):
+    _, _, graph, hd = context(label)
+    for h in enumerate_heights(graph, 2):
+        proj = projective_classes(hd, h)
+        quiver = h.quiver()
+        steps = [(v, -2) for v in quiver.sources()] + [(v, 2) for v in quiver.sinks()]
+        for v, step in steps:
+            flipped = h.with_value(v, h.values[v] + step)
+            assert flipped_classes(hd, proj, flipped, v) == projective_classes(hd, flipped)
+
+
+def test_lattice_failures_refuse_a_flip_past_the_cap():
+    # (F, F + 1) on cyclic:2 lies F flips from the parity height (0, 1); the
+    # sink flip to (F + 2, F + 1) lies one further.
+    _, _, graph, hd = context("cyclic:2")
+    h = HeightFunction(graph, (FLIP_CAP, FLIP_CAP + 1))
+    projective_classes(hd, h)
+    with pytest.raises(ResourceLimitError, match=f"{FLIP_CAP + 1} flips"):
+        lattice_failures(graph, hd, h)
 
 
 def test_weyl_relations():

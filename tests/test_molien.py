@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from mckay import exactnum, molien
-from mckay.errors import ConsistencyError
-from mckay.exactnum import CycloNum, Poly, RatFunc, series_of_ratfunc
+from mckay.errors import ConsistencyError, PreconditionError
+from mckay.exactnum import CycloNum, Poly, RatFunc
 from mckay.chartab import CharacterTable
 from mckay.mckaygraph import mckay_graph
 from mckay.molien import HomDims, graded_dim_Bh, koszul_check, molien_matrices
@@ -21,6 +21,26 @@ from mckay.heights import HeightFunction
 from mckay.verify import ADE_EXPECTATIONS, context
 
 ALL_GROUPS = [label for label, _ in ADE_EXPECTATIONS]
+
+
+def series_of_ratfunc(f: RatFunc, degree: int) -> tuple[Fraction, ...]:
+    """Maclaurin coefficients of a reduced rational function at t^0, ...,
+    t^degree, by the Fraction recurrence: the oracle for the series that
+    `MolienMatrices.to_json` reads off P and delta on integers.  The
+    denominator must not vanish at t = 0.
+    """
+    den = f.den.coeffs
+    if not den or not den[0]:
+        raise PreconditionError("rational function has a pole at t = 0")
+    num = f.num.coeffs
+    inv0 = Fraction(1) / den[0]
+    out = []
+    for k in range(degree + 1):
+        acc = num[k] if k < len(num) else Fraction(0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc * inv0)
+    return tuple(out)
 
 
 @functools.cache
@@ -79,6 +99,21 @@ def test_koszul_check_passes_on_polynomials_alone(monkeypatch):
     monkeypatch.setattr(molien, "RatFunc", refuse)
     monkeypatch.setattr(exactnum, "poly_gcd", refuse)
     assert koszul_check(built("2T")[2]) == (True, None)
+
+
+def test_molien_route_multiplies_no_cyclotomic_numbers(monkeypatch):
+    g, t, m = built("2T")
+    expected = m.to_json(12)
+    fresh = dataclasses.replace(t)  # no McKay matrix cached yet
+
+    def refuse(*args):
+        raise AssertionError("the Molien route multiplied cyclotomic numbers")
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(CycloNum, name, refuse)
+    again = molien_matrices(g, fresh)
+    assert koszul_check(again) == (True, None)
+    assert again.to_json(12) == expected
 
 
 PERTURBED_WITNESSES = {
