@@ -140,12 +140,6 @@ class Poly:
                 rem[k - dd + j] = rem[k - dd + j] - q * dc[j]
         return Poly(quot), Poly(rem[:dd])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def compose_neg(self) -> Poly:
         """The polynomial p(-t)."""
         return Poly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
@@ -175,10 +169,9 @@ def _integral(p: Poly) -> tuple[list[int], int]:
 
 
 def _primitive(a: list[int]) -> list[int]:
-    """A nonzero integer polynomial divided by its content, with a positive
-    leading coefficient."""
+    """A nonzero integer polynomial divided by its content."""
     g = gcd(*a)
-    return [x // g for x in a] if a[-1] > 0 else [-x // g for x in a]
+    return [x // g for x in a]
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -197,9 +190,9 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
 
 
 def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
-    """The primitive gcd, leading coefficient positive, of two nonzero
-    integer polynomials: Euclid's algorithm on pseudo-remainders, each
-    divided by its content (the primitive PRS)."""
+    """A primitive gcd of two nonzero integer polynomials: Euclid's
+    algorithm on pseudo-remainders, each divided by its content (the
+    primitive PRS)."""
     a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
@@ -271,6 +264,17 @@ def phi_reduce(vec: list[int], n: int) -> tuple[int, ...]:
     if len(vec) < deg:
         vec.extend([0] * (deg - len(vec)))
     return tuple(vec[:deg])
+
+
+def cyclo_times(a, b, n: int) -> tuple[int, ...]:
+    """Product of two integer vectors in z_n, reduced modulo the n-th
+    cyclotomic polynomial."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return phi_reduce(out, n)
 
 
 def _check_conductor(n: int) -> None:
@@ -351,7 +355,7 @@ class CycloNum:
 
     # -- conductor plumbing -------------------------------------------------
 
-    def _lifted(self, m: int) -> tuple[int, ...]:
+    def lifted(self, m: int) -> tuple[int, ...]:
         """`num` rewritten at conductor m (a multiple); `den` is unchanged."""
         if m == self.conductor:
             return self.num
@@ -370,7 +374,7 @@ class CycloNum:
         if m > MAX_CONDUCTOR:
             raise ResourceLimitError(
                 f"lcm conductor {m} exceeds supported bound {MAX_CONDUCTOR}")
-        return m, self._lifted(m), other._lifted(m)
+        return m, self.lifted(m), other.lifted(m)
 
     @staticmethod
     def _coerce(value):
@@ -422,13 +426,7 @@ class CycloNum:
         if not isinstance(other, CycloNum):
             return NotImplemented
         n, a, b = self._unify(other)
-        out = [0] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return _make(n, phi_reduce(out, n), self.den * other.den)
+        return _make(n, cyclo_times(a, b, n), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -543,7 +541,7 @@ class CycloNum:
 def _subfield(d: int, n: int):
     """The power basis of Q(z_d) lifted to conductor n, the coordinates on
     which it is invertible, and that inverse as integers over one scale."""
-    basis = [CycloNum.root_of_unity(d, j)._lifted(n) for j in range(euler_phi(d))]
+    basis = [CycloNum.root_of_unity(d, j).lifted(n) for j in range(euler_phi(d))]
     rows = linalg.rref(basis)[1]
     inverse = linalg.inverse([[b[r] for b in basis] for r in rows])
     scale = lcm(*(x.denominator for line in inverse for x in line))

@@ -37,7 +37,7 @@ from operator import mul
 
 from .chartab import CharacterTable
 from .errors import ConsistencyError
-from .exactnum import CycloNum, Poly, RatFunc, euler_phi, phi_reduce
+from .exactnum import CycloNum, Poly, RatFunc, cyclo_times, euler_phi, phi_reduce
 from .groups import MatrixGroup
 
 S_CONVENTION = ("S[p][q](t) = sum_m dim Hom(W_q, Sym^m V* x W_p)_invariant t^m; "
@@ -129,22 +129,12 @@ def _series(num: list[int], delta: list[int], degree: int) -> list[int]:
     return out
 
 
-def _times(a, b, conductor: int) -> tuple[int, ...]:
-    """Product of two integer vectors in Z[z_conductor]."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return phi_reduce(out, conductor)
-
-
 def _poly_times(f, g, conductor: int) -> list[tuple[int, ...]]:
     """Product of two polynomials with coefficients in Z[z_conductor]."""
     out = [[0] * len(f[0]) for _ in range(len(f) + len(g) - 1)]
     for i, a in enumerate(f):
         for j, b in enumerate(g):
-            out[i + j] = [x + y for x, y in zip(out[i + j], _times(a, b, conductor))]
+            out[i + j] = [x + y for x, y in zip(out[i + j], cyclo_times(a, b, conductor))]
     return [tuple(c) for c in out]
 
 
@@ -172,15 +162,11 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
     def lift(value: CycloNum) -> tuple[int, ...]:
         if value.den != 1:
             raise ConsistencyError("a character value or trace is not an algebraic integer")
-        step = conductor // value.conductor
-        vec = [0] * conductor
-        for e, c in enumerate(value.num):
-            vec[e * step] = c
-        return phi_reduce(vec, conductor)
+        return value.lifted(conductor)
 
-    lifted = [lift(tau) for tau in table.defining_values]
-    traces = list(dict.fromkeys(lifted))
-    slot = [traces.index(tau) for tau in lifted]
+    per_class = [lift(tau) for tau in table.defining_values]
+    traces = list(dict.fromkeys(per_class))
+    slot = [traces.index(tau) for tau in per_class]
     one = phi_reduce([1], conductor)
     factors = [[one, tuple(-x for x in tau), one] for tau in traces]
     k = len(factors)
@@ -213,7 +199,8 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
         for q in range(count):
             by_trace = [[0] * width for _ in range(k)]
             for s, x, y in zip(slot, weighted[p], conj[q]):
-                by_trace[s] = [a + b for a, b in zip(by_trace[s], _times(x, y, conductor))]
+                by_trace[s] = [a + b for a, b in
+                               zip(by_trace[s], cyclo_times(x, y, conductor))]
             w = [x for vec in by_trace for x in vec]
             p_row.append(Poly([Fraction(_rational([sum(map(mul, row, w)) for row in rows],
                                                   "a Molien average"), group.order)

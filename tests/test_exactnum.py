@@ -200,7 +200,7 @@ def test_ratfunc_normal_form():
 def euclid_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by Euclid's algorithm on Fraction polynomials."""
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, divmod(a, b)[1]
     return a.monic()
 
 
@@ -210,7 +210,7 @@ def euclid_normal_form(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if num.is_zero():
         return Poly(), Poly.one()
     g = euclid_gcd(num, den) * den.coeffs[-1]
-    return num // g, den // g
+    return divmod(num, g)[0], divmod(den, g)[0]
 
 
 def random_poly(rng, degree, spread=5) -> Poly:
