@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
-from mckay import linalg
+from mckay import bgp, linalg, verify
 from mckay.bgp import (QuiverRep, _dual, assembled_rank, dim_vector_reflect,
                        find_isomorphism, random_representation,
                        reflect_minus, reflect_plus, round_trip_isomorphism)
@@ -21,6 +23,10 @@ from mckay.mckaygraph import mckay_graph
 
 DOUBLE = OrientedQuiver(2, (Arrow(1, 0, 0), Arrow(1, 0, 1)))
 DOUBLE_N = [[0, 2], [2, 0]]
+
+# sha256 of criterion 8's draws and admitted samples at verify.BGP_SEED
+DRAWS_SHA = "b186c3ef010a033ae44825869e7df617d27db782a88d0b80eaa2098e1573dd00"
+ADMITTED_SHA = "d0b7e5880bca8efdd89751f0f830e06d0f9c4eb97e5244ec37935532c3a82c89"
 
 
 def graph_for(label):
@@ -211,6 +217,72 @@ def test_intertwiner_search_tests_invertibility_by_rank(monkeypatch):
     assert find_isomorphism(rep, back) == expected
 
 
+def _fraction_trials(a, b, seed=7):
+    """find_isomorphism with each trial combined in Fractions: the same
+    unknowns in the same order, the same kernel basis and the same draws."""
+    if a.quiver != b.quiver or a.dims != b.dims:
+        return None
+    size = a.quiver.size
+    offsets = list(accumulate((a.dims[v] * b.dims[v] for v in range(size)), initial=0))
+    total = offsets.pop()
+    if total == 0:
+        return [[] for _ in range(size)]
+    equations = []
+    for idx, arrow in enumerate(a.quiver.arrows):
+        s, t = arrow.src, arrow.tgt
+        for r in range(a.dims[t]):
+            for c in range(b.dims[s]):
+                row = [Fraction(0)] * total
+                for m in range(b.dims[t]):
+                    row[offsets[t] + r * b.dims[t] + m] += b.maps[idx][m][c]
+                for m in range(a.dims[s]):
+                    row[offsets[s] + m * b.dims[s] + c] -= a.maps[idx][r][m]
+                equations.append(row)
+    basis = linalg.nullspace(equations) if equations else \
+        [[Fraction(int(i == j)) for i in range(total)] for j in range(total)]
+    if not basis:
+        return None
+    rng = random.Random(seed)
+    for trial in range(bgp.ISO_ATTEMPTS):
+        coeffs = [Fraction(1 if trial == 0 else rng.randint(-3, 3)) for _ in basis]
+        vec = [sum((c * v[i] for c, v in zip(coeffs, basis)), Fraction(0))
+               for i in range(total)]
+        blocks = [[vec[offsets[v] + r * b.dims[v]:offsets[v] + (r + 1) * b.dims[v]]
+                   for r in range(a.dims[v])] for v in range(size)]
+        if all(linalg.rank(blocks[v]) == a.dims[v] for v in range(size)):
+            return blocks
+    return None
+
+
+def test_intertwiner_search_matches_fraction_trials():
+    """On round trips at sources, on a sum of two copies (where the first
+    trial is often singular), on pairs of equal dimensions that are not
+    isomorphic (every trial runs) and on representations with Fraction
+    entries, the search returns what the Fraction combination of its trials
+    returns."""
+    rng = random.Random(1515)
+    found = refused = 0
+    for label in ("cyclic:2", "cyclic:4", "bd:2"):
+        for quiver in list(dict.fromkeys(h.quiver() for h in
+                                         enumerate_heights(graph_for(label), 2)))[:3]:
+            vertex = quiver.sources()[0]
+            rep = random_representation(quiver, rng, max_dim=3)
+            back = reflect_plus(reflect_minus(rep, vertex), vertex)
+            cut = QuiverRep(quiver, rep.dims, tuple(
+                tuple(tuple(0 * x for x in row) for row in mat) if a.src == vertex else mat
+                for a, mat in zip(quiver.arrows, rep.maps)))
+            scaled = _fraction_rep(quiver, rng)
+            pairs = ((rep, back), (back, rep), (direct_sum(rep, rep),) * 2,
+                     (rep, cut), (scaled, scaled))
+            for a, b in pairs:
+                seed = rng.randint(1, 99)
+                got = find_isomorphism(a, b, seed=seed)
+                assert got == _fraction_trials(a, b, seed), (label, a, b)
+                found += got is not None
+                refused += got is None
+    assert found > 20 and refused > 5
+
+
 def test_reflection_distributes_over_direct_sums():
     graph = graph_for("bd:2")
     h = enumerate_heights(graph, 1)[0]
@@ -234,23 +306,111 @@ def test_quiver_rep_json_round_trip():
     assert again.quiver.arrows == rep.quiver.arrows
 
 
+def _window2_orientations():
+    """Every window-2 orientation of cyclic:2, cyclic:4, bd:2 and 2T."""
+    for label in ("cyclic:2", "cyclic:4", "bd:2", "2T"):
+        yield from dict.fromkeys(h.quiver() for h in enumerate_heights(graph_for(label), 2))
+
+
+def _fraction_rep(quiver, rng):
+    """A seeded representation with dims 0..4 and entries p/q, |p| <= 2, q in {1, 3}."""
+    dims = [rng.randint(0, 4) for _ in range(quiver.size)]
+    return make_rep(quiver, dims, [
+        [[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 3)))
+          for _ in range(dims[a.src])] for _ in range(dims[a.tgt])]
+        for a in quiver.arrows])
+
+
 def test_source_rank_is_the_sink_rank_of_the_dual():
     """At a source the stacked outgoing matrices have the rank of the
     assembled map into the same vertex, a sink, of the dual representation."""
     rng = random.Random(2024)
     checked = 0
-    for label in ("cyclic:2", "cyclic:4", "bd:2", "2T"):
-        for quiver in dict.fromkeys(h.quiver() for h in enumerate_heights(graph_for(label), 2)):
-            for vertex in quiver.sources():
-                for _ in range(25):
-                    dims = [rng.randint(0, 4) for _ in range(quiver.size)]
-                    rep = make_rep(quiver, dims, [
-                        [[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 3)))
-                          for _ in range(dims[a.src])] for _ in range(dims[a.tgt])]
-                        for a in quiver.arrows])
-                    assert assembled_rank(rep, vertex) == assembled_rank(_dual(rep), vertex)
-                    checked += 1
+    for quiver in _window2_orientations():
+        for vertex in quiver.sources():
+            for _ in range(25):
+                rep = _fraction_rep(quiver, rng)
+                assert assembled_rank(rep, vertex) == assembled_rank(_dual(rep), vertex)
+                checked += 1
     assert checked > 500
+
+
+def test_reflect_minus_is_the_dual_of_reflect_plus_on_the_dual():
+    """S- = D S+ D at every source of every window-2 orientation, with zero
+    dimensions and Fraction entries among the samples."""
+    rng = random.Random(1973)
+    checked = zero_at_vertex = 0
+    for quiver in _window2_orientations():
+        for vertex in quiver.sources():
+            for _ in range(15):
+                rep = _fraction_rep(quiver, rng)
+                assert reflect_minus(rep, vertex) == \
+                    _dual(reflect_plus(_dual(rep), vertex))
+                checked += 1
+                zero_at_vertex += rep.dims[vertex] == 0
+    assert checked > 300 and zero_at_vertex > 30
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def test_criterion_8_draws_and_admitted_samples_are_pinned(monkeypatch):
+    """Criterion 8 at BGP_SEED draws the same 3,326 representations and
+    admits the same 2,200 (dims, vertex) samples: dim_vector_reflect is
+    called once per admitted sample."""
+    draws, admitted = [], []
+    draw, reflect_dims = bgp.random_representation, bgp.dim_vector_reflect
+
+    def recording_draw(quiver, rng):
+        rep = draw(quiver, rng)
+        draws.append([rep.dims, rep.maps])
+        return rep
+
+    def recording_reflect(dims, vertex, n_matrix):
+        admitted.append([dims, vertex])
+        return reflect_dims(dims, vertex, n_matrix)
+
+    monkeypatch.setattr(bgp, "random_representation", recording_draw)
+    monkeypatch.setattr(bgp, "dim_vector_reflect", recording_reflect)
+    assert verify.check_bgp()["pass"]
+    assert (len(draws), len(admitted)) == (3326, 2200)
+    assert _sha256(draws) == DRAWS_SHA
+    assert _sha256(admitted) == ADMITTED_SHA
+
+
+def _bgp_witness_errors(monkeypatch, name, mutant) -> list:
+    monkeypatch.setattr(bgp, name, mutant)
+    record = verify.check_bgp()
+    assert not record["pass"]
+    return [w.get("error") for w in record["witness"]]
+
+
+def test_criterion_8_catches_a_doubled_block_at_a_source(monkeypatch):
+    """A reflect_minus that doubles the first block at the vertex keeps every
+    dimension, so only the round trip can see it."""
+    def doubled(rep, vertex):
+        out = reflect_minus(rep, vertex)
+        idx = next(i for i, a in enumerate(out.quiver.arrows) if vertex in (a.src, a.tgt))
+        maps = list(out.maps)
+        maps[idx] = tuple(tuple(2 * x for x in row) for row in maps[idx])
+        return QuiverRep(out.quiver, out.dims, tuple(maps))
+
+    errors = _bgp_witness_errors(monkeypatch, "reflect_minus", doubled)
+    assert set(errors) == {"no invertible intertwiner"}
+
+
+def test_criterion_8_catches_a_kernel_one_too_large(monkeypatch):
+    """A reflect_plus whose new space is the kernel plus a zero direction."""
+    def inflated(rep, vertex):
+        out = reflect_plus(rep, vertex)
+        dims = list(out.dims)
+        dims[vertex] += 1
+        maps = tuple(tuple(row + (Fraction(0),) for row in mat) if a.src == vertex else mat
+                     for a, mat in zip(out.quiver.arrows, out.maps))
+        return QuiverRep(out.quiver, tuple(dims), maps)
+
+    assert _bgp_witness_errors(monkeypatch, "reflect_plus", inflated)
 
 
 _GOLDEN_REFLECT = Path(__file__).parent / "golden" / "reflect.json"
