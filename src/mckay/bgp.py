@@ -4,9 +4,10 @@ sinks and sources.
 Representations live over Q rather than a cyclotomic field: the functors are
 defined over any field and rational linear algebra is cheap.  Kernel bases
 come from reduced row echelon pivoting, so reflecting the same representation
-twice gives byte-identical matrices.  The reflection at a source is the dual
-of the reflection at a sink of the dual representation (D S+ D = S-, as in
-Bernstein-Gelfand-Ponomarev), so one kernel elimination serves both.
+twice gives byte-identical matrices.  Each reflection at v is one kernel
+elimination of a matrix with d_v rows: at a sink the incoming maps side by
+side, at a source the transpose of the stacked outgoing maps, which reads
+D S+ D = S- (Bernstein-Gelfand-Ponomarev) off without building either dual.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from . import linalg
 from .errors import PreconditionError
@@ -101,17 +103,6 @@ def _freeze(rows, nrows):
     return tuple(map(tuple, rows)) if rows else ((),) * nrows
 
 
-def _dual(rep: QuiverRep) -> QuiverRep:
-    """The dual representation: every arrow reversed, keeping its edge index,
-    and every matrix transposed."""
-    arrows = rep.quiver.arrows
-    quiver = OrientedQuiver(rep.quiver.size,
-                            tuple(Arrow(a.tgt, a.src, a.edge) for a in arrows))
-    maps = tuple(_freeze(list(zip(*mat)), rep.dims[a.src])
-                 for a, mat in zip(arrows, rep.maps))
-    return QuiverRep(quiver, rep.dims, maps)
-
-
 def dim_vector_reflect(dims, vertex: int, n_matrix) -> tuple[int, ...]:
     """Simple reflection on dimension vectors:
     s_i(d)_i = -d_i + sum_j n_ij d_j, other coordinates fixed."""
@@ -121,56 +112,65 @@ def dim_vector_reflect(dims, vertex: int, n_matrix) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _assemble_into(rep: QuiverRep, vertex: int):
-    """Stacked matrix of the combined map (sum of sources) -> V_vertex,
-    together with the slot offsets of each incoming arrow."""
-    arrows = [(i, a) for i, a in enumerate(rep.quiver.arrows) if a.tgt == vertex]
-    offs = list(accumulate((rep.dims[a.src] for _, a in arrows), initial=0))
+def _assemble(rep: QuiverRep, vertex: int, at_sink: bool):
+    """The arrows at the vertex as (index, far end) pairs, the slot offset of
+    each, the total far dimension, and the matrix the reflection eliminates:
+    row r holds row r of every incoming matrix (into a sink) or column r of
+    every outgoing one (out of a source), side by side."""
+    arrows = [(i, a.src if at_sink else a.tgt) for i, a in enumerate(rep.quiver.arrows)
+              if (a.tgt if at_sink else a.src) == vertex]
+    offs = list(accumulate((rep.dims[u] for _, u in arrows), initial=0))
     total = offs.pop()
-    rows = [[x for idx, _ in arrows for x in rep.maps[idx][r]]
-            for r in range(rep.dims[vertex])]
+    if at_sink:
+        rows = [[x for i, _ in arrows for x in rep.maps[i][r]]
+                for r in range(rep.dims[vertex])]
+    else:
+        rows = [[row[r] for i, _ in arrows for row in rep.maps[i]]
+                for r in range(rep.dims[vertex])]
     return arrows, offs, total, rows
+
+
+def _reflect(rep: QuiverRep, vertex: int, at_sink: bool) -> QuiverRep:
+    arrows, offs, total, rows = _assemble(rep, vertex, at_sink)
+    kernel = linalg.nullspace(rows) if rows else \
+        [[Fraction(1 if i == j else 0) for i in range(total)] for j in range(total)]
+    new_dims = list(rep.dims)
+    new_dims[vertex] = len(kernel)
+    new_maps = list(rep.maps)
+    coords = list(zip(*kernel))  # coords[t]: coordinate t of every kernel vector
+    for (idx, u), off in zip(arrows, offs):
+        d = rep.dims[u]
+        new_maps[idx] = (_freeze(coords[off:off + d], d) if at_sink else
+                         tuple(tuple(vec[off:off + d]) for vec in kernel))
+    return QuiverRep(rep.quiver.reverse_at(vertex), tuple(new_dims), tuple(new_maps))
 
 
 def reflect_plus(rep: QuiverRep, vertex: int) -> QuiverRep:
     """Reflection at a sink: the new space is the kernel of the assembled map
     into the sink, and the reversed arrows are the block components of the
     kernel inclusion."""
-    quiver = rep.quiver
-    if vertex not in quiver.sinks():
+    if vertex not in rep.quiver.sinks():
         raise PreconditionError(f"vertex {vertex} is not a sink")
-    arrows, offs, total, assembled = _assemble_into(rep, vertex)
-    kernel = linalg.nullspace(assembled) if assembled else \
-        [[Fraction(1 if i == j else 0) for i in range(total)] for j in range(total)]
-    new_dims = list(rep.dims)
-    new_dims[vertex] = len(kernel)
-    new_maps = list(rep.maps)
-    coords = list(zip(*kernel))  # coords[t]: coordinate t of every kernel vector
-    for (idx, a), off in zip(arrows, offs):
-        d = rep.dims[a.src]
-        new_maps[idx] = _freeze(coords[off:off + d], d)
-    return QuiverRep(quiver.reverse_at(vertex), tuple(new_dims), tuple(new_maps))
+    return _reflect(rep, vertex, True)
 
 
 def reflect_minus(rep: QuiverRep, vertex: int) -> QuiverRep:
     """Reflection at a source: the new space is the cokernel of the assembled
-    map out of the source, computed as the dual of the reflection at the
-    same vertex, a sink there, of the dual representation."""
+    map out of the source, as the kernel of its transpose, and the reversed
+    arrows are the block components of the cokernel projection."""
     if vertex not in rep.quiver.sources():
         raise PreconditionError(f"vertex {vertex} is not a source")
-    return _dual(reflect_plus(_dual(rep), vertex))
+    return _reflect(rep, vertex, False)
 
 
 def assembled_rank(rep: QuiverRep, vertex: int) -> int:
     """Rank of the combined map at the vertex: into a sink, the matrices of
     the incoming arrows side by side; out of a source, the matrices of the
     outgoing arrows stacked."""
-    if vertex in rep.quiver.sources():
-        return linalg.rank([row for a, mat in zip(rep.quiver.arrows, rep.maps)
-                            if a.src == vertex for row in mat])
-    if vertex not in rep.quiver.sinks():
+    sinks = rep.quiver.sinks()
+    if vertex not in sinks + rep.quiver.sources():
         raise PreconditionError(f"vertex {vertex} is neither sink nor source")
-    return linalg.rank(_assemble_into(rep, vertex)[3])
+    return linalg.rank(_assemble(rep, vertex, vertex in sinks)[3])
 
 
 def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7):
@@ -184,11 +184,8 @@ def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7):
     if a.quiver != b.quiver or a.dims != b.dims:
         return None
     size = a.quiver.size
-    offsets = []
-    total = 0
-    for v in range(size):
-        offsets.append(total)
-        total += a.dims[v] * b.dims[v]
+    offsets = list(accumulate((a.dims[v] * b.dims[v] for v in range(size)), initial=0))
+    total = offsets.pop()
     if total == 0:
         return [[] for _ in range(size)]
     equations = []
@@ -196,7 +193,7 @@ def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7):
         s, t = arrow.src, arrow.tgt
         for r in range(a.dims[t]):
             for c in range(b.dims[s]):
-                row = [Fraction(0)] * total
+                row = [0] * total
                 # (phi_t . B_arrow  -  A_arrow . phi_s)[r][c] = 0
                 for m in range(b.dims[t]):
                     row[offsets[t] + r * b.dims[t] + m] += b.maps[idx][m][c]
@@ -204,29 +201,27 @@ def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7):
                     row[offsets[s] + m * b.dims[s] + c] -= a.maps[idx][r][m]
                 equations.append(row)
     basis = linalg.nullspace(equations) if equations else \
-        [[Fraction(1 if i == j else 0) for i in range(total)] for j in range(total)]
+        [[int(i == j) for i in range(total)] for j in range(total)]
     if not basis:
         return None
+    # Basis vector i is u_i / s_i with u_i integral, so a trial sum_i c_i u_i / s_i
+    # is w / L with L = lcm(s_i) and w = sum_i c_i (L / s_i) u_i: the ranks are
+    # taken on the integer blocks of w, and only the blocks returned are divided.
+    scales = [lcm(*(x.denominator for x in vec)) for vec in basis]
+    big = lcm(*scales)
+    weights = [big // s for s in scales]
+    ints = [[x.numerator * (s // x.denominator) for x in vec]
+            for vec, s in zip(basis, scales)]
     rng = random.Random(seed)
-
-    def unpack(vec):
-        blocks = []
-        for v in range(size):
-            block = [[vec[offsets[v] + r * b.dims[v] + c] for c in range(b.dims[v])]
-                     for r in range(a.dims[v])]
-            blocks.append(block)
-        return blocks
-
     for trial in range(ISO_ATTEMPTS):
-        if trial == 0:
-            coeffs = [Fraction(1)] * len(basis)
-        else:
-            coeffs = [Fraction(rng.randint(-3, 3)) for _ in basis]
-        vec = [sum((c * bvec[i] for c, bvec in zip(coeffs, basis)), Fraction(0))
-               for i in range(total)]
-        blocks = unpack(vec)
+        coeffs = weights if trial == 0 else \
+            [rng.randint(-3, 3) * w for w in weights]
+        vec = [sum(c * u[i] for c, u in zip(coeffs, ints)) for i in range(total)]
+        blocks = [[vec[offsets[v] + r * b.dims[v]:offsets[v] + (r + 1) * b.dims[v]]
+                   for r in range(a.dims[v])] for v in range(size)]
         if all(linalg.rank(blocks[v]) == a.dims[v] for v in range(size)):
-            return blocks
+            return [[[Fraction(x, big) for x in row] for row in block]
+                    for block in blocks]
     return None
 
 
@@ -240,33 +235,27 @@ def round_trip_from(rep: QuiverRep, reflected: QuiverRep, vertex: int):
     """`round_trip_isomorphism` for a sink reflection already made:
     reflect back and solve for the intertwiner.
 
-    Away from the reflected vertex the double reflection leaves spaces and
-    matrices untouched, so the intertwiner ansatz is the identity there and
+    The intertwiner ansatz is the identity away from the reflected vertex,
+    so the double reflection must leave every matrix there untouched, and
     only the vertex block is solved for.  When the assembled map at the sink
     is surjective that block is forced and invertible.
     """
     back = reflect_minus(reflected, vertex)
-    if back.dims != rep.dims:
+    if back.dims != rep.dims or any(
+            back.maps[i] != rep.maps[i] for i, a in enumerate(rep.quiver.arrows)
+            if vertex not in (a.src, a.tgt)):
         return None
     d = rep.dims[vertex]
     if d == 0:
         return back, []
-    arrows = [(i, a) for i, a in enumerate(rep.quiver.arrows) if a.tgt == vertex]
-    # phi . back_map = rep_map on every arrow into the vertex: the d rows of
-    # phi solve one coefficient matrix (the assembled back map, transposed),
-    # so one elimination of it with the d right-hand sides appended solves
-    # them all.  A pivot among those d columns is an inconsistent row.
-    aug = [[back.maps[idx][m][c] for m in range(d)]
-           + [rep.maps[idx][r][c] for r in range(d)]
-           for idx, a in arrows for c in range(rep.dims[a.src])]
-    red, pivots = linalg.rref(aug)
-    if pivots and pivots[-1] >= d:
-        return None
-    phi = [[Fraction(0)] * d for _ in range(d)]
-    for row, piv in zip(red, pivots):
-        for r in range(d):
-            phi[r][piv] = row[d + r]
-    if linalg.rank(phi) < d:
+    arrows, _, _, assembled = _assemble(rep, vertex, True)
+    # phi . back_map = rep_map on every arrow into the vertex: row r of phi
+    # solves one coefficient matrix (the assembled back map, transposed) for
+    # row r of the assembled map, so one elimination solves them all.
+    coeff = [[back.maps[i][m][c] for m in range(d)]
+             for i, u in arrows for c in range(rep.dims[u])]
+    phi = linalg.solve_many(coeff, assembled)
+    if phi is None or linalg.rank(phi) < d:
         return None
     return back, phi
 

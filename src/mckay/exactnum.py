@@ -216,15 +216,6 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     return quot
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of polynomials with rational coefficients, by the
-    primitive PRS on their integer multiples."""
-    if a.is_zero() or b.is_zero():
-        return (a + b).monic()
-    g = _primitive_gcd(_integral(a)[0], _integral(b)[0])
-    return Poly([Fraction(x, g[-1]) for x in g])
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> Poly:
     """The n-th cyclotomic polynomial, computed by exact division of t^n - 1

@@ -15,7 +15,8 @@ entries.  Fractions are built once at the end, each pivot row divided by its
 pivot.  The reduced echelon form is unique, so this is the same result as
 elimination on Fractions, without an allocation per multiply and subtract.
 `rank` counts the pivots of the integer rows and builds no Fraction;
-`nullspace` reads each kernel entry off them as one Fraction.
+`nullspace` and `solve_many` read each kernel or solution entry off them as
+one Fraction.
 """
 
 from __future__ import annotations
@@ -107,16 +108,26 @@ def nullspace(mat, p: int = 0) -> list[list]:
 
 def solve(mat, rhs, p: int = 0) -> list | None:
     """One exact solution of mat·x = rhs, or None when inconsistent."""
+    return (solve_many(mat, [rhs], p) or [None])[0]
+
+
+def solve_many(mat, rhss, p: int = 0) -> list[list] | None:
+    """One exact solution of mat·x = b for every right-hand side b in rhss,
+    from one elimination with every b appended as a column, or None when any
+    of them is inconsistent.  Free variables are zero, and over Q each pivot
+    entry is one Fraction read off the integer echelon rows."""
     if not mat:
-        return []
-    red, pivots = rref([list(row) + [b] for row, b in zip(mat, rhs)], p)
+        return [[] for _ in rhss]
     cols = len(mat[0])
-    if cols in pivots:
+    a, pivots = _eliminate([list(row) + [b[i] for b in rhss]
+                            for i, row in enumerate(mat)], p)
+    if pivots and pivots[-1] >= cols:
         return None
-    x = [0 if p else Fraction(0)] * cols
-    for r, piv in enumerate(pivots):
-        x[piv] = red[r][cols]
-    return x
+    sols = [[0 if p else Fraction(0)] * cols for _ in rhss]
+    for row, piv in zip(a, pivots):
+        for x, b in zip(sols, row[cols:]):
+            x[piv] = b if p else Fraction(b, row[piv])
+    return sols
 
 
 def inverse(mat) -> list[list[Fraction]] | None:

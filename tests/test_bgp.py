@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from mckay import bgp, linalg, verify
-from mckay.bgp import (QuiverRep, _dual, assembled_rank, dim_vector_reflect,
+from mckay.bgp import (QuiverRep, assembled_rank, dim_vector_reflect,
                        find_isomorphism, random_representation,
                        reflect_minus, reflect_plus, round_trip_isomorphism)
 from mckay.chartab import dixon_character_table
@@ -39,6 +39,17 @@ def make_rep(quiver, dims, matrices):
     maps = tuple(tuple(tuple(Fraction(x) for x in row) for row in mat)
                  for mat in matrices)
     return QuiverRep(quiver, tuple(dims), maps)
+
+
+def _dual(rep):
+    """The dual representation: every arrow reversed, keeping its edge index,
+    and every matrix transposed.  The oracle for S- = D S+ D."""
+    arrows = rep.quiver.arrows
+    quiver = OrientedQuiver(rep.quiver.size,
+                            tuple(Arrow(a.tgt, a.src, a.edge) for a in arrows))
+    maps = tuple(tuple(zip(*mat)) or ((),) * rep.dims[a.src]
+                 for a, mat in zip(arrows, rep.maps))
+    return QuiverRep(quiver, rep.dims, maps)
 
 
 def direct_sum(a, b):
@@ -215,6 +226,36 @@ def test_intertwiner_search_tests_invertibility_by_rank(monkeypatch):
 
     monkeypatch.setattr(linalg, "inverse", refuse)
     assert find_isomorphism(rep, back) == expected
+
+
+def _off_vertex_change(rep, vertex):
+    """reflect_plus with one entry changed on the first arrow away from the
+    vertex that has one."""
+    out = reflect_plus(rep, vertex)
+    idx = next((i for i, a in enumerate(out.quiver.arrows)
+                if vertex not in (a.src, a.tgt) and out.maps[i] and out.maps[i][0]), None)
+    if idx is None:
+        return out
+    maps = list(out.maps)
+    first, *rest = maps[idx]
+    maps[idx] = ((first[0] + 1,) + first[1:], *rest)
+    return QuiverRep(out.quiver, out.dims, tuple(maps))
+
+
+def test_round_trip_checks_the_identity_away_from_the_vertex(monkeypatch):
+    """The round-trip intertwiner is the identity off the vertex, so a
+    reflection that changes a matrix there has none."""
+    rng = random.Random(8)
+    quiver = next(q for q in (h.quiver() for h in enumerate_heights(graph_for("bd:2"), 2))
+                  if 0 in q.sinks())  # vertex 0 of D4~ is a leaf
+    rep = random_representation(quiver, rng)
+    while assembled_rank(rep, 0) != rep.dims[0]:
+        rep = random_representation(quiver, rng)
+    assert round_trip_isomorphism(rep, 0) is not None
+    monkeypatch.setattr(bgp, "reflect_plus", _off_vertex_change)
+    assert round_trip_isomorphism(rep, 0) is None
+    errors = _bgp_witness_errors(monkeypatch, "reflect_plus", _off_vertex_change)
+    assert set(errors) == {"no invertible intertwiner"}
 
 
 def _fraction_trials(a, b, seed=7):
@@ -401,7 +442,10 @@ def test_criterion_8_catches_a_doubled_block_at_a_source(monkeypatch):
 
 
 def test_criterion_8_catches_a_kernel_one_too_large(monkeypatch):
-    """A reflect_plus whose new space is the kernel plus a zero direction."""
+    """A reflect_plus whose new space is the kernel plus a zero direction.
+    Every sink sample then fails, so ten samples per orientation show it
+    (each refusal draws the full 60 candidates)."""
+    monkeypatch.setattr(verify, "BGP_SAMPLES", 10)
     def inflated(rep, vertex):
         out = reflect_plus(rep, vertex)
         dims = list(out.dims)
