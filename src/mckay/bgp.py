@@ -137,11 +137,10 @@ def _reflect(rep: QuiverRep, vertex: int, at_sink: bool) -> QuiverRep:
     new_dims = list(rep.dims)
     new_dims[vertex] = len(kernel)
     new_maps = list(rep.maps)
-    coords = list(zip(*kernel))  # coords[t]: coordinate t of every kernel vector
     for (idx, u), off in zip(arrows, offs):
         d = rep.dims[u]
-        new_maps[idx] = (_freeze(coords[off:off + d], d) if at_sink else
-                         tuple(tuple(vec[off:off + d]) for vec in kernel))
+        block = [vec[off:off + d] for vec in kernel]  # one row per kernel vector
+        new_maps[idx] = _freeze(list(zip(*block)), d) if at_sink else tuple(map(tuple, block))
     return QuiverRep(rep.quiver.reverse_at(vertex), tuple(new_dims), tuple(new_maps))
 
 
