@@ -215,6 +215,37 @@ def test_round_trip_general_intertwiner_search():
     assert iso is not None
 
 
+def _doubled_first_block(rep, vertex):
+    """reflect_minus with the first block at the vertex doubled."""
+    out = reflect_minus(rep, vertex)
+    idx = next(i for i, a in enumerate(out.quiver.arrows) if vertex in (a.src, a.tgt))
+    maps = list(out.maps)
+    maps[idx] = tuple(tuple(2 * x for x in row) for row in maps[idx])
+    return QuiverRep(out.quiver, out.dims, tuple(maps))
+
+
+def test_round_trip_refuses_a_scaled_cokernel_block(monkeypatch):
+    """A back reflection whose first cokernel block is doubled has no
+    intertwiner that is the identity off the vertex, at a sink with two or
+    four arrows into it, when the reflected space is not zero (a zero one
+    leaves the doubled map an isomorphism)."""
+    quiver = next(q for q in (h.quiver() for h in enumerate_heights(graph_for("bd:2"), 2))
+                  if 4 in q.sinks())  # vertex 4 of D4~ is the centre
+    rng = random.Random(12)
+    samples = [(make_rep(DOUBLE, (1, 2), [[[1, 0]], [[0, 1]]]), 0),
+               (make_rep(DOUBLE, (2, 2), [[[1, 0], [0, 1]], [[1, 1], [0, 2]]]), 0)]
+    while len(samples) < 12:
+        rep = random_representation(quiver, rng)
+        if assembled_rank(rep, 4) == rep.dims[4] and reflect_plus(rep, 4).dims[4]:
+            samples.append((rep, 4))
+    reflected = [reflect_plus(rep, vertex) for rep, vertex in samples]
+    for (rep, vertex), out in zip(samples, reflected):
+        assert bgp.round_trip_from(rep, out, vertex) is not None
+    monkeypatch.setattr(bgp, "reflect_minus", _doubled_first_block)
+    for (rep, vertex), out in zip(samples, reflected):
+        assert bgp.round_trip_from(rep, out, vertex) is None
+
+
 def test_intertwiner_search_tests_invertibility_by_rank(monkeypatch):
     rep = make_rep(DOUBLE, (2, 1), [[[1], [0]], [[1], [1]]])
     back = reflect_minus(reflect_plus(rep, 0), 0)
@@ -392,6 +423,31 @@ def test_reflect_minus_is_the_dual_of_reflect_plus_on_the_dual():
     assert checked > 300 and zero_at_vertex > 30
 
 
+def _randint_draw(quiver, rng, max_dim, low, high):
+    """The reference draw: every value from rng.randint, the dimensions first,
+    then each arrow's matrix row by row."""
+    dims = tuple(rng.randint(1, max_dim) for _ in range(quiver.size))
+    maps = tuple(tuple(tuple(rng.randint(low, high) for _ in range(dims[a.src]))
+                       for _ in range(dims[a.tgt])) for a in quiver.arrows)
+    return dims, maps
+
+
+@pytest.mark.parametrize("max_dim", [1, 2, 3, 4, 5, 8])
+@pytest.mark.parametrize("low, high", [(-2, 2), (-1, 1), (0, 0), (0, 3), (-3, 4)])
+def test_draws_match_randint(max_dim, low, high):
+    """random_representation gives what rng.randint gives, value for value,
+    and leaves the generator in the same state, on every window-2
+    orientation of bd:2.  A range of one value (max_dim 1, low == high) and
+    ranges of 2, 4 and 8 values pin the bit-length rejection rule."""
+    for i, quiver in enumerate(dict.fromkeys(
+            h.quiver() for h in enumerate_heights(graph_for("bd:2"), 2))):
+        rng, ref = random.Random(100 * max_dim + i), random.Random(100 * max_dim + i)
+        for _ in range(4):
+            rep = random_representation(quiver, rng, max_dim=max_dim, low=low, high=high)
+            assert (rep.dims, rep.maps) == _randint_draw(quiver, ref, max_dim, low, high)
+        assert rng.getstate() == ref.getstate()
+
+
 def _sha256(value) -> str:
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
@@ -430,14 +486,7 @@ def _bgp_witness_errors(monkeypatch, name, mutant) -> list:
 def test_criterion_8_catches_a_doubled_block_at_a_source(monkeypatch):
     """A reflect_minus that doubles the first block at the vertex keeps every
     dimension, so only the round trip can see it."""
-    def doubled(rep, vertex):
-        out = reflect_minus(rep, vertex)
-        idx = next(i for i, a in enumerate(out.quiver.arrows) if vertex in (a.src, a.tgt))
-        maps = list(out.maps)
-        maps[idx] = tuple(tuple(2 * x for x in row) for row in maps[idx])
-        return QuiverRep(out.quiver, out.dims, tuple(maps))
-
-    errors = _bgp_witness_errors(monkeypatch, "reflect_minus", doubled)
+    errors = _bgp_witness_errors(monkeypatch, "reflect_minus", _doubled_first_block)
     assert set(errors) == {"no invertible intertwiner"}
 
 

@@ -136,6 +136,29 @@ def test_rank_counts_the_rref_pivots():
         assert linalg.rank(mat) == len(linalg.rref(mat)[1])
 
 
+
+def test_nullspace_basis_is_unit_on_the_free_columns():
+    """Every kernel basis vector is 1 at its own free column and 0 at the
+    other free columns, over Q and over F_p for the integer matrices, on the
+    golden matrices: the intertwiner of a round trip is read off there."""
+    checked = 0
+    for r in json.loads(_GOLDEN_RREF.read_text()):
+        mat = [[Fraction(x) for x in row] for row in r["mat"]]
+        cols = len(mat[0]) if mat else 0
+        fields = [0]
+        if all(x.denominator == 1 for row in mat for x in row):
+            mat = [[int(x) for x in row] for row in mat]
+            fields += [5, 7, 13]
+        for p in fields:
+            pivots = linalg.rref(mat, p)[1]
+            free = [c for c in range(cols) if c not in pivots]
+            basis = linalg.nullspace(mat, p)
+            assert len(basis) == len(free)
+            for f, vec in zip(free, basis):
+                assert [vec[c] for c in free] == [int(c == f) for c in free]
+                checked += 1
+    assert checked > 300
+
 if __name__ == "__main__":
     lines = [json.dumps(r, sort_keys=True) for r in _golden_rref_records()]
     _GOLDEN_RREF.write_text("[\n" + ",\n".join(lines) + "\n]\n")
