@@ -8,6 +8,9 @@ twice gives byte-identical matrices.  Each reflection at v is one kernel
 elimination of a matrix with d_v rows: at a sink the incoming maps side by
 side, at a source the transpose of the stacked outgoing maps, which reads
 D S+ D = S- (Bernstein-Gelfand-Ponomarev) off without building either dual.
+The round trip reads its intertwiner off the kernel basis instead of solving
+for it, and random representations draw their values straight from the
+generator's bits, value for value what `randint` draws.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from operator import mul
 
 from . import linalg
 from .errors import PreconditionError
@@ -90,6 +94,14 @@ class QuiverRep:
 _ENTRY = r"[+-]?[0-9]+(/[0-9]+)?"
 
 
+def _make(quiver: OrientedQuiver, dims, maps) -> QuiverRep:
+    """Trusted constructor for representations whose shapes hold by
+    construction; skips the shape check."""
+    rep = object.__new__(QuiverRep)
+    vars(rep).update(quiver=quiver, dims=dims, maps=maps)
+    return rep
+
+
 def _matrix(rows) -> list[list[Fraction]]:
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError(f"a matrix must be a list of row lists, got {rows!r}")
@@ -141,7 +153,7 @@ def _reflect(rep: QuiverRep, vertex: int, at_sink: bool) -> QuiverRep:
         d = rep.dims[u]
         block = [vec[off:off + d] for vec in kernel]  # one row per kernel vector
         new_maps[idx] = _freeze(list(zip(*block)), d) if at_sink else tuple(map(tuple, block))
-    return QuiverRep(rep.quiver.reverse_at(vertex), tuple(new_dims), tuple(new_maps))
+    return _make(rep.quiver.reverse_at(vertex), tuple(new_dims), tuple(new_maps))
 
 
 def reflect_plus(rep: QuiverRep, vertex: int) -> QuiverRep:
@@ -203,18 +215,14 @@ def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7):
         [[int(i == j) for i in range(total)] for j in range(total)]
     if not basis:
         return None
-    # Basis vector i is u_i / s_i with u_i integral, so a trial sum_i c_i u_i / s_i
-    # is w / L with L = lcm(s_i) and w = sum_i c_i (L / s_i) u_i: the ranks are
-    # taken on the integer blocks of w, and only the blocks returned are divided.
-    scales = [lcm(*(x.denominator for x in vec)) for vec in basis]
-    big = lcm(*scales)
-    weights = [big // s for s in scales]
-    ints = [[x.numerator * (s // x.denominator) for x in vec]
-            for vec, s in zip(basis, scales)]
+    # The basis is ints / big with ints integral, so a trial sum_i c_i basis_i is
+    # w / big with w = sum_i c_i ints_i: the ranks are taken on the integer
+    # blocks of w, and only the blocks returned are divided.
+    big, ints = _over_common_denominator(basis)
+    ones = [1] * len(ints)
     rng = random.Random(seed)
     for trial in range(ISO_ATTEMPTS):
-        coeffs = weights if trial == 0 else \
-            [rng.randint(-3, 3) * w for w in weights]
+        coeffs = ones if trial == 0 else [rng.randint(-3, 3) for _ in ints]
         vec = [sum(c * u[i] for c, u in zip(coeffs, ints)) for i in range(total)]
         blocks = [[vec[offsets[v] + r * b.dims[v]:offsets[v] + (r + 1) * b.dims[v]]
                    for r in range(a.dims[v])] for v in range(size)]
@@ -222,6 +230,13 @@ def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7):
             return [[[Fraction(x, big) for x in row] for row in block]
                     for block in blocks]
     return None
+
+
+def _over_common_denominator(rows) -> tuple[int, list[list[int]]]:
+    """The lcm L of the denominators of every int or Fraction entry, and the
+    rows times L as integers."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 def round_trip_isomorphism(rep: QuiverRep, vertex: int):
@@ -232,12 +247,17 @@ def round_trip_isomorphism(rep: QuiverRep, vertex: int):
 
 def round_trip_from(rep: QuiverRep, reflected: QuiverRep, vertex: int):
     """`round_trip_isomorphism` for a sink reflection already made:
-    reflect back and solve for the intertwiner.
+    reflect back and read off the intertwiner.
 
     The intertwiner ansatz is the identity away from the reflected vertex,
     so the double reflection must leave every matrix there untouched, and
-    only the vertex block is solved for.  When the assembled map at the sink
-    is surjective that block is forced and invertible.
+    only the vertex block phi is found.  The back maps into the vertex, side
+    by side, are a `linalg.nullspace` basis, one row per vector, so they hold
+    the d x d identity on the free columns.  phi . back = rep there makes
+    phi the assembled map of rep read at those columns; the identity is then
+    checked on every column, on integer rows.  When the assembled map at the
+    sink is surjective phi is invertible.  The entries of phi are those of
+    rep.
     """
     back = reflect_minus(reflected, vertex)
     if back.dims != rep.dims or any(
@@ -247,24 +267,57 @@ def round_trip_from(rep: QuiverRep, reflected: QuiverRep, vertex: int):
     d = rep.dims[vertex]
     if d == 0:
         return back, []
-    arrows, _, _, assembled = _assemble(rep, vertex, True)
-    # phi . back_map = rep_map on every arrow into the vertex: row r of phi
-    # solves one coefficient matrix (the assembled back map, transposed) for
-    # row r of the assembled map, so one elimination solves them all.
-    coeff = [[back.maps[i][m][c] for m in range(d)]
-             for i, u in arrows for c in range(rep.dims[u])]
-    phi = linalg.solve_many(coeff, assembled)
-    if phi is None or linalg.rank(phi) < d:
+    assembled = _assemble(rep, vertex, True)[3]
+    basis = _assemble(back, vertex, True)[3]
+    columns = list(zip(*basis))
+    try:
+        at = [columns.index(tuple(int(i == m) for i in range(d))) for m in range(d)]
+    except ValueError:  # no unit column: not a kernel basis
         return None
-    return back, phi
+    # basis = ints / den and assembled = rows / scale, so phi . basis = assembled
+    # reads sum_m rows[r][at[m]] ints[m] = den rows[r] on integers.
+    den, ints = _over_common_denominator(basis)
+    rows = _over_common_denominator(assembled)[1]
+    read = [[row[c] for c in at] for row in rows]
+    int_columns = list(zip(*ints))
+    for row, coeffs in zip(rows, read):
+        if any(sum(map(mul, coeffs, col)) != den * x for col, x in zip(int_columns, row)):
+            return None
+    if linalg.rank(read) < d:
+        return None
+    return back, [[row[c] for c in at] for row in assembled]
+
+
+def _randints(rng: random.Random, low: int, high: int, count: int) -> list[int]:
+    """count integers uniform in low..high, each what rng.randint(low, high)
+    returns: CPython's rejection rule draws k = n.bit_length() bits for the n
+    values and draws again while the result is at least n."""
+    n = high - low + 1
+    k = n.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(low + r)
+    return out
 
 
 def random_representation(quiver: OrientedQuiver, rng: random.Random,
                           max_dim: int = 4, low: int = -2, high: int = 2) -> QuiverRep:
-    dims = tuple(rng.randint(1, max_dim) for _ in range(quiver.size))
-    maps = []
-    for arrow in quiver.arrows:
-        maps.append(tuple(tuple(rng.randint(low, high)
-                                for _ in range(dims[arrow.src]))
-                          for _ in range(dims[arrow.tgt])))
-    return QuiverRep(quiver, dims, tuple(maps))
+    """Dimensions uniform in 1..max_dim, then each arrow's matrix row by row
+    with integer entries uniform in low..high: the same values, and the same
+    generator state after, as drawing each one with rng.randint."""
+    if max_dim < 1 or low > high:
+        raise PreconditionError(
+            f"random representations need max_dim >= 1 and low <= high, got "
+            f"max_dim={max_dim}, low={low}, high={high}")
+    dims = tuple(_randints(rng, 1, max_dim, quiver.size))
+    shapes = [(dims[a.tgt], dims[a.src]) for a in quiver.arrows]
+    values = _randints(rng, low, high, sum(r * c for r, c in shapes))
+    maps, at = [], 0
+    for rows, cols in shapes:
+        maps.append(tuple(tuple(values[i:i + cols]) for i in range(at, at + rows * cols, cols)))
+        at += rows * cols
+    return _make(quiver, dims, tuple(maps))

@@ -263,15 +263,13 @@ def _split_eigenvectors(class_mats, p, seed):
 def _split_once(m, basis, p):
     k = len(m)
     dim = len(basis)
-    # Restriction R of m to the subspace: m * B = B * R, solved column by column.
+    # Restriction R of m to the subspace: m * B = B * R, every column of R
+    # from one elimination.
     b_cols = [[basis[j][r] for j in range(dim)] for r in range(k)]
-    r_cols = []
-    for v in basis:
-        mv = [sum(m[r][c] * v[c] for c in range(k)) % p for r in range(k)]
-        col = linalg.solve(b_cols, mv, p)
-        if col is None:
-            raise ConsistencyError("class matrix does not stabilize a subspace")
-        r_cols.append(col)
+    r_cols = linalg.solve_many(b_cols, [[sum(m[r][c] * v[c] for c in range(k)) % p
+                                         for r in range(k)] for v in basis], p)
+    if r_cols is None:
+        raise ConsistencyError("class matrix does not stabilize a subspace")
     rmat = [[r_cols[j][i] for j in range(dim)] for i in range(dim)]
     pieces = []
     for lam in _eigenvalues(rmat, p):
@@ -287,22 +285,55 @@ def _split_once(m, basis, p):
 
 def _eigenvalues(mat, p):
     """The roots in F_p, ascending, of the characteristic polynomial of a
-    square matrix over F_p, from the Faddeev-LeVerrier recursion: one matrix
-    product per degree instead of one elimination per element of F_p.  It
-    divides by 1..n, so it needs n < p (the class count is below every
-    valid Dixon prime of the groups built here)."""
+    square matrix over F_p, in O(n^3) (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.2.9): elementary similarities over F_p
+    bring the matrix to Hessenberg form H, and the characteristic
+    polynomials of H's leading m x m blocks follow the recurrence
+    p_m = (X - h_mm) p_(m-1) - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_(i-1).
+    Nothing is divided by an integer, so any n works for any p."""
     n = len(mat)
-    if n >= p:
-        raise ConsistencyError(f"the prime {p} does not exceed the class count")
-    coeffs, prod = [1], [[0] * n for _ in range(n)]  # leading coefficient first
-    for k in range(1, n + 1):
-        for i in range(n):
-            prod[i][i] += coeffs[-1]
-        cols = list(zip(*prod))
-        prod = [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in mat]
-        coeffs.append(-sum(prod[i][i] for i in range(n)) * pow(k, -1, p) % p)
-    return [lam for lam in range(p)
-            if not functools.reduce(lambda acc, c: (acc * lam + c) % p, coeffs, 0)]
+    h = [[x % p for x in row] for row in mat]
+    for m in range(1, n - 1):
+        for i in range(m, n):
+            if h[i][m - 1]:
+                break
+        else:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        inv = pow(h[m][m - 1], -1, p)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % p
+            if u:  # row i -= u row m, then column m += u column i
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % p
+    polys = [[1]]  # polys[m]: lowest coefficient first, of the leading m x m block
+    for m in range(n):
+        prev = polys[m]
+        poly = [0] + prev
+        for j, c in enumerate(prev):
+            poly[j] = (poly[j] - h[m][m] * c) % p
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            c = t * h[i][m] % p
+            for j, x in enumerate(polys[i]):
+                poly[j] = (poly[j] - c * x) % p
+        polys.append(poly)
+    coeffs = polys[n][::-1]
+    roots = []
+    for lam in range(p):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * lam + c) % p
+        if not acc:
+            roots.append(lam)
+    return roots
 
 
 def _lift_row(chi_mod, degree, eta, p, exponent, powers):

@@ -49,8 +49,10 @@ def _eliminate(mat, p):
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, rows):
+            if a[pivot][c]:
+                break
+        else:
             continue
         a[r], a[pivot] = a[pivot], a[r]
         pv = a[r][c]

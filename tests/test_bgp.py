@@ -448,6 +448,18 @@ def test_draws_match_randint(max_dim, low, high):
         assert rng.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("kwargs", [{"max_dim": 0}, {"max_dim": -2},
+                                    {"low": 1, "high": 0}, {"low": 3, "high": -3}])
+def test_random_representation_refuses_an_empty_range(kwargs):
+    """No dimension or no entry to draw is a PreconditionError, raised before
+    the generator moves."""
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(PreconditionError):
+        random_representation(DOUBLE, rng, **kwargs)
+    assert rng.getstate() == state
+
+
 def _sha256(value) -> str:
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 

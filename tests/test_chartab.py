@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -133,11 +134,43 @@ def test_trivial_character_is_first_and_rows_sorted():
     assert list(t.dims) == sorted(t.dims)
 
 
+def _conjugated(mat, rng, p):
+    """mat under a run of seeded elementary similarities over F_p: row i plus
+    c row j, then column j minus c column i."""
+    n = len(mat)
+    out = [row[:] for row in mat]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randrange(1, p)
+        out[i] = [(x + c * y) % p for x, y in zip(out[i], out[j])]
+        for row in out:
+            row[j] = (row[j] - c * row[i]) % p
+    return out
+
+
+def _seeded_matrices():
+    """Seeded matrices mod 5, 13, 61 and 73 of sizes 1 to 12: uniform ones,
+    singular ones (the last row the sum of the others, or zero), and one Jordan block
+    plus a second eigenvalue, conjugated so it is dense and not
+    diagonalizable.  Mod 5 and 13 some have n >= p."""
+    rng = random.Random(1967)
+    for p in (5, 13, 61, 73):
+        for n in range(1, 13):
+            full = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            singular = full[:-1] + [[sum(col) % p for col in zip(*full[:-1])] or [0]]
+            lam, mu = rng.randrange(p), rng.randrange(p)
+            jordan = [[(lam if i < n - 1 else mu) if i == j else int(j == i + 1 < n - 1)
+                       for j in range(n)] for i in range(n)]
+            yield from ((full, p), (singular, p), (_conjugated(jordan, rng, p), p))
+
+
 def test_eigenvalues_match_the_full_scan(monkeypatch):
     """The characteristic-polynomial roots equal the eigenvalues found by a
     nullspace at every element of F_p, on every restricted class matrix the
-    splitting meets for the 20 battery groups at both Dixon primes."""
-    seen = []
+    splitting meets for the 20 battery groups at both Dixon primes, and on
+    seeded matrices: singular, not diagonalizable, and with n >= p."""
+    seen = [(mat, p, eigenvalues(mat, p)) for mat, p in _seeded_matrices()]
+    assert any(len(mat) >= p for mat, p, _ in seen)
 
     def recording(mat, p):
         roots = eigenvalues(mat, p)
