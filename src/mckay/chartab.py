@@ -326,14 +326,8 @@ def _eigenvalues(mat, p):
                 poly[j] = (poly[j] - c * x) % p
         polys.append(poly)
     coeffs = polys[n][::-1]
-    roots = []
-    for lam in range(p):
-        acc = 0
-        for c in coeffs:
-            acc = (acc * lam + c) % p
-        if not acc:
-            roots.append(lam)
-    return roots
+    return [lam for lam in range(p)
+            if not functools.reduce(lambda acc, c: (acc * lam + c) % p, coeffs, 0)]
 
 
 def _lift_row(chi_mod, degree, eta, p, exponent, powers):

@@ -150,9 +150,10 @@ def _conjugated(mat, rng, p):
 
 def _seeded_matrices():
     """Seeded matrices mod 5, 13, 61 and 73 of sizes 1 to 12: uniform ones,
-    singular ones (the last row the sum of the others, or zero), and one Jordan block
-    plus a second eigenvalue, conjugated so it is dense and not
-    diagonalizable.  Mod 5 and 13 some have n >= p."""
+    singular ones (the last row the sum of the others, or zero), and a
+    Jordan block of size n - 1 plus a second eigenvalue, conjugated so it is
+    dense and, from n = 3, not diagonalizable.  Mod 5, sizes 5 to 12 have
+    n >= p."""
     rng = random.Random(1967)
     for p in (5, 13, 61, 73):
         for n in range(1, 13):
