@@ -8,9 +8,8 @@ twice gives byte-identical matrices.  Each reflection at v is one kernel
 elimination of a matrix with d_v rows: at a sink the incoming maps side by
 side, at a source the transpose of the stacked outgoing maps, which reads
 D S+ D = S- (Bernstein-Gelfand-Ponomarev) off without building either dual.
-The round trip reads its intertwiner off the kernel basis instead of solving
-for it, and random representations draw their values straight from the
-generator's bits, value for value what `randint` draws.
+Random representations draw their values straight from the generator's
+bits, value for value what `randint` draws.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
-from operator import mul
 
 from . import linalg
 from .errors import PreconditionError
@@ -95,8 +92,9 @@ _ENTRY = r"[+-]?[0-9]+(/[0-9]+)?"
 
 
 def _make(quiver: OrientedQuiver, dims, maps) -> QuiverRep:
-    """Trusted constructor for representations whose shapes hold by
-    construction; skips the shape check."""
+    """Trusted constructor for the draws and reflections, whose shapes hold
+    by construction: it fills every field of QuiverRep and skips the shape
+    check that every other build pays."""
     rep = object.__new__(QuiverRep)
     vars(rep).update(quiver=quiver, dims=dims, maps=maps)
     return rep
@@ -218,7 +216,7 @@ def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7):
     # The basis is ints / big with ints integral, so a trial sum_i c_i basis_i is
     # w / big with w = sum_i c_i ints_i: the ranks are taken on the integer
     # blocks of w, and only the blocks returned are divided.
-    big, ints = _over_common_denominator(basis)
+    big, ints = linalg.integer_rows(basis)
     ones = [1] * len(ints)
     rng = random.Random(seed)
     for trial in range(ISO_ATTEMPTS):
@@ -232,13 +230,6 @@ def find_isomorphism(a: QuiverRep, b: QuiverRep, seed: int = 7):
     return None
 
 
-def _over_common_denominator(rows) -> tuple[int, list[list[int]]]:
-    """The lcm L of the denominators of every int or Fraction entry, and the
-    rows times L as integers."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-
-
 def round_trip_isomorphism(rep: QuiverRep, vertex: int):
     """Reflect at a sink and back, then exhibit an explicit invertible
     intertwiner to the original representation, or return None."""
@@ -247,17 +238,12 @@ def round_trip_isomorphism(rep: QuiverRep, vertex: int):
 
 def round_trip_from(rep: QuiverRep, reflected: QuiverRep, vertex: int):
     """`round_trip_isomorphism` for a sink reflection already made:
-    reflect back and read off the intertwiner.
+    reflect back and solve for the intertwiner.
 
     The intertwiner ansatz is the identity away from the reflected vertex,
     so the double reflection must leave every matrix there untouched, and
-    only the vertex block phi is found.  The back maps into the vertex, side
-    by side, are a `linalg.nullspace` basis, one row per vector, so they hold
-    the d x d identity on the free columns.  phi . back = rep there makes
-    phi the assembled map of rep read at those columns; the identity is then
-    checked on every column, on integer rows.  When the assembled map at the
-    sink is surjective phi is invertible.  The entries of phi are those of
-    rep.
+    only the vertex block is solved for.  When the assembled map at the sink
+    is surjective that block is forced and invertible.
     """
     back = reflect_minus(reflected, vertex)
     if back.dims != rep.dims or any(
@@ -267,25 +253,16 @@ def round_trip_from(rep: QuiverRep, reflected: QuiverRep, vertex: int):
     d = rep.dims[vertex]
     if d == 0:
         return back, []
-    assembled = _assemble(rep, vertex, True)[3]
-    basis = _assemble(back, vertex, True)[3]
-    columns = list(zip(*basis))
-    try:
-        at = [columns.index(tuple(int(i == m) for i in range(d))) for m in range(d)]
-    except ValueError:  # no unit column: not a kernel basis
+    arrows, _, _, assembled = _assemble(rep, vertex, True)
+    # phi . back_map = rep_map on every arrow into the vertex: row r of phi
+    # solves one coefficient matrix (the assembled back map, transposed) for
+    # row r of the assembled map, so one elimination solves them all.
+    coeff = [[back.maps[i][m][c] for m in range(d)]
+             for i, u in arrows for c in range(rep.dims[u])]
+    phi = linalg.solve_many(coeff, assembled)
+    if phi is None or linalg.rank(phi) < d:
         return None
-    # basis = ints / den and assembled = rows / scale, so phi . basis = assembled
-    # reads sum_m rows[r][at[m]] ints[m] = den rows[r] on integers.
-    den, ints = _over_common_denominator(basis)
-    rows = _over_common_denominator(assembled)[1]
-    read = [[row[c] for c in at] for row in rows]
-    int_columns = list(zip(*ints))
-    for row, coeffs in zip(rows, read):
-        if any(sum(map(mul, coeffs, col)) != den * x for col, x in zip(int_columns, row)):
-            return None
-    if linalg.rank(read) < d:
-        return None
-    return back, [[row[c] for c in at] for row in assembled]
+    return back, phi
 
 
 def _randints(rng: random.Random, low: int, high: int, count: int) -> list[int]:

@@ -77,10 +77,18 @@ def _eliminate(mat, p):
     return a, pivots
 
 
-def _integer_row(row) -> list[int]:
-    """The row of ints or Fractions times the lcm of its denominators."""
-    den = lcm(*[x.denominator for x in row])
+def _integer_row(row, den: int = 0) -> list[int]:
+    """The row of ints or Fractions times den, by default the lcm of its
+    denominators."""
+    den = den or lcm(*[x.denominator for x in row])
     return [x.numerator * (den // x.denominator) for x in row]
+
+
+def integer_rows(rows) -> tuple[int, list[list[int]]]:
+    """The lcm L of the denominators of every int or Fraction entry, and the
+    rows times L as integers."""
+    den = lcm(*[x.denominator for row in rows for x in row])
+    return den, [_integer_row(row, den) for row in rows]
 
 
 def _primitive(row: list[int]) -> list[int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -458,6 +459,23 @@ def test_random_representation_refuses_an_empty_range(kwargs):
     with pytest.raises(PreconditionError):
         random_representation(DOUBLE, rng, **kwargs)
     assert rng.getstate() == state
+
+
+def test_trusted_constructor_builds_what_the_dataclass_builds():
+    """The draws and reflections built by bgp._make set every field of
+    QuiverRep and pass its shape check when rebuilt through it."""
+    names = {f.name for f in dataclasses.fields(QuiverRep)}
+    rng = random.Random(8)
+    built = 0
+    for quiver in dict.fromkeys(h.quiver() for h in enumerate_heights(graph_for("bd:2"), 2)):
+        for _ in range(3):
+            rep = random_representation(quiver, rng)
+            for out in [rep] + [reflect_plus(rep, v) for v in quiver.sinks()] \
+                    + [reflect_minus(rep, v) for v in quiver.sources()]:
+                assert set(vars(out)) == names
+                assert QuiverRep(out.quiver, out.dims, out.maps) == out
+                built += 1
+    assert built > 100
 
 
 def _sha256(value) -> str:

@@ -170,12 +170,13 @@ def test_eigenvalues_match_the_full_scan(monkeypatch):
     nullspace at every element of F_p, on every restricted class matrix the
     splitting meets for the 20 battery groups at both Dixon primes, and on
     seeded matrices: singular, not diagonalizable, and with n >= p."""
-    seen = [(mat, p, eigenvalues(mat, p)) for mat, p in _seeded_matrices()]
-    assert any(len(mat) >= p for mat, p, _ in seen)
+    seeded = [(mat, p, eigenvalues(mat, p)) for mat, p in _seeded_matrices()]
+    assert any(len(mat) >= p for mat, p, _ in seeded)
+    recorded = []
 
     def recording(mat, p):
         roots = eigenvalues(mat, p)
-        seen.append((mat, p, roots))
+        recorded.append((mat, p, roots))
         return roots
 
     monkeypatch.setattr(chartab, "_eigenvalues", recording)
@@ -183,8 +184,8 @@ def test_eigenvalues_match_the_full_scan(monkeypatch):
         g = group(label)
         first = dixon_character_table(g)
         dixon_character_table(g, prime=dixon_prime(g.exponent(), g.order, after=first.prime))
-    assert len({p for _, p, _ in seen}) > 10
-    for mat, p, roots in seen:
+    assert len({p for _, p, _ in recorded}) > 10
+    for mat, p, roots in seeded + recorded:
         n = len(mat)
         scan = [lam for lam in range(p) if linalg.nullspace(
             [[(mat[i][j] - (lam if i == j else 0)) % p for j in range(n)]

@@ -136,11 +136,10 @@ def test_rank_counts_the_rref_pivots():
         assert linalg.rank(mat) == len(linalg.rref(mat)[1])
 
 
-
 def test_nullspace_basis_is_unit_on_the_free_columns():
     """Every kernel basis vector is 1 at its own free column and 0 at the
     other free columns, over Q and over F_p for the integer matrices, on the
-    golden matrices: the intertwiner of a round trip is read off there."""
+    golden matrices, as the module documents."""
     checked = 0
     for r in json.loads(_GOLDEN_RREF.read_text()):
         mat = [[Fraction(x) for x in row] for row in r["mat"]]
@@ -158,6 +157,13 @@ def test_nullspace_basis_is_unit_on_the_free_columns():
                 assert [vec[c] for c in free] == [int(c == f) for c in free]
                 checked += 1
     assert checked > 300
+
+
+def test_integer_rows_clear_one_common_denominator():
+    den, ints = linalg.integer_rows([[Fraction(1, 2), 3], [Fraction(-2, 3), 0]])
+    assert (den, ints) == (6, [[3, 18], [-4, 0]])
+    assert linalg.integer_rows([]) == (1, [])
+
 
 if __name__ == "__main__":
     lines = [json.dumps(r, sort_keys=True) for r in _golden_rref_records()]
