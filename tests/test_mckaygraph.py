@@ -10,6 +10,7 @@ from mckay.exactnum import CycloNum
 from mckay.groups import build_group, parse_descriptor
 from mckay.mckaygraph import (canonical_label, classify_affine_ade, mckay_graph,
                               parity_function, reference_diagram)
+from mckay.verify import ADE_EXPECTATIONS
 
 
 def setup(label):
@@ -21,6 +22,81 @@ def setup(label):
 def graph_for(label):
     g, t = setup(label)
     return mckay_graph(g, t)
+
+
+def _certified(n, label, iso):
+    """True when iso is a vertex bijection with n[i][j] == ref[iso[i]][iso[j]]."""
+    ref = reference_diagram(label)
+    size = len(n)
+    return (len(ref) == size and sorted(iso) == list(range(size))
+            and all(n[i][j] == ref[iso[i]][iso[j]]
+                    for i in range(size) for j in range(size)))
+
+
+# The oracle: the earlier recognizer, which tried each candidate label with an
+# unordered backtracking search.  It is exponential in the worst case, so it
+# runs only on the groups below.
+def _oracle_profile(n):
+    return [(sum(row), tuple(sorted((x for x in row if x), reverse=True)))
+            for row in n]
+
+
+def _oracle_isomorphism(n, ref):
+    size = len(n)
+    if sorted(_oracle_profile(n)) != sorted(_oracle_profile(ref)):
+        return None
+    profiles = _oracle_profile(n)
+    ref_profiles = _oracle_profile(ref)
+    order = sorted(range(size), key=lambda v: (-profiles[v][0], v))
+    assignment = [None] * size
+    used = [False] * size
+
+    def backtrack(pos):
+        if pos == size:
+            return True
+        v = order[pos]
+        for w in range(size):
+            if used[w] or profiles[v] != ref_profiles[w]:
+                continue
+            if all(n[v][u] == ref[w][assignment[u]] for u in order[:pos]):
+                assignment[v] = w
+                used[w] = True
+                if backtrack(pos + 1):
+                    return True
+                assignment[v] = None
+                used[w] = False
+        return False
+
+    return [assignment[v] for v in range(size)] if backtrack(0) else None
+
+
+def _oracle_classify(n):
+    size = len(n)
+    candidates = []
+    if size in (7, 8, 9):
+        candidates.append(f"E{size - 1}~")
+    if size >= 5:
+        candidates.append(f"D{size - 1}~")
+    candidates.append(f"A{size - 1}~")
+    for label in candidates:
+        try:
+            ref = reference_diagram(label)
+        except PreconditionError:
+            continue
+        iso = _oracle_isomorphism(n, ref)
+        if iso is not None:
+            return label, iso
+    return None, None
+
+
+@pytest.mark.parametrize("label", [g for g, _ in ADE_EXPECTATIONS] + ["cyclic:13", "bd:8"])
+def test_recognizer_agrees_with_backtracking_oracle(label):
+    n = graph_for(label).n
+    cls = classify_affine_ade(n)
+    oracle_label, oracle_iso = _oracle_classify(n)
+    assert cls.label == oracle_label is not None
+    assert _certified(n, cls.label, cls.iso)
+    assert _certified(n, oracle_label, oracle_iso)
 
 
 def test_order_two_double_edge():
