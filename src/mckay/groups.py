@@ -72,16 +72,14 @@ def parse_descriptor(text: str) -> GroupDescriptor:
     for family, short in _SHORT.items():
         if upper == short:
             return GroupDescriptor(family)
-    if ":" in t:
-        head, _, tail = t.partition(":")
+    head, _, tail = t.partition(":")
+    # ASCII digits only: int() also reads "１２", "+12" and " 12".
+    if head in ("cyclic", "bd") and tail.isascii() and tail.isdigit():
         try:
             n = int(tail)
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             raise PreconditionError(f"bad group descriptor {text!r}") from None
-        if head == "cyclic":
-            return GroupDescriptor("cyclic", n)
-        if head == "bd":
-            return GroupDescriptor("binary_dihedral", n)
+        return GroupDescriptor("cyclic" if head == "cyclic" else "binary_dihedral", n)
     raise PreconditionError(f"bad group descriptor {text!r}")
 
 

@@ -3,11 +3,13 @@
 The multiplicity matrix n[i][j] counts copies of the irreducible i inside the
 tensor product of the defining 2-dim representation with the irreducible j;
 for a subgroup of SL(2, C) it is symmetric with zero diagonal and its graph
-is an extended Dynkin diagram of type A, D or E.  Recognition goes through
-explicit reference diagrams plus a backtracking isomorphism search, so the
-output is a certified vertex bijection, not just a label.  Multiplicity
-matrices (not simple graphs) are the carrier throughout: the double edge of
-A1~ is a first-class case.
+is an extended Dynkin diagram of type A, D or E.  Recognition reads the type
+off the imaginary root delta, the positive null vector of the Cartan matrix
+(Happel-Preiser-Ringel: a graph with one is affine ADE), then walks the graph
+breadth-first onto the one reference diagram of that type, so the output is a
+certified vertex bijection, not just a label.  Multiplicity matrices (not
+simple graphs) are the carrier throughout: the double edge of A1~ is a
+first-class case.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from .groups import MatrixGroup
 # ---------------------------------------------------------------------------
 
 def _cycle(m: int) -> list[list[int]]:
+    # The 2-cycle's two edges join one pair of vertices: A1~'s double edge.
     size = m + 1
     n = [[0] * size for _ in range(size)]
-    if m == 1:
-        n[0][1] = n[1][0] = 2
-        return n
     for i in range(size):
         j = (i + 1) % size
-        n[i][j] = n[j][i] = 1
+        n[i][j] += 1
+        n[j][i] += 1
     return n
 
 
@@ -80,69 +81,61 @@ def _affine_e(k: int) -> list[list[int]]:
 def reference_diagram(label: str) -> list[list[int]]:
     """Adjacency (multiplicity) matrix of a reference affine diagram.
 
-    Labels: ``A1~`` .. ``A12~``, ``D3~`` .. ``D10~`` (D3~ is an alias for
-    A3~), ``E6~``, ``E7~``, ``E8~``.
+    Labels: ``A<n>~`` for n >= 1, ``D<n>~`` for n >= 4, ``E6~``, ``E7~``,
+    ``E8~``.
     """
-    kind, num = label[0], int(label[1:-1])
-    if label[-1] != "~":
-        raise PreconditionError(f"unknown diagram label {label!r}")
-    if kind == "A" and 1 <= num <= 12:
-        return _cycle(num)
-    if kind == "D":
-        if num == 3:
-            return _cycle(3)
-        if 4 <= num <= 10:
+    kind, num = label[:1], label[1:-1]
+    if label.endswith("~") and num.isascii() and num.isdigit():
+        num = int(num)
+        if kind == "A" and num >= 1:
+            return _cycle(num)
+        if kind == "D" and num >= 4:
             return _affine_d(num)
-    if kind == "E" and num in (6, 7, 8):
-        return _affine_e(num)
+        if kind == "E" and num in (6, 7, 8):
+            return _affine_e(num)
     raise PreconditionError(f"unknown diagram label {label!r}")
 
 
-def canonical_label(label: str) -> str:
-    """Collapse diagram aliases (D3~ and A3~ name the same 4-cycle)."""
-    return "A3~" if label == "D3~" else label
+def breadth_first(n, root: int) -> list[tuple[int, int | None]]:
+    """(vertex, parent) pairs in breadth-first order from root, over the
+    vertices reachable in the multiplicity matrix n; neighbours in index
+    order, and the root's parent is None."""
+    order = [(root, None)]
+    seen = {root}
+    for v, _ in order:  # the list grows while it is walked
+        for x, m in enumerate(n[v]):
+            if m and x not in seen:
+                seen.add(x)
+                order.append((x, v))
+    return order
 
 
-def _degree_profile(n) -> list[tuple[int, tuple[int, ...]]]:
-    return [(sum(row), tuple(sorted((x for x in row if x), reverse=True)))
-            for row in n]
+def _find_isomorphism(n, delta, ref, ref_delta) -> list[int] | None:
+    """Vertex bijection f with n[i][j] == ref[f(i)][f(j)], or None.
 
-
-def _find_isomorphism(n, ref) -> list[int] | None:
-    """Vertex bijection f with n[i][j] == ref[f(i)][f(j)], or None."""
+    Vertices are placed in breadth-first order from a vertex of maximal
+    (degree, delta), each among the unused neighbours of its parent's image
+    with the same (degree, delta), and each placement is checked against every
+    vertex placed so far.  On an affine ADE diagram any candidate that passes
+    extends to an isomorphism, so the first one is taken and nothing is undone.
+    """
     size = len(n)
-    if sorted(_degree_profile(n)) != sorted(_degree_profile(ref)):
-        return None
-    profiles = _degree_profile(n)
-    ref_profiles = _degree_profile(ref)
-    order = sorted(range(size), key=lambda v: (-profiles[v][0], v))
-    assignment: list[int | None] = [None] * size
-    used = [False] * size
-
-    def backtrack(pos: int) -> bool:
-        if pos == size:
-            return True
-        v = order[pos]
-        for w in range(size):
-            if used[w] or profiles[v] != ref_profiles[w]:
+    key = [(sum(row), d) for row, d in zip(n, delta)]
+    ref_key = [(sum(row), d) for row, d in zip(ref, ref_delta)]
+    f: dict[int, int] = {}
+    for v, parent in breadth_first(n, max(range(size), key=key.__getitem__)):
+        pool = range(size) if parent is None else [
+            w for w in range(size) if ref[f[parent]][w]]
+        for w in pool:
+            if ref_key[w] != key[v] or w in f.values():
                 continue
-            ok = True
-            for u in order[:pos]:
-                if n[v][u] != ref[w][assignment[u]]:
-                    ok = False
-                    break
-            if ok:
-                assignment[v] = w
-                used[w] = True
-                if backtrack(pos + 1):
-                    return True
-                assignment[v] = None
-                used[w] = False
-        return False
-
-    if backtrack(0):
-        return [assignment[v] for v in range(size)]
-    return None
+            f[v] = w
+            if all(n[v][u] == ref[w][f[u]] and n[u][v] == ref[f[u]][w] for u in f):
+                break
+            del f[v]
+        else:
+            return None
+    return [f[v] for v in range(size)] if len(f) == size else None
 
 
 @dataclass(frozen=True)
@@ -173,30 +166,34 @@ def _null_delta(cartan) -> tuple[int, ...] | None:
     return tuple(delta)
 
 
+def _cartan(n) -> list[list[int]]:
+    return [[(2 if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(n)]
+
+
 def classify_affine_ade(n) -> ADEClassification:
-    size = len(n)
-    cartan = [[(2 if i == j else 0) - n[i][j] for j in range(size)] for i in range(size)]
-    delta = _null_delta(cartan)
-    candidates = []
-    if size in (7, 8, 9):
-        candidates.append(f"E{size - 1}~")
-    if size >= 5:
-        candidates.append(f"D{size - 1}~")
-    if 2 <= size <= 13:
-        candidates.append(f"A{size - 1}~")
-    for label in candidates:
-        try:
-            ref = reference_diagram(label)
-        except PreconditionError:
-            continue
-        iso = _find_isomorphism(n, ref)
-        if iso is not None:
-            if delta is None:
-                raise ConsistencyError(
-                    "ADE diagram recognized but Cartan null space is not "
-                    "one-dimensional positive")
-            return ADEClassification(label=label, iso=tuple(iso), delta=delta)
-    return ADEClassification(label=None, iso=None, delta=None)
+    """Recognize an affine ADE multiplicity matrix by its imaginary root.
+
+    No positive null vector delta of the Cartan matrix means not ADE.  Else
+    max(delta) = 1, 2 or more (3, 4, 6) gives type A, D or E of rank size - 1,
+    and one bijection search onto that reference certifies it; a positive
+    delta with no bijection is a `ConsistencyError`.
+    """
+    delta = _null_delta(_cartan(n))
+    if delta is None:
+        return ADEClassification(label=None, iso=None, delta=None)
+    top = max(delta)
+    label = f"{'A' if top == 1 else 'D' if top == 2 else 'E'}{len(n) - 1}~"
+    try:
+        ref = reference_diagram(label)
+    except PreconditionError:
+        iso = None
+    else:
+        iso = _find_isomorphism(n, delta, ref, _null_delta(_cartan(ref)))
+    if iso is None:
+        raise ConsistencyError(
+            f"the Cartan matrix has the positive null vector {delta}, "
+            f"but the graph is not {label}")
+    return ADEClassification(label=label, iso=tuple(iso), delta=delta)
 
 
 def parity_function(table: CharacterTable, group: MatrixGroup,
@@ -278,8 +275,7 @@ def mckay_graph(group: MatrixGroup, table: CharacterTable) -> McKayGraph:
             raise PreconditionError(
                 f"vertex {i} carries a loop (n_ii = {n[i][i]}); "
                 "the McKay graph machinery needs a loop-free diagram")
-    cartan = tuple(tuple((2 if i == j else 0) - n[i][j] for j in range(size))
-                   for i in range(size))
+    cartan = tuple(tuple(row) for row in _cartan(n))
     classification = classify_affine_ade(n)
     parity = None
     if group.contains_minus_identity():

@@ -30,6 +30,15 @@ def test_graph_command(capsys):
     assert doc["graph"]["delta"] == [1, 1, 1, 2, 2, 2, 3]
 
 
+@pytest.mark.parametrize("descriptor, label", [("cyclic:14", "A13~"), ("bd:9", "D11~")])
+def test_graph_names_types_past_the_old_references(descriptor, label, capsys):
+    code, out, _ = run(capsys, "graph", descriptor)
+    assert code == 0
+    graph = json.loads(out)["graph"]
+    assert graph["type"] == label
+    assert graph["delta"] == graph["dims"]
+
+
 def test_group_and_chartab_commands(capsys):
     code, out, _ = run(capsys, "group", "bd:2")
     assert code == 0
@@ -83,6 +92,10 @@ def test_heights_precondition_error(capsys):
 def test_bad_descriptor_is_usage_error(capsys):
     code, _, err = run(capsys, "graph", "nonsense")
     assert code == 2
+    for descriptor in ("cyclic:１２", "bd:٣"):
+        code, out, err = run(capsys, "group", descriptor)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["kind"] == "precondition"
 
 
 def test_degree_and_window_guards(capsys):
@@ -90,6 +103,15 @@ def test_degree_and_window_guards(capsys):
     assert code == 2
     code, _, err = run(capsys, "heights", "cyclic:2", "--window", "9")
     assert code == 2
+
+
+def test_height_cap_is_a_resource_limit(capsys):
+    # cyclic:28 has 32,766 heights at window 2; the search stops at the cap.
+    code, out, err = run(capsys, "heights", "cyclic:28")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "height enumeration at window 2 visits more than 10000 partial heights",
+        "kind": "resource"}
 
 
 def test_json_output_is_deterministic(capsys):

@@ -29,7 +29,8 @@ def test_descriptor_parsing():
     assert parse_descriptor("2T").order == 24
     assert parse_descriptor("2o").order == 48
     assert parse_descriptor("2I").order == 120
-    for bad in ("cyclic", "cyclic:x", "bd:0", "foo", "3T"):
+    for bad in ("cyclic", "cyclic:x", "bd:0", "foo", "3T", "cyclic:１２", "bd:٣",
+                "cyclic:+12", "bd: 3", "cyclic:" + "9" * 5000):
         with pytest.raises(PreconditionError):
             parse_descriptor(bad)
 

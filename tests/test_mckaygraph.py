@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from mckay.chartab import dixon_character_table
-from mckay.errors import PreconditionError
+from mckay.errors import ConsistencyError, PreconditionError
 from mckay.exactnum import CycloNum
 from mckay.groups import build_group, parse_descriptor
-from mckay.mckaygraph import (canonical_label, classify_affine_ade, mckay_graph,
-                              parity_function, reference_diagram)
+from mckay.mckaygraph import (classify_affine_ade, mckay_graph, parity_function,
+                              reference_diagram)
 from mckay.verify import ADE_EXPECTATIONS
 
 
@@ -79,11 +81,7 @@ def _oracle_classify(n):
         candidates.append(f"D{size - 1}~")
     candidates.append(f"A{size - 1}~")
     for label in candidates:
-        try:
-            ref = reference_diagram(label)
-        except PreconditionError:
-            continue
-        iso = _oracle_isomorphism(n, ref)
+        iso = _oracle_isomorphism(n, reference_diagram(label))
         if iso is not None:
             return label, iso
     return None, None
@@ -160,14 +158,46 @@ def test_iso_is_a_certified_bijection():
 
 def test_bd1_is_the_four_cycle_alias():
     graph = graph_for("bd:1")
-    assert graph.classification.label == canonical_label("D3~") == "A3~"
+    assert graph.classification.label == "A3~"
+    assert _certified(graph.n, "A3~", graph.classification.iso)
+
+
+@pytest.mark.parametrize("label", ["A1~", "A2~", "A59~", "D4~", "D5~", "D32~",
+                                   "E6~", "E7~", "E8~"])
+def test_shuffled_references_are_recognized(label):
+    ref = reference_diagram(label)
+    size = len(ref)
+    rng = random.Random(label)
+    for _ in range(5):
+        perm = list(range(size))
+        rng.shuffle(perm)
+        n = [[ref[perm[i]][perm[j]] for j in range(size)] for i in range(size)]
+        cls = classify_affine_ade(n)
+        assert cls.label == label
+        assert _certified(n, label, cls.iso)
 
 
 def test_not_ade_verdict():
-    # A path graph is finite-type, not affine: no positive null vector.
+    # A path graph is finite-type, not affine: no positive null vector.  Two
+    # disjoint triangles have a two-dimensional null space.
     path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-    cls = classify_affine_ade(path)
-    assert not cls.is_ade and cls.label is None
+    triangles = [[1 if i != j and i // 3 == j // 3 else 0 for j in range(6)]
+                 for i in range(6)]
+    for n in (path, triangles):
+        cls = classify_affine_ade(n)
+        assert not cls.is_ade and cls.label is None and cls.delta is None
+
+
+def test_positive_null_vector_without_a_diagram_is_inconsistent():
+    # Not symmetric, so not a McKay matrix, but 2I - n has the null vector (1, 2).
+    with pytest.raises(ConsistencyError):
+        classify_affine_ade([[0, 1], [4, 0]])
+
+
+@pytest.mark.parametrize("label", ["D2~", "D3~", "A0~", "E9~", "F4~", "A~", "A١~"])
+def test_unknown_reference_labels(label):
+    with pytest.raises(PreconditionError):
+        reference_diagram(label)
 
 
 def test_delta_matches_dims_everywhere():
