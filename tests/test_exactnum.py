@@ -40,14 +40,27 @@ def test_cyclotomic_6_against_division_oracle():
     assert cyclotomic_polynomial(6) == poly == frac_poly(1, -1, 1)
 
 
+def times(a, b):
+    """Product of two coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def test_cyclotomic_divides_t_n_minus_1():
-    for n in range(1, 61):
-        phi = cyclotomic_polynomial(n)
-        assert phi.degree == euler_phi(n)
-        assert all(c.denominator == 1 for c in phi.coeffs)
-        full = frac_poly(*([-1] + [0] * (n - 1) + [1]))
-        _, rem = divmod(full, phi)
-        assert rem.is_zero()
+    # prod_{d | n} Phi_d = t^n - 1 for every n pins each Phi_n, by induction
+    # on n, to the cyclotomic polynomial.
+    for n in range(1, MAX_CONDUCTOR + 1):
+        phi = list(cyclotomic_polynomial(n).coeffs)
+        assert len(phi) - 1 == euler_phi(n)
+        assert all(c == int(c) for c in phi)
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = times(product, list(cyclotomic_polynomial(d).coeffs))
+        assert product == [-1] + [0] * (n - 1) + [1], n
 
 
 def test_root_of_unity_squares():
