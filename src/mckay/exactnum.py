@@ -12,13 +12,12 @@ Operations on numbers with different conductors lift both operands to the
 lcm conductor first; the lcm is capped (see MAX_CONDUCTOR) because the
 groups served by this package never need more.
 
-Polynomials are dense coefficient tuples with Fraction or int coefficients
-(Molien numerators and denominators, Hilbert series); sums and products
-need only ring operations, so `Poly` with CycloNum coefficients also works,
-and the test suite's class-average oracle uses it.  A rational function
-reduces to its normal form on integer polynomials: both sides are scaled
-to Z[t] and divided by their gcd from the primitive pseudo-remainder
-sequence.
+Polynomials are integer coefficient tuples, constant term first, with no
+trailing zeros (`trim`); `convolve` multiplies them, for the cyclotomic
+products here and the Koszul identity in `molien`.  A rational function
+is built from two integer polynomials and reduced to its normal form by
+their gcd from the primitive pseudo-remainder sequence; only that normal
+form, with its denominator made monic, holds Fractions.
 """
 
 from __future__ import annotations
@@ -45,127 +44,26 @@ def divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials
+# Integer polynomials: coefficient sequences, constant term first
 # ---------------------------------------------------------------------------
 
-class Poly:
-    """Univariate polynomial as a dense coefficient tuple (constant first).
-
-    Coefficients may be Fraction or CycloNum: sums, products and zero tests
-    need only ring operations, and division (divmod, monic) is for Fraction
-    coefficients.  The zero polynomial has an empty tuple.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def rational(values) -> Poly:
-        return Poly([Fraction(v) for v in values])
-
-    @staticmethod
-    def one() -> Poly:
-        return Poly([Fraction(1)])
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("Poly", self.coeffs))
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, c in enumerate(self.coeffs):
-                for j, d in enumerate(other.coeffs):
-                    prod = c * d
-                    out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-            return Poly([c if c is not None else Fraction(0) for c in out])
-        return Poly([c * other for c in self.coeffs])
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __divmod__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dc = other.coeffs
-        dd = other.degree
-        lead = dc[-1]
-        quot = [Fraction(0)] * max(len(rem) - dd, 0)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            if not rem[k]:
-                continue
-            q = rem[k] / lead
-            quot[k - dd] = q
-            for j in range(dd + 1):
-                rem[k - dd + j] = rem[k - dd + j] - q * dc[j]
-        return Poly(quot), Poly(rem[:dd])
-
-    def compose_neg(self) -> Poly:
-        """The polynomial p(-t)."""
-        return Poly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
-
-    def monic(self) -> Poly:
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
-
-    def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            term = "1" if i == 0 else ("t" if i == 1 else f"t^{i}")
-            parts.append(f"{c}" if i == 0 else f"{c}*{term}")
-        return "Poly(" + " + ".join(parts) + ")"
+def trim(coeffs) -> tuple[int, ...]:
+    """The coefficients without trailing zeros, the normal form of a
+    polynomial; the zero polynomial is ()."""
+    cs = list(coeffs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
 
 
-def _integral(p: Poly) -> tuple[list[int], int]:
-    """p as integer coefficients over one positive denominator."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+def convolve(a, b) -> list[int]:
+    """The product of two polynomials as a coefficient list."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _primitive(a: list[int]) -> list[int]:
@@ -217,17 +115,16 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> Poly:
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """The n-th cyclotomic polynomial, computed by exact division of t^n - 1
-    by the cyclotomic polynomials of the proper divisors of n.
+    by the (monic) cyclotomic polynomials of the proper divisors of n.
     """
     if n < 1:
         raise PreconditionError("conductor must be a positive integer")
-    poly = Poly.rational([-1] + [0] * (n - 1) + [1])
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n)[:-1]:
-        poly, rem = divmod(poly, cyclotomic_polynomial(d))
-        assert rem.is_zero()
-    return poly
+        poly = _exact_quotient(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +135,8 @@ def cyclotomic_polynomial(n: int) -> Poly:
 def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Degree of the n-th cyclotomic polynomial and its nonzero (j, c_j)
     below the leading term; it is monic with integer coefficients."""
-    coeffs = cyclotomic_polynomial(n).coeffs
-    return len(coeffs) - 1, tuple((j, int(c)) for j, c in enumerate(coeffs[:-1]) if c)
+    coeffs = cyclotomic_polynomial(n)
+    return len(coeffs) - 1, tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
 
 
 def phi_reduce(vec: list[int], n: int) -> tuple[int, ...]:
@@ -260,12 +157,7 @@ def phi_reduce(vec: list[int], n: int) -> tuple[int, ...]:
 def cyclo_times(a, b, n: int) -> tuple[int, ...]:
     """Product of two integer vectors in z_n, reduced modulo the n-th
     cyclotomic polynomial."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return phi_reduce(out, n)
+    return phi_reduce(convolve(a, b), n)
 
 
 def _check_conductor(n: int) -> None:
@@ -550,38 +442,33 @@ def cyclo_sort_key(value: CycloNum):
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """Quotient of Fraction polynomials, normalized so the denominator is
-    monic and coprime to the numerator; the reduction runs on integer
-    multiples of both, by the primitive PRS.  Equality is structural.  It has no
-    arithmetic: identities between rational functions are checked on
+    """Quotient of two integer polynomials in normal form: the denominator
+    monic and coprime to the numerator, both stored as Fraction coefficient
+    tuples (constant first).  The reduction runs on the integers, by the
+    primitive PRS.  Equality is structural.  It has no arithmetic:
+    identities between rational functions are checked on integer
     polynomials with the denominators cleared."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
+    def __init__(self, num, den):
+        a, b = trim(num), trim(den)
+        if not b:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = Poly(), Poly.one()
+        if not a:
+            a, b = (), (1,)
         else:
-            # num / den = (a / da) / (b / db) with a, b integral; dividing
-            # both by their primitive gcd is exact, and dividing by the
-            # leading coefficient of what is left of b makes den monic.
-            (a, da), (b, db) = _integral(num), _integral(den)
+            # Dividing both sides by their primitive gcd is exact, and
+            # dividing by the leading coefficient of what is left of b makes
+            # the denominator monic.
             g = _primitive_gcd(a, b)
             a, b = _exact_quotient(a, g), _exact_quotient(b, g)
-            lead = b[-1]
-            num = Poly([Fraction(x * db, da * lead) for x in a])
-            den = Poly([Fraction(x, lead) for x in b])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        lead = b[-1]
+        object.__setattr__(self, "num", tuple(Fraction(x, lead) for x in a))
+        object.__setattr__(self, "den", tuple(Fraction(x, lead) for x in b))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
-
-    @staticmethod
-    def from_poly(p: Poly) -> RatFunc:
-        return RatFunc(p, Poly.one())
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -589,17 +476,17 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFunc", self.num, self.den))
 
     def __repr__(self):
-        return f"RatFunc({self.num!r} / {self.den!r})"
+        return f"RatFunc({self})"
 
     def __str__(self):
-        def side(p: Poly) -> str:
-            if p.is_zero():
+        def side(coeffs) -> str:
+            if not coeffs:
                 return "0"
             parts = []
-            for i, c in enumerate(p.coeffs):
+            for i, c in enumerate(coeffs):
                 if not c:
                     continue
                 if i == 0:
@@ -609,6 +496,6 @@ class RatFunc:
                 else:
                     parts.append(f"{c}*t^{i}" if c != 1 else f"t^{i}")
             return " + ".join(parts)
-        if self.den == Poly.one():
+        if self.den == (1,):
             return side(self.num)
         return f"({side(self.num)}) / ({side(self.den)})"

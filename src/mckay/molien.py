@@ -7,7 +7,7 @@ det(1 - g^{-1} t) = 1 - tr(g) t + t^2 needs no eigenvalue case analysis at
 the lcm of the conductors of the character values and the traces (not the
 group exponent, which only makes the vectors longer), and must produce plain
 rationals: every non-constant coordinate is asserted zero, never assumed
-so.  What is left is integer numerators over |G|.  E(t) is the
+so.  What is left is |G| P, stored with integer coefficients.  E(t) is the
 graded character of the exterior algebra of V: Lambda^0 V and Lambda^2 V are
 trivial and Lambda^1 V = V, so E(t) = Id + N t + Id t^2 with N the McKay
 matrix, and only S is averaged.
@@ -32,12 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from operator import mul
 
 from .chartab import CharacterTable
 from .errors import ConsistencyError
-from .exactnum import CycloNum, Poly, RatFunc, cyclo_times, euler_phi, phi_reduce
+from .exactnum import (CycloNum, RatFunc, convolve, cyclo_times, euler_phi, phi_reduce,
+                       trim)
 from .groups import MatrixGroup
 
 S_CONVENTION = ("S[p][q](t) = sum_m dim Hom(W_q, Sym^m V* x W_p)_invariant t^m; "
@@ -80,14 +82,14 @@ class HomDims:
 
 @dataclass(frozen=True)
 class MolienMatrices:
-    """S(t) = P(t) / delta(t): P a matrix of polynomials over the common
-    denominator delta, with rational coefficients over the group order;
-    E(t) = Id + N t + Id t^2, a matrix of rational polynomials of degree at
-    most 2."""
+    """S(t) = P(t) / delta(t) and E(t) = Id + N t + Id t^2, every
+    polynomial an integer coefficient tuple (constant first, no trailing
+    zeros).  `P` holds |G| times the numerators of S over the common
+    denominator `delta`, so S = P / (|G| delta), with |G| as `order`."""
 
-    P: tuple[tuple[Poly, ...], ...]
-    delta: Poly
-    E: tuple[tuple[Poly, ...], ...]
+    P: tuple[tuple[tuple[int, ...], ...], ...]
+    delta: tuple[int, ...]
+    E: tuple[tuple[tuple[int, ...], ...], ...]
     order: int
 
     @property
@@ -96,25 +98,20 @@ class MolienMatrices:
 
     @property
     def S(self) -> tuple[tuple[RatFunc, ...], ...]:
-        """The entries of S(t) in normal form, reduced from P and delta on
-        each access."""
-        return tuple(tuple(RatFunc(num, self.delta) for num in row) for row in self.P)
+        """The entries of S(t) in normal form, reduced from P and |G| delta
+        on each access."""
+        den = [self.order * c for c in self.delta]
+        return tuple(tuple(RatFunc(num, den) for num in row) for row in self.P)
 
     def to_json(self, max_degree: int = 6) -> dict:
-        delta = _scaled(self.delta, 1)
         return {
             "convention": S_CONVENTION,
             "S": [[str(entry) for entry in row] for row in self.S],
-            "E": [[str(RatFunc.from_poly(entry)) for entry in row] for row in self.E],
+            "E": [[str(RatFunc(entry, (1,))) for entry in row] for row in self.E],
             "S_series": [[[str(Fraction(c, self.order))
-                           for c in _series(_scaled(num, self.order), delta, max_degree)]
+                           for c in _series(num, self.delta, max_degree)]
                           for num in row] for row in self.P],
         }
-
-
-def _scaled(poly: Poly, scale: int) -> list[int]:
-    """scale * poly as integers; scale must clear every denominator."""
-    return [c.numerator * (scale // c.denominator) for c in poly.coeffs]
 
 
 def _series(num: list[int], delta: list[int], degree: int) -> list[int]:
@@ -179,7 +176,7 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
     for s in range(k - 1, -1, -1):
         suffix[s] = _poly_times(suffix[s + 1], factors[s], conductor)
     partial = [_poly_times(prefix[s], suffix[s + 1], conductor) for s in range(k)]
-    delta = Poly.rational([_rational(c, "the Molien denominator") for c in prefix[k]])
+    delta = trim(_rational(c, "the Molien denominator") for c in prefix[k])
 
     # Row r of the multiplication matrix of a coefficient c sends a weight w
     # to coordinate r of w c; one row per degree and coordinate, across the
@@ -202,12 +199,11 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
                 by_trace[s] = [a + b for a, b in
                                zip(by_trace[s], cyclo_times(x, y, conductor))]
             w = [x for vec in by_trace for x in vec]
-            p_row.append(Poly([Fraction(_rational([sum(map(mul, row, w)) for row in rows],
-                                                  "a Molien average"), group.order)
-                               for rows in dots]))
+            p_row.append(trim(_rational([sum(map(mul, row, w)) for row in rows],
+                                        "a Molien average") for rows in dots))
         p_rows.append(tuple(p_row))
     n = table.mckay_matrix
-    e_rows = tuple(tuple(Poly.rational([int(p == q), n[p][q], int(p == q)])
+    e_rows = tuple(tuple(trim([int(p == q), n[p][q], int(p == q)])
                          for q in range(count)) for p in range(count))
     matrices = MolienMatrices(P=tuple(p_rows), delta=delta, E=e_rows, order=group.order)
     _check_degree_zero(matrices)
@@ -215,38 +211,34 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
 
 
 def _check_degree_zero(matrices: MolienMatrices) -> None:
-    delta0 = matrices.delta.coeffs[0]
+    scaled0 = matrices.order * matrices.delta[0]
     for p, row in enumerate(matrices.P):
         for q, num in enumerate(row):
-            value = num.coeffs[0] if num.coeffs else 0
-            if value != (delta0 if p == q else 0):
+            if (num[0] if num else 0) != (scaled0 if p == q else 0):
                 raise ConsistencyError("S(0) is not the identity matrix")
 
 
 def koszul_check(matrices: MolienMatrices):
     """Exact verification that S(t) * E(-t) = Id, checked on integer
     coefficients with the common denominator and |G| cleared, as
-    (|G| P)(t) * E(-t) = |G| delta(t) * Id (E scaled too if it is not
-    integral).
+    (|G| P)(t) * E(-t) = |G| delta(t) * Id: each entry is a sum of
+    integer convolutions.
 
     Returns (ok, witness); the witness names the first offending entry and
     gives that entry of S(t) * E(-t) as a reduced rational function.
     """
     count = matrices.count
-    scale = lcm(*(c.denominator for row in matrices.E for entry in row for c in entry.coeffs))
-    e_neg = [[Poly(_scaled(entry, scale)).compose_neg() for entry in row]
+    e_neg = [[[-c if i % 2 else c for i, c in enumerate(entry)] for entry in row]
              for row in matrices.E]
-    nums = [[Poly(_scaled(entry, matrices.order)) for entry in row] for row in matrices.P]
-    scale *= matrices.order
-    target = Poly(_scaled(matrices.delta, scale))
-    for p in range(count):
+    target = tuple(matrices.order * c for c in matrices.delta)
+    for p, p_row in enumerate(matrices.P):
         for r in range(count):
-            acc = Poly()
-            for q in range(count):
-                acc = acc + nums[p][q] * e_neg[q][r]
-            if acc != (target if p == r else Poly()):
-                value = RatFunc(acc * Fraction(1, scale), matrices.delta)
-                return False, {"entry": [p, r], "value": str(value)}
+            acc = []
+            for q, num in enumerate(p_row):
+                acc = [x + y for x, y in zip_longest(acc, convolve(num, e_neg[q][r]),
+                                                     fillvalue=0)]
+            if trim(acc) != (target if p == r else ()):
+                return False, {"entry": [p, r], "value": str(RatFunc(acc, target))}
     return True, None
 
 
