@@ -127,10 +127,10 @@ def _heights_for(args, graph):
     return enumerate_heights(graph, args.window)
 
 
-def _config_doc(args) -> dict:
+def _config_doc(args, descriptor) -> dict:
     return {
         "command": args.command,
-        "descriptor": getattr(args, "descriptor", None),
+        "descriptor": None if descriptor is None else descriptor.label,
         "max_degree": args.max_degree,
         "window": args.window,
         "seed": args.seed,
@@ -151,7 +151,12 @@ def run(args) -> tuple[dict, int]:
         raise PreconditionError(f"--window must be in 1..{WINDOW_LIMIT}")
     if command == "ext-check" and not 0 <= args.d_max <= MAX_DEGREE_LIMIT:
         raise PreconditionError(f"--d-max must be in 0..{MAX_DEGREE_LIMIT}")
-    doc: dict = {"config": _config_doc(args)}
+    # Echo the canonical label, so every spelling of a group prints the same
+    # bytes.
+    descriptor = getattr(args, "descriptor", None)
+    if descriptor is not None:
+        descriptor = parse_descriptor(descriptor)
+    doc: dict = {"config": _config_doc(args, descriptor)}
     checks: list[dict] = []
 
     if command == "reflect":
@@ -173,7 +178,7 @@ def run(args) -> tuple[dict, int]:
         doc["checks"] = checks
         return doc, 0 if all(c["pass"] for c in checks) else 1
 
-    group = build_group(parse_descriptor(args.descriptor))
+    group = build_group(descriptor)
     if command == "group":
         doc["group"] = group_summary(group)
         return doc, 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +95,15 @@ def test_bad_descriptor_is_usage_error(capsys):
         code, out, err = run(capsys, "group", descriptor)
         assert (code, out) == (2, "")
         assert json.loads(err)["kind"] == "precondition"
+
+
+@pytest.mark.parametrize("spellings", [(" cyclic:012", "cyclic:12", "cyclic:0012 "),
+                                       ("2t", "2T", " 2T")])
+def test_spellings_of_one_group_print_the_same_bytes(spellings, capsys):
+    outputs = [run(capsys, "group", text) for text in spellings]
+    assert [code for code, _, _ in outputs] == [0] * len(spellings)
+    assert len({out for _, out, _ in outputs}) == 1
+    assert json.loads(outputs[0][1])["config"]["descriptor"] == spellings[1]
 
 
 def test_degree_and_window_guards(capsys):
@@ -295,6 +305,33 @@ def _reflect_error(capsys, path, vertex="0", direction="plus"):
                          "--vertex", vertex, "--dir", direction)
     assert code == 2 and out == ""
     assert json.loads(err)["kind"] == "precondition"
+
+
+def square_rep(d: int, arrows: int, matrix=None) -> dict:
+    """Dims (d, d) with parallel arrows 1 -> 0, entries seeded in -9..9."""
+    rng = random.Random(d)
+    return {"dims": [d, d], "arrows": [
+        {"from": 1, "to": 0, "index": i,
+         "matrix": matrix if matrix is not None else
+         [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]}
+        for i in range(arrows)]}
+
+
+def test_reflect_size_guard(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(square_rep(64, 1)))
+    code, out, err = run(capsys, "reflect", "--rep", str(path), "--vertex", "0", "--dir", "plus")
+    assert (code, err) == (0, "")
+    # Past the cap the refusal comes before any matrix is read.
+    for rep, message in ((square_rep(65, 1, "unread"), "total dimension 130"),
+                         (square_rep(1, 129, "unread"),
+                          "the arrows at vertex 0 have total dimension 129")):
+        path.write_text(json.dumps(rep))
+        code, out, err = run(capsys, "reflect", "--rep", str(path),
+                             "--vertex", "0", "--dir", "plus")
+        assert (code, out) == (3, "")
+        error = json.loads(err)
+        assert error["kind"] == "resource" and message in error["error"]
 
 
 def test_reflect_missing_rep_file(tmp_path, capsys):
