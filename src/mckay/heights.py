@@ -91,13 +91,6 @@ class HeightFunction:
         return HeightFunction(self.graph, tuple(vals))
 
 
-def parity_height(graph: McKayGraph) -> HeightFunction:
-    """The base height h = parity."""
-    if graph.parity is None:
-        raise PreconditionError("graph has no parity data")
-    return HeightFunction(graph, tuple(graph.parity))
-
-
 def enumerate_heights(graph: McKayGraph, window: int) -> list[HeightFunction]:
     """All height functions anchored at the affine node's parity value whose
     spread max(h) - min(h) is at most the window.  Refused with

@@ -116,11 +116,6 @@ def nullspace(mat, p: int = 0) -> list[list]:
     return basis
 
 
-def solve(mat, rhs, p: int = 0) -> list | None:
-    """One exact solution of mat·x = rhs, or None when inconsistent."""
-    return (solve_many(mat, [rhs], p) or [None])[0]
-
-
 def solve_many(mat, rhss, p: int = 0) -> list[list] | None:
     """One exact solution of mat·x = b for every right-hand side b in rhss,
     from one elimination with every b appended as a column, or None when any

@@ -159,19 +159,19 @@ def test_round_trip_isomorphism_at_sinks():
 
 def _intertwiner_row_by_row(rep, back, vertex):
     """phi with phi . back_map = rep_map on the arrows into the vertex, one
-    linalg.solve per row of phi; None when a row has no solution or phi is
-    singular."""
+    linalg.solve_many per row of phi; None when a row has no solution or phi
+    is singular."""
     d = rep.dims[vertex]
     arrows = [(i, a) for i, a in enumerate(rep.quiver.arrows) if a.tgt == vertex]
     coeff = [[back.maps[i][m][c] for m in range(d)]
              for i, a in arrows for c in range(rep.dims[a.src])]
     phi = []
     for r in range(d):
-        sol = linalg.solve(coeff, [rep.maps[i][r][c] for i, a in arrows
-                                   for c in range(rep.dims[a.src])])
-        if sol is None:
+        sols = linalg.solve_many(coeff, [[rep.maps[i][r][c] for i, a in arrows
+                                          for c in range(rep.dims[a.src])]])
+        if sols is None:
             return None
-        phi.append(sol)
+        phi.append(sols[0])
     return phi if linalg.inverse(phi) is not None else None
 
 

@@ -8,7 +8,7 @@ from mckay.chartab import dixon_character_table
 from mckay.errors import PreconditionError
 from mckay.groups import build_group, parse_descriptor
 from mckay.heights import (HeightFunction, enumerate_heights, ext_vanishing_check,
-                           kirillov_check, parity_height, path_count)
+                           kirillov_check, path_count)
 from mckay.mckaygraph import mckay_graph
 from mckay.molien import HomDims
 
@@ -142,7 +142,7 @@ def test_euler_sequence_exactness(label):
 def test_sinks_and_sources_partition_bipartite_orientation():
     for label in ("cyclic:2", "cyclic:4", "bd:2"):
         graph, _ = setup(label)
-        base = parity_height(graph)
+        base = HeightFunction(graph, graph.parity)
         q = base.quiver()
         sinks, sources = set(q.sinks()), set(q.sources())
         assert not sinks & sources

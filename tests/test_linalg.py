@@ -32,10 +32,10 @@ def test_nullspace_over_q_reads_the_integer_rows(monkeypatch):
 
 def test_rank_drops_mod_p():
     mat = [[1, 2], [3, 1]]  # determinant -5
-    assert linalg.solve(mat, [1, 1]) == [Fraction(1, 5), Fraction(2, 5)]
+    assert linalg.solve_many(mat, [[1, 1]]) == [[Fraction(1, 5), Fraction(2, 5)]]
     assert linalg.rref(mat, 5)[1] == [0]
-    assert linalg.solve(mat, [1, 1], 5) is None
-    assert linalg.solve(mat, [1, 3], 5) == [1, 0]
+    assert linalg.solve_many(mat, [[1, 1]], 5) is None
+    assert linalg.solve_many(mat, [[1, 3]], 5) == [[1, 0]]
     assert linalg.nullspace(mat, 5) == [[3, 1]]
     assert linalg.inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
     assert linalg.inverse([[2, 0], [0, 1]]) == [[Fraction(1, 2), 0], [0, 1]]
@@ -46,7 +46,7 @@ def test_q_elimination_does_no_fraction_arithmetic(monkeypatch):
            [Fraction(3, 5), 1, Fraction(7, 9)],
            [Fraction(11, 10), Fraction(1, 3), Fraction(43, 9)]]
     rhs = [1, Fraction(-1, 4), Fraction(3, 4)]
-    expected = [linalg.rref(mat), linalg.nullspace(mat), linalg.solve(mat, rhs),
+    expected = [linalg.rref(mat), linalg.nullspace(mat), linalg.solve_many(mat, [rhs]),
                 linalg.inverse(mat[:2] + [[0, 0, 1]])]
 
     def refuse(*args):
@@ -55,7 +55,7 @@ def test_q_elimination_does_no_fraction_arithmetic(monkeypatch):
     for op in ("add", "sub", "mul", "truediv"):
         monkeypatch.setattr(Fraction, f"__{op}__", refuse)
         monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
-    got = [linalg.rref(mat), linalg.nullspace(mat), linalg.solve(mat, rhs),
+    got = [linalg.rref(mat), linalg.nullspace(mat), linalg.solve_many(mat, [rhs]),
            linalg.inverse(mat[:2] + [[0, 0, 1]])]
     monkeypatch.undo()
     assert got == expected
@@ -97,7 +97,7 @@ def _q(rows) -> list:
 
 
 def _golden_rref_records() -> list[dict]:
-    """rref, nullspace, solve and inverse over Q on 300 seeded matrices and
+    """rref, nullspace, solve_many and inverse over Q on 300 seeded matrices and
     the empty one; rref and nullspace mod 5 and 7 on the integer ones."""
     rng = random.Random(90210)
     records = []
@@ -109,11 +109,11 @@ def _golden_rref_records() -> list[dict]:
         if rng.random() < 0.3 and rhs:
             rhs[rng.randrange(len(rhs))] += 1
         red, pivots = linalg.rref(mat)
-        sol = linalg.solve(mat, rhs)
+        sols = linalg.solve_many(mat, [rhs])
         entry = {"mat": [_q(row) for row in mat], "rhs": _q(rhs),
                  "rref": [_q(row) for row in red], "pivots": pivots,
                  "nullspace": [_q(v) for v in linalg.nullspace(mat)],
-                 "solve": None if sol is None else _q(sol)}
+                 "solve": None if sols is None else _q(sols[0])}
         if len(mat) == cols:
             inv = linalg.inverse(mat)
             entry["inverse"] = None if inv is None else [_q(row) for row in inv]
