@@ -25,7 +25,7 @@ def outcome(capsys, argv: list[str]) -> tuple[int, str, str]:
     for _ in range(2):
         try:
             code = main(list(argv))
-        except BaseException as exc:  # anything escaping main is a fault
+        except Exception as exc:  # anything escaping main is a fault
             raise AssertionError(f"{argv!r} raised {exc!r}") from exc
         runs.append((code, *capsys.readouterr()))
     assert runs[0] == runs[1], argv
