@@ -28,6 +28,8 @@ DOUBLE_N = [[0, 2], [2, 0]]
 # sha256 of criterion 8's draws and admitted samples at verify.BGP_SEED
 DRAWS_SHA = "b186c3ef010a033ae44825869e7df617d27db782a88d0b80eaa2098e1573dd00"
 ADMITTED_SHA = "d0b7e5880bca8efdd89751f0f830e06d0f9c4eb97e5244ec37935532c3a82c89"
+# sha256 of criterion 8's reflected maps, back reflections and intertwiners
+REFLECTIONS_SHA = "8e9fbf675a1acc159753d1020612f9dfab8c218b539c330a17e4667aedc425f0"
 
 
 def graph_for(label):
@@ -504,6 +506,45 @@ def test_criterion_8_draws_and_admitted_samples_are_pinned(monkeypatch):
     assert (len(draws), len(admitted)) == (3326, 2200)
     assert _sha256(draws) == DRAWS_SHA
     assert _sha256(admitted) == ADMITTED_SHA
+
+
+def _q_maps(maps) -> list:
+    """Matrices with every entry written as str(Fraction(x)), the same text
+    for an int and for a Fraction of the same value."""
+    return [[[str(Fraction(x)) for x in row] for row in mat] for mat in maps]
+
+
+def test_criterion_8_reflections_are_pinned(monkeypatch):
+    """Every admitted sample of criterion 8 at BGP_SEED reflects to the same
+    dimensions and maps, and every admitted sink sample reflects back to the
+    same maps with the same intertwiner phi."""
+    records, last = [], []
+    reflect_dims, round_trip = bgp.dim_vector_reflect, bgp.round_trip_from
+
+    def keeping(reflect):
+        def kept(rep, vertex):
+            last[:] = [reflect(rep, vertex)]
+            return last[0]
+        return kept
+
+    def recording_reflect(dims, vertex, n_matrix):
+        records.append([vertex, last[0].dims, _q_maps(last[0].maps)])
+        return reflect_dims(dims, vertex, n_matrix)
+
+    def recording_round_trip(rep, reflected, vertex):
+        result = round_trip(rep, reflected, vertex)
+        back, phi = result
+        records.append([_q_maps(back.maps), _q_maps([phi])])
+        return result
+
+    for name in ("reflect_plus", "reflect_minus"):
+        monkeypatch.setattr(bgp, name, keeping(getattr(bgp, name)))
+    monkeypatch.setattr(bgp, "dim_vector_reflect", recording_reflect)
+    monkeypatch.setattr(bgp, "round_trip_from", recording_round_trip)
+    assert verify.check_bgp()["pass"]
+    round_trips = sum(len(r) == 2 for r in records)
+    assert (len(records) - round_trips, round_trips) == (2200, 1100)
+    assert _sha256(records) == REFLECTIONS_SHA
 
 
 def _bgp_witness_errors(monkeypatch, name, mutant) -> list:

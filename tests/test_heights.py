@@ -173,3 +173,36 @@ def test_heights_need_minus_identity():
     graph = mckay_graph(g, t)
     with pytest.raises(PreconditionError):
         enumerate_heights(graph, 2)
+
+
+def _battery_orientations():
+    """Every window-2 orientation of the battery groups that contain -I."""
+    from mckay.verify import ADE_EXPECTATIONS, context
+    for label, _ in ADE_EXPECTATIONS:
+        graph = context(label)[2]
+        if graph.parity is not None:
+            yield from dict.fromkeys(h.quiver() for h in enumerate_heights(graph, 2))
+
+
+def test_sinks_sources_and_reversals_follow_the_arrows():
+    """sinks(), sources() and reverse_at(v) agree with a recomputation from
+    the arrows by in- and out-degrees, at every vertex of every window-2
+    orientation of the battery groups, asked twice."""
+    checked = 0
+    for quiver in _battery_orientations():
+        outdeg, indeg = [0] * quiver.size, [0] * quiver.size
+        for a in quiver.arrows:
+            outdeg[a.src] += 1
+            indeg[a.tgt] += 1
+        sinks = tuple(v for v in range(quiver.size) if indeg[v] and not outdeg[v])
+        sources = tuple(v for v in range(quiver.size) if outdeg[v] and not indeg[v])
+        for _ in range(2):
+            assert (quiver.sinks(), quiver.sources()) == (sinks, sources)
+            for v in range(quiver.size):
+                flipped = quiver.reverse_at(v)
+                assert flipped.size == quiver.size
+                assert [tuple(a) for a in flipped.arrows] == [
+                    (a.tgt, a.src, a.edge) if v in (a.src, a.tgt) else tuple(a)
+                    for a in quiver.arrows]
+        checked += 1
+    assert checked > 500
