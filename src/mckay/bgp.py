@@ -14,11 +14,12 @@ bits, value for value what `randint` draws.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from . import linalg
 from .errors import PreconditionError, ResourceLimitError
@@ -69,15 +70,23 @@ class QuiverRep:
     @staticmethod
     def from_json(data: dict) -> QuiverRep:
         """Parse the `to_json` shape; malformed data raises PreconditionError.
-        Dimensions and endpoints are JSON integers, a matrix is a list of row
-        lists, and an entry is an integer or a "p/q" string.  A representation
-        past REP_DIM_CAP raises ResourceLimitError before any matrix is
-        read."""
+        Dimensions, endpoints and indices are JSON integers, the indices
+        0..m-1 in some order; a matrix is a list of row lists, and an entry is
+        an integer or a "p/q" string.  A representation past REP_DIM_CAP
+        raises ResourceLimitError before any matrix is read."""
         try:
             dims = tuple(data["dims"])
             if not all(type(d) is int and d >= 0 for d in dims):
                 raise ValueError(f"dims must be nonnegative integers, got {list(dims)}")
-            entries = sorted(data["arrows"], key=lambda item: item["index"])
+            entries = data["arrows"]
+            if not (isinstance(entries, list) and all(isinstance(item, dict) for item in entries)):
+                raise ValueError("arrows must be a list of objects")
+            indices = [item["index"] for item in entries]
+            if any(type(i) is not int for i in indices) or \
+                    sorted(indices) != list(range(len(indices))):
+                raise ValueError(f"arrow index values must be 0..{len(indices) - 1}, "
+                                 f"each once, got {json.dumps(indices)}")
+            entries = sorted(entries, key=lambda item: item["index"])
             for item in entries:
                 if not all(type(item[end]) is int and 0 <= item[end] < len(dims)
                            for end in ("from", "to")):
@@ -169,7 +178,7 @@ def _assemble(rep: QuiverRep, vertex: int, at_sink: bool):
 def _reflect(rep: QuiverRep, vertex: int, at_sink: bool) -> QuiverRep:
     arrows, offs, total, rows = _assemble(rep, vertex, at_sink)
     kernel = linalg.nullspace(rows) if rows else \
-        [[Fraction(1 if i == j else 0) for i in range(total)] for j in range(total)]
+        [[int(i == j) for i in range(total)] for j in range(total)]
     new_dims = list(rep.dims)
     new_dims[vertex] = len(kernel)
     new_maps = list(rep.maps)
@@ -318,9 +327,6 @@ def random_representation(quiver: OrientedQuiver, rng: random.Random,
             f"max_dim={max_dim}, low={low}, high={high}")
     dims = tuple(_randints(rng, 1, max_dim, quiver.size))
     shapes = [(dims[a.tgt], dims[a.src]) for a in quiver.arrows]
-    values = _randints(rng, low, high, sum(r * c for r, c in shapes))
-    maps, at = [], 0
-    for rows, cols in shapes:
-        maps.append(tuple(tuple(values[i:i + cols]) for i in range(at, at + rows * cols, cols)))
-        at += rows * cols
-    return _make(quiver, dims, tuple(maps))
+    values = iter(_randints(rng, low, high, sum(r * c for r, c in shapes)))
+    return _make(quiver, dims, tuple(tuple(islice(zip(*[values] * cols), rows))
+                                     for rows, cols in shapes))

@@ -12,7 +12,8 @@ every identity checked here is shift-covariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import PreconditionError, ResourceLimitError
@@ -31,28 +32,35 @@ class Arrow(NamedTuple):
 
 @dataclass(frozen=True)
 class OrientedQuiver:
-    """An orientation of the graph: one arrow per undirected edge copy."""
+    """An orientation of the graph: one arrow per undirected edge copy.  The
+    sinks, sources and each reversal are computed once per object; reversal
+    at v is an involution, so q.reverse_at(v).reverse_at(v) is q itself."""
 
     size: int
     arrows: tuple[Arrow, ...]
+    _reversed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _ends(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        has_out, has_in = {a.src for a in self.arrows}, {a.tgt for a in self.arrows}
+        return tuple(sorted(has_in - has_out)), tuple(sorted(has_out - has_in))
 
     def sinks(self) -> tuple[int, ...]:
-        has_out = {a.src for a in self.arrows}
-        touched = {a.src for a in self.arrows} | {a.tgt for a in self.arrows}
-        return tuple(v for v in range(self.size) if v in touched and v not in has_out)
+        return self._ends[0]
 
     def sources(self) -> tuple[int, ...]:
-        has_in = {a.tgt for a in self.arrows}
-        touched = {a.src for a in self.arrows} | {a.tgt for a in self.arrows}
-        return tuple(v for v in range(self.size) if v in touched and v not in has_in)
+        return self._ends[1]
 
     def arrows_from(self, v: int) -> list[Arrow]:
         return [a for a in self.arrows if a.src == v]
 
     def reverse_at(self, v: int) -> OrientedQuiver:
-        flipped = tuple(Arrow(a.tgt, a.src, a.edge) if v in (a.src, a.tgt) else a
-                        for a in self.arrows)
-        return OrientedQuiver(self.size, flipped)
+        got = self._reversed.get(v)
+        if got is None:
+            got = self._reversed[v] = OrientedQuiver(self.size, tuple(
+                Arrow(a.tgt, a.src, a.edge) if v in (a.src, a.tgt) else a for a in self.arrows))
+            got._reversed[v] = self
+        return got
 
 
 @dataclass(frozen=True)
@@ -77,13 +85,10 @@ class HeightFunction:
 
     def quiver(self) -> OrientedQuiver:
         """Edges flow downhill: each edge is directed from higher to lower end."""
-        arrows = []
-        for idx, (i, j) in enumerate(self.graph.edges):
-            if self.values[i] > self.values[j]:
-                arrows.append(Arrow(i, j, idx))
-            else:
-                arrows.append(Arrow(j, i, idx))
-        return OrientedQuiver(self.graph.size, tuple(arrows))
+        h = self.values
+        return OrientedQuiver(self.graph.size, tuple(
+            Arrow(i, j, idx) if h[i] > h[j] else Arrow(j, i, idx)
+            for idx, (i, j) in enumerate(self.graph.edges)))
 
     def with_value(self, vertex: int, value: int) -> HeightFunction:
         vals = list(self.values)

@@ -1,7 +1,8 @@
 """Dense exact linear algebra over Q and F_p.
 
 Matrices are lists of row lists.  The field is the argument `p`: 0 means the
-rationals (entries are ints or Fractions, results are Fractions), a prime
+rationals (entries are ints or Fractions; results are ints where integral
+and Fractions otherwise, all Fractions from `rref` and `inverse`), a prime
 means F_p (entries are ints kept in 0..p-1).  Everything here is
 deterministic: row echelon pivots are chosen left to right, kernel bases are
 parametrized by unit free variables in index order, so repeated runs give
@@ -16,7 +17,7 @@ pivot.  The reduced echelon form is unique, so this is the same result as
 elimination on Fractions, without an allocation per multiply and subtract.
 `rank` counts the pivots of the integer rows and builds no Fraction;
 `nullspace` and `solve_many` read each kernel or solution entry off them as
-one Fraction.
+one quotient.  A row of plain ints enters the elimination as it is.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _eliminate(mat, p):
     if p:
         a = [[x % p for x in row] for row in mat]
     else:
-        a = [_primitive(_integer_row(row)) for row in mat]
+        a = [_primitive(row) for row in mat]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = []
@@ -91,9 +92,19 @@ def integer_rows(rows) -> tuple[int, list[list[int]]]:
     return den, [_integer_row(row, den) for row in rows]
 
 
-def _primitive(row: list[int]) -> list[int]:
-    g = gcd(*row)
+def _primitive(row) -> list[int]:
+    """The row of ints or Fractions as coprime integers, ints read as they are."""
+    try:
+        g = gcd(*row)
+    except TypeError:  # a Fraction entry: clear the denominators first
+        return _primitive(_integer_row(row))
     return [x // g for x in row] if g > 1 else row
+
+
+def _quotient(num: int, den: int) -> int | Fraction:
+    """num/den as an int when den divides num, else as a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def rank(mat) -> int:
@@ -105,13 +116,12 @@ def nullspace(mat, p: int = 0) -> list[list]:
     """Basis of the right kernel, one vector per free column."""
     cols = len(mat[0]) if mat else 0
     a, pivots = _eliminate(mat, p)
-    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     basis = []
     for f in (c for c in range(cols) if c not in pivots):
-        v = [zero] * cols
-        v[f] = one
+        v = [0] * cols
+        v[f] = 1
         for row, piv in zip(a, pivots):
-            v[piv] = -row[f] % p if p else Fraction(-row[f], row[piv])
+            v[piv] = -row[f] % p if p else _quotient(-row[f], row[piv])
         basis.append(v)
     return basis
 
@@ -120,7 +130,7 @@ def solve_many(mat, rhss, p: int = 0) -> list[list] | None:
     """One exact solution of mat·x = b for every right-hand side b in rhss,
     from one elimination with every b appended as a column, or None when any
     of them is inconsistent.  Free variables are zero, and over Q each pivot
-    entry is one Fraction read off the integer echelon rows."""
+    entry is one quotient read off the integer echelon rows."""
     if not mat:
         return [[] for _ in rhss]
     cols = len(mat[0])
@@ -128,10 +138,10 @@ def solve_many(mat, rhss, p: int = 0) -> list[list] | None:
                             for i, row in enumerate(mat)], p)
     if pivots and pivots[-1] >= cols:
         return None
-    sols = [[0 if p else Fraction(0)] * cols for _ in rhss]
+    sols = [[0] * cols for _ in rhss]
     for row, piv in zip(a, pivots):
         for x, b in zip(sols, row[cols:]):
-            x[piv] = b if p else Fraction(b, row[piv])
+            x[piv] = b if p else _quotient(b, row[piv])
     return sols
 
 
@@ -147,5 +157,5 @@ def inverse(mat) -> list[list[Fraction]] | None:
 
 def primitive_integer_vector(vec) -> list[int]:
     """Scale a rational vector to coprime integers with positive first support."""
-    ints = _primitive(_integer_row(vec))
+    ints = _primitive(vec)
     return [-v for v in ints] if next((v for v in ints if v), 0) < 0 else ints

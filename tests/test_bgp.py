@@ -547,6 +547,26 @@ def test_criterion_8_reflections_are_pinned(monkeypatch):
     assert _sha256(records) == REFLECTIONS_SHA
 
 
+def test_check_bgp_builds_few_fractions(monkeypatch):
+    """On warm contexts criterion 8 builds at most 7,000 Fractions (27,960
+    when every kernel and solution entry was one): an integral entry stays an
+    int."""
+    for label in ("cyclic:4", "bd:2"):
+        verify.context(label)
+    built = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    record = verify.check_bgp()
+    monkeypatch.undo()
+    assert record["pass"]
+    assert 0 < built[0] <= 7000
+
+
 def _bgp_witness_errors(monkeypatch, name, mutant) -> list:
     monkeypatch.setattr(bgp, name, mutant)
     record = verify.check_bgp()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from mckay import cli
 from mckay.bgp import QuiverRep
 from mckay.cli import main
 from mckay.molien import HomDims
@@ -521,3 +523,56 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (root / "tests" / "golden" / "group-cyclic_2.out").read_text()
+
+
+def _two_arrows(first, second) -> dict:
+    return {"dims": [1, 1], "arrows": [
+        {"from": 1, "to": 0, "index": first, "matrix": [[1]]},
+        {"from": 1, "to": 0, "index": second, "matrix": [[2]]}]}
+
+
+BAD_INDICES = {"fraction": (0, 1.5), "bool": (0, True), "duplicate": (0, 0),
+               "string": (0, "1"), "gap": (0, 2), "negative": (-1, 0)}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INDICES))
+def test_reflect_rejects_arrow_indices_other_than_0_to_m_minus_1(tmp_path, capsys, case):
+    """An arrow index is a JSON integer, and the indices are 0..m-1 in some
+    order, as to_json writes them; otherwise the error names `index`."""
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(_two_arrows(*BAD_INDICES[case])))
+    _reflect_error(capsys, path)
+    code, _, err = run(capsys, "reflect", "--rep", str(path), "--vertex", "0", "--dir", "plus")
+    assert "index" in json.loads(err)["error"]
+
+
+def test_reflect_reads_arrows_in_index_order(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(_two_arrows(1, 0)))
+    code, out, _ = run(capsys, "reflect", "--rep", str(path), "--vertex", "0", "--dir", "plus")
+    assert code == 0
+    arrows = json.loads(out)["result"]["arrows"]
+    assert [a["index"] for a in arrows] == [0, 1]
+    assert [a["matrix"] for a in arrows] == [[["-1/2"]], [["1/1"]]]
+
+
+def test_reflected_golden_documents_read_back_and_reflect(monkeypatch, capsys):
+    """Each `reflected` document of tests/golden/reflect.json, with its p/q
+    entries, reads back to the same document, and reflects again at a sink
+    or source through `reflect --rep -` to one JSON document.  The parser
+    is built once: building it is most of a run's time here."""
+    records = json.loads((Path(__file__).parent / "golden" / "reflect.json").read_text())
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    assert len(records) == 420
+    for record in records:
+        doc = record["reflected"]
+        rep = QuiverRep.from_json(doc)
+        assert rep.to_json() == doc
+        sinks = rep.quiver.sinks()
+        vertex, direction = (sinks[0], "plus") if sinks else (rep.quiver.sources()[0], "minus")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run(capsys, "reflect", "--rep", "-",
+                             "--vertex", str(vertex), "--dir", direction)
+        assert (code, err) == (0, "")
+        assert set(json.loads(out)) == {"config", "result"}

@@ -206,3 +206,14 @@ def test_sinks_sources_and_reversals_follow_the_arrows():
                     for a in quiver.arrows]
         checked += 1
     assert checked > 500
+
+
+def test_reversal_is_computed_once_and_undone_by_itself():
+    """reverse_at(v) returns one object per vertex, and reversing it at v
+    again returns the quiver itself, so flipping back and forth builds no
+    new quivers."""
+    for quiver in _battery_orientations():
+        for v in range(quiver.size):
+            flipped = quiver.reverse_at(v)
+            assert quiver.reverse_at(v) is flipped
+            assert flipped.reverse_at(v) is quiver

@@ -14,7 +14,7 @@ def test_fields_share_pivots_and_kernel_basis():
     mat = [[1, 2, 3, 4], [2, 4, 7, 9], [1, 2, 4, 5]]
     kernel = linalg.nullspace(mat)
     assert kernel == [[-2, 1, 0, 0], [-1, 0, -1, 1]]
-    assert all(isinstance(x, Fraction) for v in kernel for x in v)
+    assert all(type(x) is int for v in kernel for x in v)
     for p in (5, 7, 101):
         assert linalg.rref(mat, p)[1] == linalg.rref(mat)[1] == [0, 2]
         assert linalg.nullspace(mat, p) == [[int(x) % p for x in v] for v in kernel]
@@ -157,6 +157,30 @@ def test_nullspace_basis_is_unit_on_the_free_columns():
                 assert [vec[c] for c in free] == [int(c == f) for c in free]
                 checked += 1
     assert checked > 300
+
+
+def _read_entry(text: str, as_int: bool):
+    x = Fraction(text)
+    return int(x) if as_int and x.denominator == 1 else x
+
+
+def test_q_kernels_and_solutions_are_int_exactly_where_integral():
+    """On the golden matrices, read with every entry a Fraction and with the
+    integral ones as ints, nullspace and solve_many give the recorded values,
+    each entry an int exactly when it is integral and a Fraction otherwise."""
+    entries = 0
+    for r in json.loads(_GOLDEN_RREF.read_text())[1:]:
+        for as_int in (False, True):
+            mat = [[_read_entry(x, as_int) for x in row] for row in r["mat"]]
+            rhs = [_read_entry(x, as_int) for x in r["rhs"]]
+            kernel = linalg.nullspace(mat)
+            sols = linalg.solve_many(mat, [rhs])
+            assert [_q(v) for v in kernel] == r["nullspace"]
+            assert (None if sols is None else _q(sols[0])) == r["solve"]
+            for x in [x for v in kernel + (sols or []) for x in v]:
+                assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+                entries += 1
+    assert entries > 1000
 
 
 def test_integer_rows_clear_one_common_denominator():
