@@ -157,5 +157,5 @@ def inverse(mat) -> list[list[Fraction]] | None:
 
 def primitive_integer_vector(vec) -> list[int]:
     """Scale a rational vector to coprime integers with positive first support."""
-    ints = _primitive(vec)
+    ints = _primitive(_integer_row(vec))
     return [-v for v in ints] if next((v for v in ints if v), 0) < 0 else ints
