@@ -306,7 +306,9 @@ def _reflect_error(capsys, path, vertex="0", direction="plus"):
     code, out, err = run(capsys, "reflect", "--rep", str(path),
                          "--vertex", vertex, "--dir", direction)
     assert code == 2 and out == ""
-    assert json.loads(err)["kind"] == "precondition"
+    error = json.loads(err)
+    assert error["kind"] == "precondition"
+    return error
 
 
 def square_rep(d: int, arrows: int, matrix=None) -> dict:
@@ -541,9 +543,7 @@ def test_reflect_rejects_arrow_indices_other_than_0_to_m_minus_1(tmp_path, capsy
     order, as to_json writes them; otherwise the error names `index`."""
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(_two_arrows(*BAD_INDICES[case])))
-    _reflect_error(capsys, path)
-    code, _, err = run(capsys, "reflect", "--rep", str(path), "--vertex", "0", "--dir", "plus")
-    assert "index" in json.loads(err)["error"]
+    assert "index" in _reflect_error(capsys, path)["error"]
 
 
 def test_reflect_reads_arrows_in_index_order(tmp_path, capsys):

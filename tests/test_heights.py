@@ -11,6 +11,7 @@ from mckay.heights import (HeightFunction, enumerate_heights, ext_vanishing_chec
                            kirillov_check, path_count)
 from mckay.mckaygraph import mckay_graph
 from mckay.molien import HomDims
+from mckay.verify import ADE_EXPECTATIONS, context
 
 
 def setup(label):
@@ -177,7 +178,6 @@ def test_heights_need_minus_identity():
 
 def _battery_orientations():
     """Every window-2 orientation of the battery groups that contain -I."""
-    from mckay.verify import ADE_EXPECTATIONS, context
     for label, _ in ADE_EXPECTATIONS:
         graph = context(label)[2]
         if graph.parity is not None:
