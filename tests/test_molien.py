@@ -163,6 +163,18 @@ def test_perturbed_e_gives_the_pinned_witness(label):
     assert got == (False, {"entry": [0, 0], "value": PERTURBED_WITNESSES[label]})
 
 
+def test_a_perturbed_zero_entry_of_e_is_caught():
+    """N[0] = (0, 0, 1, 1) on cyclic:4, so E[0][1] is zero; with t added
+    there, the check must read the entry from E itself, not from N."""
+    m = built("cyclic:4")[2]
+    assert m.E[0][1] == ()
+    e = [list(row) for row in m.E]
+    e[0][1] = (0, 1)
+    got = koszul_check(dataclasses.replace(m, E=tuple(tuple(row) for row in e)))
+    assert got == (False, {"entry": [0, 1],
+                           "value": "(-1*t + -1*t^5) / (1 + -1*t^2 + -1*t^4 + t^6)"})
+
+
 def test_hom_dim_schur_and_examples():
     g, t, _ = built("cyclic:2")
     hd = HomDims(g, t)
