@@ -28,8 +28,8 @@ from .heights import Arrow, OrientedQuiver
 #: Random combinations of the intertwiner space find_isomorphism tries.
 ISO_ATTEMPTS = 80
 
-#: Largest total dimension, and largest sum of the dimensions across the
-#: arrows at one vertex, that `QuiverRep.from_json` admits.  A reflection is
+#: Largest total dimension, sum of the dimensions across the arrows at one
+#: vertex, and arrow count that `QuiverRep.from_json` admits.  A reflection is
 #: one elimination of d_v rows by that sum of columns; dims (40, 40) with two
 #: arrows reflect in 0.3 s, (80, 80) took 1.5 s and (160, 160) 14.6 s.
 REP_DIM_CAP = 128
@@ -111,7 +111,8 @@ _ENTRY = r"[+-]?[0-9]+(/[0-9]+)?"
 
 def _check_size(dims, entries) -> None:
     """Refuse a representation whose reflections would eliminate more than
-    REP_DIM_CAP rows or columns."""
+    REP_DIM_CAP rows or columns, or that has more than REP_DIM_CAP arrows:
+    an arrow with a zero-dimensional end adds nothing to a vertex's width."""
     if sum(dims) > REP_DIM_CAP:
         raise ResourceLimitError(
             f"representation has total dimension {sum(dims)}, more than {REP_DIM_CAP}")
@@ -124,6 +125,9 @@ def _check_size(dims, entries) -> None:
             raise ResourceLimitError(
                 f"the arrows at vertex {vertex} have total dimension {w}, "
                 f"more than {REP_DIM_CAP}")
+    if len(entries) > REP_DIM_CAP:
+        raise ResourceLimitError(
+            f"representation has {len(entries)} arrows, more than {REP_DIM_CAP}")
 
 
 def _make(quiver: OrientedQuiver, dims, maps) -> QuiverRep:

@@ -20,8 +20,8 @@ from .bgp import QuiverRep, reflect_minus, reflect_plus
 from .chartab import character_table
 from .errors import ConsistencyError, PreconditionError, ResourceLimitError
 from .groups import build_group, group_summary, parse_descriptor
-from .heights import (HeightFunction, enumerate_heights, ext_vanishing_check,
-                      kirillov_check, path_count)
+from .heights import (HEIGHT_WORK_CAP, HeightFunction, enumerate_heights,
+                      ext_vanishing_check, kirillov_check, path_count)
 from .mckaygraph import mckay_graph
 from .ktheory import weyl_checks
 from .molien import HomDims, koszul_check, molien_matrices
@@ -124,7 +124,13 @@ def _parse_height(graph, text: str) -> HeightFunction:
 def _heights_for(args, graph):
     if args.height is not None:
         return [_parse_height(graph, args.height)]
-    return enumerate_heights(graph, args.window)
+    heights = enumerate_heights(graph, args.window)
+    work = len(heights) * graph.size ** 3
+    if work > HEIGHT_WORK_CAP:
+        raise ResourceLimitError(
+            f"{len(heights)} heights on {graph.size} vertices cost {len(heights)} x "
+            f"{graph.size}^3 = {work}, more than {HEIGHT_WORK_CAP}")
+    return heights
 
 
 def _config_doc(args, descriptor) -> dict:

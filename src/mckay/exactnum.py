@@ -14,10 +14,10 @@ groups served by this package never need more.
 
 Polynomials are integer coefficient tuples, constant term first, with no
 trailing zeros (`trim`); `convolve` multiplies them, for the cyclotomic
-products here and the Koszul identity in `molien`.  A rational function
-is built from two integer polynomials and reduced to its normal form by
-their gcd from the primitive pseudo-remainder sequence; only that normal
-form, with its denominator made monic, holds Fractions.
+products here.  A rational function is built from two integer polynomials
+and reduced to its normal form by their gcd from the primitive
+pseudo-remainder sequence; its denominator is made monic by dividing by its
+leading coefficient, with a Fraction only where that leaves a remainder.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     while len(a) > db:
         top = a.pop()
         shift = len(a) - db
-        a = [x * lead for x in a]
+        a = a if lead == 1 else [x * lead for x in a]
         for j, y in enumerate(b[:-1]):
             a[shift + j] -= top * y
         while a and not a[-1]:
@@ -443,11 +443,11 @@ def cyclo_sort_key(value: CycloNum):
 
 class RatFunc:
     """Quotient of two integer polynomials in normal form: the denominator
-    monic and coprime to the numerator, both stored as Fraction coefficient
-    tuples (constant first).  The reduction runs on the integers, by the
-    primitive PRS.  Equality is structural.  It has no arithmetic:
-    identities between rational functions are checked on integer
-    polynomials with the denominators cleared."""
+    monic and coprime to the numerator, both coefficient tuples (constant
+    first) of ints, with a Fraction only where a coefficient is not integral.
+    The reduction runs on the integers, by the primitive PRS.  Equality is
+    structural.  It has no arithmetic: identities between rational functions
+    are checked on integer polynomials with the denominators cleared."""
 
     __slots__ = ("num", "den")
 
@@ -464,8 +464,8 @@ class RatFunc:
             g = _primitive_gcd(a, b)
             a, b = _exact_quotient(a, g), _exact_quotient(b, g)
         lead = b[-1]
-        object.__setattr__(self, "num", tuple(Fraction(x, lead) for x in a))
-        object.__setattr__(self, "den", tuple(Fraction(x, lead) for x in b))
+        object.__setattr__(self, "num", tuple(linalg.quotient(x, lead) for x in a))
+        object.__setattr__(self, "den", tuple(linalg.quotient(x, lead) for x in b))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")

@@ -101,7 +101,7 @@ def _primitive(row) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _quotient(num: int, den: int) -> int | Fraction:
+def quotient(num: int, den: int) -> int | Fraction:
     """num/den as an int when den divides num, else as a Fraction."""
     q, r = divmod(num, den)
     return Fraction(num, den) if r else q
@@ -121,7 +121,7 @@ def nullspace(mat, p: int = 0) -> list[list]:
         v = [0] * cols
         v[f] = 1
         for row, piv in zip(a, pivots):
-            v[piv] = -row[f] % p if p else _quotient(-row[f], row[piv])
+            v[piv] = -row[f] % p if p else quotient(-row[f], row[piv])
         basis.append(v)
     return basis
 
@@ -141,7 +141,7 @@ def solve_many(mat, rhss, p: int = 0) -> list[list] | None:
     sols = [[0] * cols for _ in rhss]
     for row, piv in zip(a, pivots):
         for x, b in zip(sols, row[cols:]):
-            x[piv] = b if p else _quotient(b, row[piv])
+            x[piv] = b if p else quotient(b, row[piv])
     return sols
 
 

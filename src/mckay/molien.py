@@ -20,7 +20,8 @@ Koszul identity S(t) * E(-t) = Id is checked with the denominator and |G|
 cleared, as (|G| P)(t) * E(-t) = |G| delta(t) * Id: integer polynomial
 products and sums only, and the same identity because delta is not zero.
 delta(0) = 1, so the series coefficients of S follow from P and delta by an
-integer recurrence, divided by |G| once at the end.
+integer recurrence; they are dimensions, so the one division by |G| at the
+end is an exact integer quotient, and a remainder is a ConsistencyError.
 
 Index convention (recorded in output): S[p][q] is the generating function of
 dim Hom(W_q, Sym^m V* (x) W_p) taken equivariantly, i.e. the (q, p) entry of
@@ -31,15 +32,12 @@ symmetric in (p, q), so the Koszul identity holds for either reading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import zip_longest
 from math import lcm
 from operator import mul
 
 from .chartab import CharacterTable
 from .errors import ConsistencyError
-from .exactnum import (CycloNum, RatFunc, convolve, cyclo_times, euler_phi, phi_reduce,
-                       trim)
+from .exactnum import CycloNum, RatFunc, cyclo_times, euler_phi, phi_reduce, trim
 from .groups import MatrixGroup
 
 S_CONVENTION = ("S[p][q](t) = sum_m dim Hom(W_q, Sym^m V* x W_p)_invariant t^m; "
@@ -108,22 +106,21 @@ class MolienMatrices:
             "convention": S_CONVENTION,
             "S": [[str(entry) for entry in row] for row in self.S],
             "E": [[str(RatFunc(entry, (1,))) for entry in row] for row in self.E],
-            "S_series": [[[str(Fraction(c, self.order))
-                           for c in _series(num, self.delta, max_degree)]
+            "S_series": [[list(map(str, _series(num, self.delta, max_degree, self.order)))
                           for num in row] for row in self.P],
         }
 
 
-def _series(num: list[int], delta: list[int], degree: int) -> list[int]:
-    """Maclaurin coefficients of num / delta at t^0, ..., t^degree.  Every
-    factor of delta is 1 at t = 0, so the recurrence divides by nothing."""
-    out = []
+def _series(num: list[int], delta: list[int], degree: int, order: int) -> list[int]:
+    """Maclaurin coefficients of num / (order delta) at t^0, ..., t^degree.
+    Every factor of delta is 1 at t = 0, so only the order divides, once."""
+    out, tail = [], delta[1:]
     for k in range(degree + 1):
-        acc = num[k] if k < len(num) else 0
-        for j in range(1, min(k, len(delta) - 1) + 1):
-            acc -= delta[j] * out[k - j]
-        out.append(acc)
-    return out
+        out.append((num[k] if k < len(num) else 0) - sum(map(mul, tail, reversed(out))))
+    quotients = [divmod(c, order) for c in out]
+    if any(r for _, r in quotients):
+        raise ConsistencyError("a Molien series coefficient is not an integer")
+    return [q for q, _ in quotients]
 
 
 def _poly_times(f, g, conductor: int) -> list[tuple[int, ...]]:
@@ -227,16 +224,18 @@ def koszul_check(matrices: MolienMatrices):
     Returns (ok, witness); the witness names the first offending entry and
     gives that entry of S(t) * E(-t) as a reduced rational function.
     """
-    count = matrices.count
-    e_neg = [[[-c if i % 2 else c for i, c in enumerate(entry)] for entry in row]
-             for row in matrices.E]
+    # Column r of E(-t) as (q, degree, coefficient), nonzero ones only: N is sparse.
+    columns = [[(q, j, -c if j % 2 else c) for q, row in enumerate(matrices.E)
+                for j, c in enumerate(row[r]) if c] for r in range(matrices.count)]
     target = tuple(matrices.order * c for c in matrices.delta)
+    width = sum(max(len(poly) for row in rows for poly in row)
+                for rows in (matrices.P, matrices.E))
     for p, p_row in enumerate(matrices.P):
-        for r in range(count):
-            acc = []
-            for q, num in enumerate(p_row):
-                acc = [x + y for x, y in zip_longest(acc, convolve(num, e_neg[q][r]),
-                                                     fillvalue=0)]
+        for r, column in enumerate(columns):
+            acc = [0] * width
+            for q, j, c in column:
+                num = p_row[q]
+                acc[j:j + len(num)] = [a + c * x for a, x in zip(acc[j:], num)]
             if trim(acc) != (target if p == r else ()):
                 return False, {"entry": [p, r], "value": str(RatFunc(acc, target))}
     return True, None

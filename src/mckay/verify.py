@@ -204,10 +204,10 @@ def check_quadratic_duality() -> dict:
         _, _, graph, _ = context(label)
         pre = preprojective_presentation(graph)
         ext = ext_algebra_presentation(graph)
-        double = quadratic_dual(quadratic_dual(ext))
-        if not presentations_match(double, ext):
+        dual = quadratic_dual(ext)
+        if not presentations_match(quadratic_dual(dual), ext):
             witness.append({"group": label, "error": "double dual differs"})
-        if not presentations_match(quadratic_dual(ext), pre):
+        if not presentations_match(dual, pre):
             witness.append({"group": label,
                             "error": "dual of Ext presentation != preprojective"})
         good, bad = truncated_koszul_check(pre, 6)

@@ -124,6 +124,23 @@ def test_height_cap_is_a_resource_limit(capsys):
         "kind": "resource"}
 
 
+@pytest.mark.parametrize("command", ["kirillov-check", "ext-check", "lattice-check"])
+def test_height_work_cap_is_a_resource_limit(command, capsys):
+    # cyclic:20 has 2,046 heights at window 2 on 20 vertices; refused before
+    # the first check.
+    code, out, err = run(capsys, command, "cyclic:20")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "2046 heights on 20 vertices cost 2046 x 20^3 = 16368000, more than 2000000",
+        "kind": "resource"}
+
+
+def test_height_work_cap_admits_cyclic_12_at_window_4(capsys):
+    # 816 heights x 12^3 = 1,410,048 stays under the cap.
+    code, out, _ = run(capsys, "ext-check", "cyclic:12", "--window", "4")
+    assert code == 0 and len(json.loads(out)["checks"]) == 816
+
+
 def test_json_output_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "lattice-check", "cyclic:2", "--seed", "3")
     code2, out2, _ = run(capsys, "lattice-check", "cyclic:2", "--seed", "3")
@@ -336,6 +353,20 @@ def test_reflect_size_guard(tmp_path, capsys):
         assert (code, out) == (3, "")
         error = json.loads(err)
         assert error["kind"] == "resource" and message in error["error"]
+
+
+def test_reflect_caps_the_arrow_count(tmp_path, capsys):
+    """Arrows between zero spaces add nothing to any vertex's width, so only
+    the arrow count bounds them; the refusal comes before any matrix is
+    read."""
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(square_rep(0, 128)))
+    assert run(capsys, "reflect", "--rep", str(path), "--vertex", "0", "--dir", "plus")[0] == 0
+    path.write_text(json.dumps(square_rep(0, 200_000, "unread")))
+    code, out, err = run(capsys, "reflect", "--rep", str(path), "--vertex", "0", "--dir", "plus")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "representation has 200000 arrows, more than 128", "kind": "resource"}
 
 
 def test_reflect_missing_rep_file(tmp_path, capsys):

@@ -122,6 +122,9 @@ def test_molien_builds_no_fraction(monkeypatch):
         assert koszul_check(m) == (True, None)
         polys = [entry for row in (*m.P, *m.E) for entry in row] + [m.delta]
         assert all(type(c) is int for poly in polys for c in poly)
+        # Every coefficient the document prints is an integer, so printing
+        # it builds no Fraction either.
+        m.to_json(12)
 
 
 def test_koszul_check_passes_on_polynomials_alone(monkeypatch):
