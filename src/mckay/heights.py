@@ -23,10 +23,10 @@ from .mckaygraph import McKayGraph, breadth_first
 # the battery and the tests (cyclic:12, window 4) visits 2,269 for 816 heights.
 HEIGHT_CAP = 10_000
 
-# Heights times n^3, n the vertex count, that a checking command may take on
-# over all heights; n^3 is the per-height matrix work of `lattice_failures`.
-# cyclic:12 at window 4 (816 heights) admits; cyclic:16 at window 2 (510
-# heights, 2,088,960) would take lattice-check 4.9 s.
+# Most heights times n^3 (n the vertex count) a checking command runs over
+# all heights; n^3 is the per-height matrix work of `lattice_failures`.
+# cyclic:12 at window 4 (816 heights, 1,410,048) is admitted; cyclic:16 at
+# window 2 (510 heights, 2,088,960) took lattice-check 4.9 s.
 HEIGHT_WORK_CAP = 2_000_000
 
 

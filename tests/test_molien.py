@@ -127,6 +127,15 @@ def test_molien_builds_no_fraction(monkeypatch):
         m.to_json(12)
 
 
+def test_a_series_coefficient_off_by_a_fraction_is_refused():
+    """|G| P[0][0] one more at t^0 puts 1/|G| into S_00's series."""
+    m = built("2T")[2]
+    p = [list(row) for row in m.P]
+    p[0][0] = plus(p[0][0], (1,))
+    with pytest.raises(ConsistencyError, match="not an integer"):
+        dataclasses.replace(m, P=tuple(map(tuple, p))).to_json(12)
+
+
 def test_koszul_check_passes_on_polynomials_alone(monkeypatch):
     def refuse(*args):
         raise AssertionError("a passing check reduced a rational function")
