@@ -125,11 +125,10 @@ def _heights_for(args, graph):
     if args.height is not None:
         return [_parse_height(graph, args.height)]
     heights = enumerate_heights(graph, args.window)
-    work = len(heights) * graph.size ** 3
-    if work > HEIGHT_WORK_CAP:
-        raise ResourceLimitError(
-            f"{len(heights)} heights on {graph.size} vertices cost {len(heights)} x "
-            f"{graph.size}^3 = {work}, more than {HEIGHT_WORK_CAP}")
+    if (work := len(heights) * graph.size ** 3) > HEIGHT_WORK_CAP:
+        raise ResourceLimitError(f"{len(heights)} heights on {graph.size} vertices cost "
+                                 f"{len(heights)} x {graph.size}^3 = {work}, more than "
+                                 f"{HEIGHT_WORK_CAP}")
     return heights
 
 

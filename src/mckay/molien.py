@@ -20,8 +20,7 @@ Koszul identity S(t) * E(-t) = Id is checked with the denominator and |G|
 cleared, as (|G| P)(t) * E(-t) = |G| delta(t) * Id: integer polynomial
 products and sums only, and the same identity because delta is not zero.
 delta(0) = 1, so the series coefficients of S follow from P and delta by an
-integer recurrence; they are dimensions, so the one division by |G| at the
-end is an exact integer quotient, and a remainder is a ConsistencyError.
+integer recurrence and one division by |G|, exact as they are dimensions.
 
 Index convention (recorded in output): S[p][q] is the generating function of
 dim Hom(W_q, Sym^m V* (x) W_p) taken equivariantly, i.e. the (q, p) entry of
@@ -144,10 +143,10 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
     1 - tau t + t^2 per distinct trace tau, taken on integer vectors in
     Z[z_L], L the lcm of the conductors of the values and the traces.  Each
     entry sums the class-size weights of the classes of one trace, pairs
-    them with that trace's partial product by integer dot products against
-    the multiplication matrices of its coefficients, and is asserted
-    rational: |G| P comes out with integer coefficients.  E(t) = Id + N t +
-    Id t^2 is read off the McKay matrix N."""
+    them with that trace's partial product by adding up the columns of the
+    multiplication matrices of its coefficients at the nonzero weights, and
+    is asserted rational: |G| P comes out with integer coefficients.
+    E(t) = Id + N t + Id t^2 is read off the McKay matrix N."""
     count = table.count
     conductor = lcm(*(v.conductor for row in (*table.values, table.defining_values)
                       for v in row))
@@ -175,14 +174,14 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
     partial = [_poly_times(prefix[s], suffix[s + 1], conductor) for s in range(k)]
     delta = trim(_rational(c, "the Molien denominator") for c in prefix[k])
 
-    # Row r of the multiplication matrix of a coefficient c sends a weight w
-    # to coordinate r of w c; one row per degree and coordinate, across the
-    # traces, turns the sum over traces into one dot product.
+    # Column j of the multiplication matrix of a coefficient c is z^j c; one
+    # column per trace and coordinate, stacked over the degrees, so an entry
+    # adds up only the columns at its nonzero weights.
     def columns(c):
         return [phi_reduce([0] * j + list(c), conductor) for j in range(width)]
-    mult = [[columns(part[d]) for part in partial] for d in range(2 * k - 1)]
-    dots = [[[col[r] for cols in per_trace for col in cols] for r in range(width)]
-            for per_trace in mult]
+    mult = [[columns(part[d]) for d in range(2 * k - 1)] for part in partial]
+    stacked = [[x for per_degree in per_trace for x in per_degree[j]]
+               for per_trace in mult for j in range(width)]
 
     weighted = [[tuple(size * x for x in lift(v)) for size, v in zip(table.class_sizes, row)]
                 for row in table.values]
@@ -195,9 +194,12 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
             for s, x, y in zip(slot, weighted[p], conj[q]):
                 by_trace[s] = [a + b for a, b in
                                zip(by_trace[s], cyclo_times(x, y, conductor))]
-            w = [x for vec in by_trace for x in vec]
-            p_row.append(trim(_rational([sum(map(mul, row, w)) for row in rows],
-                                        "a Molien average") for rows in dots))
+            acc = [0] * len(stacked[0])
+            for x, col in zip((x for vec in by_trace for x in vec), stacked):
+                if x:
+                    acc = [a + x * c for a, c in zip(acc, col)]
+            p_row.append(trim(_rational(acc[d:d + width], "a Molien average")
+                              for d in range(0, len(acc), width)))
         p_rows.append(tuple(p_row))
     n = table.mckay_matrix
     e_rows = tuple(tuple(trim([int(p == q), n[p][q], int(p == q)])
@@ -234,8 +236,7 @@ def koszul_check(matrices: MolienMatrices):
         for r, column in enumerate(columns):
             acc = [0] * width
             for q, j, c in column:
-                num = p_row[q]
-                acc[j:j + len(num)] = [a + c * x for a, x in zip(acc[j:], num)]
+                acc[j:j + len(p_row[q])] = [a + c * x for a, x in zip(acc[j:], p_row[q])]
             if trim(acc) != (target if p == r else ()):
                 return False, {"entry": [p, r], "value": str(RatFunc(acc, target))}
     return True, None
