@@ -118,6 +118,50 @@ def test_kirillov_identity_all_canonical_heights(label):
         assert ok, (h.values, [r for r in rows if not r["ok"]])
 
 
+def reference_path_count(quiver, start: int, end: int) -> int:
+    """Paths from start to end by one memo DFS per pair, arrows read off the
+    quiver's arrow list: the oracle for the path-count matrix."""
+    memo: dict[int, int] = {}
+
+    def count(v: int) -> int:
+        if v not in memo:
+            memo[v] = int(v == end) + sum(count(a.tgt) for a in quiver.arrows if a.src == v)
+        return memo[v]
+
+    return count(start)
+
+
+def reference_kirillov_rows(h: HeightFunction, hom_dim) -> list[dict]:
+    quiver = h.quiver()
+    rows = []
+    for i in range(h.graph.size):
+        for j in range(h.graph.size):
+            paths = reference_path_count(quiver, i, j)
+            dim = hom_dim(j, i, h.values[i] - h.values[j])
+            rows.append({"pair": [i, j], "hom_dim": dim, "path_count": paths,
+                         "ok": paths == dim})
+    return rows
+
+
+@pytest.mark.parametrize("label", ["cyclic:4", "bd:2"])
+def test_kirillov_rows_under_an_injected_fault(label):
+    # A Hom dimension off by one at the entry one pair reads must fail that
+    # pair alone, with every row as the per-pair DFS gives it, in order.
+    graph, hd = setup(label)
+    for h in enumerate_heights(graph, 2):
+        for i in range(graph.size):
+            for j in range(graph.size):
+                fault = (j, i, h.values[i] - h.values[j])
+
+                def off(a, b, m, fault=fault):
+                    return hd(a, b, m) + ((a, b, m) == fault)
+
+                ok, rows = kirillov_check(h, off)
+                assert not ok
+                assert rows == reference_kirillov_rows(h, off), (h.values, i, j)
+                assert [r["pair"] for r in rows if not r["ok"]] == [[i, j]]
+
+
 @pytest.mark.parametrize("label", ["cyclic:4", "bd:2"])
 def test_ext_vanishing(label):
     graph, hd = setup(label)

@@ -226,6 +226,74 @@ def test_twist_reads_the_cartan_form(label, count, monkeypatch):
     assert rows == twist_failure_rows(graph)
 
 
+def reference_lattice_failures(graph, hd, h):
+    """The rows of `lattice_failures` with every pairing taken class by class
+    (x G y^T summed entry by entry) and each twist as one reflection per
+    class: the oracle for the matrix-product form.  Families come from
+    `verify.simple_family`, in the order `lattice_failures` builds them."""
+    gram = gram_matrix(hd, graph.size)
+
+    def euler(x, y):
+        return sum(u * g * v for u, row in zip(x, gram) for g, v in zip(row, y))
+
+    def form(x, y):
+        return euler(x, y) + euler(y, x)
+
+    proj = projective_classes(hd, h)
+    family = verify.simple_family(h, proj)
+    tag = list(h.values)
+    rows = [{"height": tag, "entry": [i, j], "error": "cartan form mismatch"}
+            for i, a in enumerate(family) for j, b in enumerate(family)
+            if form(a, b) != graph.cartan[i][j]]
+    if [[euler(p, s) for s in family] for p in proj] != \
+            [[int(i == j) for j in range(graph.size)] for i in range(graph.size)]:
+        rows.append({"height": tag, "error": "dual bases fail"})
+    quiver = h.quiver()
+    for vertex, step in [(v, -2) for v in quiver.sources()] + [(v, 2) for v in quiver.sinks()]:
+        flipped = h.with_value(vertex, h.values[vertex] + step)
+        e = family[vertex]
+        twisted = [comb((1, x), (-form(e, x), e)) for x in family]
+        if twisted != verify.simple_family(flipped, flipped_classes(hd, proj, flipped, vertex)):
+            rows.append({"height": tag, "vertex": vertex, "error": "twist does not match flip"})
+    return rows
+
+
+@pytest.mark.parametrize("label", ["cyclic:4", "bd:2"])
+def test_lattice_rows_under_a_perturbed_family(label, monkeypatch):
+    # One entry of the k-th family built is raised by one: k = 0 is the
+    # height's own family (Cartan, dual-basis and twist rows), k >= 1 the
+    # family of the k-th flip (its twist row alone).  The rows must be the
+    # oracle's, in the same order.
+    _, _, graph, hd = context(label)
+    family = verify.simple_family
+    state = {"built": 0, "target": 0}
+
+    def perturbed(h, proj):
+        got = family(h, proj)
+        k = state["built"]
+        state["built"] += 1
+        if k != state["target"]:
+            return got
+        r, c = k % graph.size, (3 * k + 1) % (2 * graph.size)
+        return [tuple(x + (i == r and j == c) for j, x in enumerate(row))
+                for i, row in enumerate(got)]
+
+    monkeypatch.setattr(verify, "simple_family", perturbed)
+    for h in enumerate_heights(graph, 2):
+        quiver = h.quiver()
+        flips = list(quiver.sources()) + list(quiver.sinks())
+        for target in range(len(flips) + 1):
+            state.update(built=0, target=target)
+            got = lattice_failures(graph, hd, h)
+            state.update(built=0, target=target)
+            assert got == reference_lattice_failures(graph, hd, h), (h.values, target)
+            if target:
+                assert got == [{"height": list(h.values), "vertex": flips[target - 1],
+                                "error": "twist does not match flip"}]
+            else:
+                assert got
+
+
 def test_simple_classes_separate_and_span():
     _, _, graph, hd = context("cyclic:4")
     family = family_at(hd, HeightFunction(graph, graph.parity))

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from mckay import preproj
 from mckay.chartab import dixon_character_table
 from mckay.errors import ResourceLimitError
 from mckay.groups import build_group, parse_descriptor
 from mckay.mckaygraph import mckay_graph
 from mckay.molien import HomDims
-from mckay.preproj import (double_quiver, ext_algebra_presentation,
+from mckay.preproj import (GradedDims, double_quiver, ext_algebra_presentation,
                            preprojective_presentation, presentations_match,
                            quadratic_dual, truncated_hilbert,
                            truncated_koszul_check)
@@ -172,6 +173,45 @@ def test_truncated_koszul_identity(label):
     graph, _ = setup(label)
     ok, witness = truncated_koszul_check(preprojective_presentation(graph), 6)
     assert ok, witness
+
+
+def reference_koszul(h, hdual, max_degree: int):
+    """The truncated Poincare identity entry by entry, the witness being the
+    first entry off in (degree, row, column) order: the oracle for the
+    matrix-product form."""
+    nv = h.num_vertices
+    for d in range(max_degree + 1):
+        for i in range(nv):
+            for j in range(nv):
+                acc = sum((-1) ** (d - a) * h.dim(i, k, a) * hdual.dim(k, j, d - a)
+                          for a in range(d + 1) for k in range(nv))
+                if acc != int(d == 0 and i == j):
+                    return False, {"degree": d, "entry": [i, j], "value": acc}
+    return True, None
+
+
+@pytest.mark.parametrize("label", ["cyclic:4", "bd:2"])
+def test_koszul_witness_under_a_perturbed_dual(label, monkeypatch):
+    # Each dimension of the dual raised by one in turn: the check must fail
+    # and name the entry and value the entrywise sum names.
+    graph, _ = setup(label)
+    pres = preprojective_presentation(graph)
+    top = 4
+    h = truncated_hilbert(pres, top)
+    hdual = truncated_hilbert(quadratic_dual(pres), top)
+    nv = graph.size
+    monkeypatch.setattr(preproj, "quadratic_dual", lambda p: None)
+    for b in range(top + 1):
+        for k in range(nv):
+            for j in range(nv):
+                mats = [[list(row) for row in mat] for mat in hdual.matrices]
+                mats[b][k][j] += 1
+                bad = GradedDims(nv, tuple(tuple(map(tuple, mat)) for mat in mats))
+                monkeypatch.setattr(preproj, "truncated_hilbert",
+                                    lambda p, degree, bad=bad: h if p is pres else bad)
+                got = preproj.truncated_koszul_check(pres, top)
+                assert got[0] is False
+                assert got == reference_koszul(h, bad, top), (b, k, j)
 
 
 def test_column_cap_guard():
