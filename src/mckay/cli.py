@@ -21,7 +21,7 @@ from .chartab import character_table
 from .errors import ConsistencyError, PreconditionError, ResourceLimitError
 from .groups import build_group, group_summary, parse_descriptor
 from .heights import (HEIGHT_WORK_CAP, HeightFunction, enumerate_heights,
-                      ext_vanishing_check, kirillov_check, path_count)
+                      ext_vanishing_check, kirillov_check, path_counts)
 from .mckaygraph import mckay_graph
 from .ktheory import weyl_checks
 from .molien import HomDims, koszul_check, molien_matrices
@@ -216,8 +216,7 @@ def run(args) -> tuple[dict, int]:
     elif command == "paths":
         h = _parse_height(graph, args.height)
         quiver = h.quiver()
-        doc["paths"] = [[path_count(quiver, i, j) for j in range(graph.size)]
-                        for i in range(graph.size)]
+        doc["paths"] = [list(row) for row in path_counts(quiver)]
         doc["sinks"] = list(quiver.sinks())
         doc["sources"] = list(quiver.sources())
         return doc, 0

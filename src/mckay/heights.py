@@ -7,7 +7,9 @@ an acyclic orientation; raising a sink by 2 (or lowering a source by 2)
 yields another height with the adjacent arrows reversed.  Canonical
 enumeration anchors the affine node at its parity value and bounds the
 spread, because heights are an infinite family under global shifts and
-every identity checked here is shift-covariant.
+every identity checked here is shift-covariant.  The path counts of a
+quiver are one matrix, built row by row once per quiver, and the path/Hom
+identity reads it against the Hom dimensions.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ HEIGHT_CAP = 10_000
 # Most heights times n^3 (n the vertex count) a checking command runs over
 # all heights; n^3 is the per-height matrix work of `lattice_failures`.
 # cyclic:12 at window 4 (816 heights, 1,410,048) is admitted; cyclic:16 at
-# window 2 (510 heights, 2,088,960) took lattice-check 4.9 s.
+# window 2 (510 heights, 2,088,960) is refused, and with the cap lifted
+# lattice-check takes 2.4-2.5 s there (Python 3.11, 2 vCPU).
 HEIGHT_WORK_CAP = 2_000_000
 
 
@@ -56,9 +59,6 @@ class OrientedQuiver:
 
     def sources(self) -> tuple[int, ...]:
         return self._ends[1]
-
-    def arrows_from(self, v: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.src == v]
 
     def reverse_at(self, v: int) -> OrientedQuiver:
         got = self._reversed.get(v)
@@ -150,23 +150,24 @@ def enumerate_heights(graph: McKayGraph, window: int) -> list[HeightFunction]:
     return [HeightFunction(graph, vals) for vals in sorted(results)]
 
 
-def path_count(quiver: OrientedQuiver, start: int, end: int) -> int:
-    """Directed paths from start to end, counting parallel arrows separately;
-    the empty path counts once.  Finite because arrows strictly drop height."""
-    memo: dict[int, int] = {}
+def path_counts(quiver: OrientedQuiver) -> list[tuple[int, ...]]:
+    """The path-count matrix: entry (i, j) counts the directed paths from i
+    to j, parallel arrows separately and the empty path once.  Row i is e_i
+    plus the rows of i's arrow targets, each row built once; finite because
+    arrows strictly drop height."""
+    size = quiver.size
+    targets: list[list[int]] = [[] for _ in range(size)]
+    for a in quiver.arrows:
+        targets[a.src].append(a.tgt)
+    rows: dict[int, tuple[int, ...]] = {}
 
-    def count(v: int) -> int:
-        got = memo.get(v)
-        if got is not None:
-            return got
-        total = 1 if v == end else 0
-        for a in quiver.arrows_from(v):
-            total += count(a.tgt)
-        memo[v] = total
-        return total
+    def row(i: int) -> tuple[int, ...]:
+        if i not in rows:
+            unit = [int(i == j) for j in range(size)]
+            rows[i] = tuple(map(sum, zip(unit, *map(row, targets[i]))))
+        return rows[i]
 
-    # memoization is safe: the quiver is acyclic
-    return count(start)
+    return [row(i) for i in range(size)]
 
 
 def kirillov_check(h: HeightFunction, hom_dim) -> tuple[bool, list[dict]]:
@@ -175,13 +176,13 @@ def kirillov_check(h: HeightFunction, hom_dim) -> tuple[bool, list[dict]]:
     For vertices i, j the number of paths i -> j must equal
     dim Hom(W_j, Sym^{h(i)-h(j)} V* (x) W_i) (zero for negative exponent).
     """
-    quiver = h.quiver()
+    counts = path_counts(h.quiver())
     size = h.graph.size
     rows = []
     ok = True
     for i in range(size):
         for j in range(size):
-            paths = path_count(quiver, i, j)
+            paths = counts[i][j]
             dim = hom_dim(j, i, h.values[i] - h.values[j])
             match = paths == dim
             ok = ok and match

@@ -8,19 +8,21 @@ W_i(1) (Beilinson's tilting bundle): the Euler sequence gives
 [W_i(d)] = sum_j N_ij [W_j(d-1)] - [W_i(d-2)].  So a class is a tuple of 2n
 integers on that basis, classes are equal when their tuples are, and the
 Euler pairing is one Gram matrix G read off the Hom dimensions.  Each
-height's simple classes come from its own downhill quiver.  Every check is
-an exact integer matrix identity: dual bases, the Cartan form, the twist as
-a rank-one update, the basis change between two heights, and the Weyl
-relations.
+height's simple classes S come from its own downhill quiver, and their
+Cartan matrix S (G + G^T) S^T holds every symmetrized pairing the checks
+read.  Every check is an exact integer matrix identity through
+`linalg.matmul`: dual bases, the Cartan form, the twist as a rank-one
+update whose coefficients are one row of the Cartan matrix, the basis
+change between two heights, and the Weyl relations.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import mul
 
 from .errors import PreconditionError, ResourceLimitError
 from .heights import HeightFunction
+from .linalg import matmul
 from .mckaygraph import McKayGraph
 from .molien import HomDims
 
@@ -28,18 +30,6 @@ from .molien import HomDims
 FLIP_CAP = 10000
 
 Class = tuple[int, ...]
-
-
-def _matmul(a, b) -> list[Class]:
-    """Matrix product, each row of a taken as a combination of b's rows."""
-    out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for x, brow in zip(row, b):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, brow)]
-        out.append(tuple(acc))
-    return out
 
 
 def _identity(size: int) -> list[Class]:
@@ -65,16 +55,6 @@ def gram_matrix(hd: HomDims, size: int) -> list[Class]:
     basis = [(i, a) for a in (0, 1) for i in range(size)]
     return [tuple(hd.hom_dim(i, j, b - a) - hd.hom_dim(j, i, a - b - 2) for j, b in basis)
             for i, a in basis]
-
-
-def euler_char(gram: list[Class], x: Class, y: Class) -> int:
-    """Euler pairing x G y^T."""
-    return sum(u * sum(map(mul, row, y)) for u, row in zip(x, gram) if u)
-
-
-def cartan_form(gram: list[Class], x: Class, y: Class) -> int:
-    """Symmetrized Euler pairing: the Euler form of zero-section pushforwards."""
-    return euler_char(gram, x, y) + euler_char(gram, y, x)
 
 
 def _refuse_far(h: HeightFunction) -> None:
@@ -114,33 +94,31 @@ def simple_family(h: HeightFunction, proj: list[Class]) -> list[Class]:
     down = [list(row) for row in _identity(h.graph.size)]
     for arrow in h.quiver().arrows:
         down[arrow.src][arrow.tgt] -= 1
-    return _matmul(down, proj)
-
-
-def twist_class(gram: list[Class], family: list[Class], vertex: int, x: Class) -> Class:
-    """Reflection of any class x in the hyperplane of one simple:
-    x - <[E_vertex], x> [E_vertex] under the symmetrized form."""
-    e = family[vertex]
-    coeff = cartan_form(gram, e, x)
-    return tuple(a - coeff * b for a, b in zip(x, e))
+    return matmul(down, proj)
 
 
 def cartan_matrix(gram: list[Class], family: list[Class]) -> list[Class]:
-    """The symmetrized form on the family, S (G + G^T) S^T."""
-    half = _matmul(_matmul(family, gram), list(zip(*family)))
+    """The symmetrized Euler form (the Euler form of zero-section
+    pushforwards) on the family, S (G + G^T) S^T."""
+    half = matmul(matmul(family, gram), list(zip(*family)))
     return [tuple(a + b for a, b in zip(row, col)) for row, col in zip(half, zip(*half))]
 
 
 def verify_dual_bases(gram: list[Class], proj: list[Class], family: list[Class]) -> bool:
     """Pairing of a height's projectives against its simples must be the
     identity matrix: P G S^T = I."""
-    return _matmul(_matmul(proj, gram), list(zip(*family))) == _identity(len(family))
+    return matmul(matmul(proj, gram), list(zip(*family))) == _identity(len(family))
 
 
-def twist_matches_flip(gram: list[Class], family: list[Class], vertex: int,
+def twist_matches_flip(cartan: list[Class], family: list[Class], vertex: int,
                        flipped: list[Class]) -> bool:
-    """Twisting the family at one simple (a rank-one update) gives `flipped`."""
-    return [twist_class(gram, family, vertex, x) for x in family] == flipped
+    """Twisting the family at one simple gives `flipped`.  The twist reflects
+    each class x_k in the hyperplane of e = x_vertex under the symmetrized
+    form, x_k - C[vertex][k] e with C = `cartan_matrix(gram, family)`: one
+    rank-one update of the family."""
+    e = family[vertex]
+    return [tuple(a - c * b for a, b in zip(x, e))
+            for x, c in zip(family, cartan[vertex])] == flipped
 
 
 def verify_twist_vs_flip(graph: McKayGraph, hd: HomDims, h: HeightFunction,
@@ -156,7 +134,8 @@ def verify_twist_vs_flip(graph: McKayGraph, hd: HomDims, h: HeightFunction,
     proj = projective_classes(hd, h)
     family = simple_family(h, proj)
     flipped = simple_family(other, flipped_classes(hd, proj, other, vertex))
-    return twist_matches_flip(gram_matrix(hd, graph.size), family, vertex, flipped)
+    return twist_matches_flip(cartan_matrix(gram_matrix(hd, graph.size), family),
+                              family, vertex, flipped)
 
 
 def basis_change_unimodular(graph: McKayGraph, hd: HomDims,
@@ -171,7 +150,7 @@ def basis_change_unimodular(graph: McKayGraph, hd: HomDims,
     gram = gram_matrix(hd, graph.size)
 
     def spans(proj, family, classes):
-        return _matmul(_matmul(classes, list(zip(*_matmul(proj, gram)))), family) == classes
+        return matmul(matmul(classes, list(zip(*matmul(proj, gram)))), family) == classes
 
     return spans(proj1, family1, family2) and spans(proj2, family2, family1)
 
@@ -194,21 +173,21 @@ def weyl_checks(graph: McKayGraph, seed: int = 5) -> dict:
               for r, row in enumerate(ident)] for i in range(n)]
     delta = [(d,) for d in graph.delta]
     report: dict = {
-        "squares": all(_matmul(s, s) == ident for s in refls),
+        "squares": all(matmul(s, s) == ident for s in refls),
         "braid3": [], "double_edge_infinite": None,
-        "delta_fixed": all(_matmul(s, delta) == delta for s in refls),
-        "form_preserved": all(_matmul(_matmul(list(zip(*s)), cartan), s) == cartan
+        "delta_fixed": all(matmul(s, delta) == delta for s in refls),
+        "form_preserved": all(matmul(matmul(list(zip(*s)), cartan), s) == cartan
                               for s in refls)}
     for i in range(n):
         for j in range(i + 1, n):
             if not graph.n[i][j]:
                 continue
-            prod = _matmul(refls[i], refls[j])
+            prod = matmul(refls[i], refls[j])
             if graph.n[i][j] == 1:
                 report["braid3"].append(
-                    {"pair": [i, j], "ok": _matmul(_matmul(prod, prod), prod) == ident})
+                    {"pair": [i, j], "ok": matmul(matmul(prod, prod), prod) == ident})
             else:
-                report["double_edge_infinite"] = ident not in accumulate([prod] * 12, _matmul)
+                report["double_edge_infinite"] = ident not in accumulate([prod] * 12, matmul)
     report["ok"] = (report["squares"] and report["delta_fixed"] and report["form_preserved"]
                     and all(item["ok"] for item in report["braid3"])
                     and report["double_edge_infinite"] is not False)

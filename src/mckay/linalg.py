@@ -1,4 +1,5 @@
-"""Dense exact linear algebra over Q and F_p.
+"""Dense exact linear algebra over Q and F_p, and the one exact matrix
+product the package uses.
 
 Matrices are lists of row lists.  The field is the argument `p`: 0 means the
 rationals (entries are ints or Fractions; results are ints where integral
@@ -105,6 +106,19 @@ def quotient(num: int, den: int) -> int | Fraction:
     """num/den as an int when den divides num, else as a Fraction."""
     q, r = divmod(num, den)
     return Fraction(num, den) if r else q
+
+
+def matmul(a, b) -> list[tuple]:
+    """The exact matrix product a·b, each row of a taken as a combination of
+    b's rows (zero coefficients skipped)."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return out
 
 
 def rank(mat) -> int:

@@ -38,6 +38,7 @@ from .chartab import CharacterTable
 from .errors import ConsistencyError
 from .exactnum import CycloNum, RatFunc, cyclo_times, euler_phi, phi_reduce, trim
 from .groups import MatrixGroup
+from .linalg import matmul
 
 S_CONVENTION = ("S[p][q](t) = sum_m dim Hom(W_q, Sym^m V* x W_p)_invariant t^m; "
                 "identity checked: S(t) * E(-t) = Id")
@@ -48,15 +49,15 @@ class HomDims:
     McKay matrix N.
 
     V (x) Sym^{m-1} V = Sym^m V (+) Sym^{m-2} V gives the integer matrices
-    H_0 = Id, H_1 = N and H_m = N H_{m-1} - H_{m-2}, memoized by degree.  N
-    is read off the table on the first query, so constructing one costs
-    nothing; the group adds nothing to what the table holds.
-    Negative m gives 0 by convention.
+    H_0 = Id, H_1 = N and H_m = N H_{m-1} - H_{m-2}, one `linalg.matmul` per
+    degree, memoized by degree.  N is read off the table on the first query,
+    so constructing one costs nothing; the group adds nothing to what the
+    table holds.  Negative m gives 0 by convention.
     """
 
     def __init__(self, group: MatrixGroup, table: CharacterTable):
         self.table = table
-        self._by_degree: list[list[list[int]]] = []
+        self._by_degree: list[list[tuple[int, ...]]] = []
 
     def hom_dim(self, i: int, j: int, m: int) -> int:
         if m < 0:
@@ -64,14 +65,11 @@ class HomDims:
         h = self._by_degree
         if not h:
             n = self.table.mckay_matrix
-            h.append([[int(r == c) for c in range(len(n))] for r in range(len(n))])
+            h.append([tuple(int(r == c) for c in range(len(n))) for r in range(len(n))])
             h.append(n)
-        n = h[1]
         while len(h) <= m:
-            columns = list(zip(*h[-1]))
-            h.append([[sum(a * b for a, b in zip(row, col)) - below
-                       for col, below in zip(columns, row2)]
-                      for row, row2 in zip(n, h[-2])])
+            h.append([tuple(a - b for a, b in zip(row, below))
+                      for row, below in zip(matmul(h[1], h[-1]), h[-2])])
         return h[m][i][j]
 
     __call__ = hom_dim

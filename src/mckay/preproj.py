@@ -304,20 +304,19 @@ def truncated_hilbert(pres: QuadraticPresentation, max_degree: int,
 
 def truncated_koszul_check(pres: QuadraticPresentation, max_degree: int):
     """Truncated Poincare identity: H(P, t) * H(P^!, -t) = Id through the
-    given degree.  Returns (ok, witness)."""
-    h = truncated_hilbert(pres, max_degree)
-    hdual = truncated_hilbert(quadratic_dual(pres), max_degree)
-    nv = pres.num_vertices
+    given degree, in degree d the matrix identity
+    sum_a (-1)^(d-a) H_a H!_(d-a) = [d == 0] Id.  Returns (ok, witness), the
+    witness naming the first entry off in (degree, row, column) order."""
+    h = truncated_hilbert(pres, max_degree).matrices
+    dual = truncated_hilbert(quadratic_dual(pres), max_degree).matrices
+    # H!(-t): the odd degrees negated.
+    signed = [[tuple(-x for x in row) for row in mat] if b % 2 else mat
+              for b, mat in enumerate(dual)]
     for d in range(max_degree + 1):
-        for i in range(nv):
-            for j in range(nv):
-                acc = 0
-                for a in range(d + 1):
-                    b = d - a
-                    sign = -1 if b % 2 else 1
-                    acc += sign * sum(h.dim(i, k, a) * hdual.dim(k, j, b)
-                                      for k in range(nv))
-                expected = 1 if (d == 0 and i == j) else 0
-                if acc != expected:
+        terms = [linalg.matmul(h[a], signed[d - a]) for a in range(d + 1)]
+        for i in range(pres.num_vertices):
+            for j in range(pres.num_vertices):
+                acc = sum(t[i][j] for t in terms)
+                if acc != int(d == 0 and i == j):
                     return False, {"degree": d, "entry": [i, j], "value": acc}
     return True, None

@@ -272,13 +272,15 @@ def check_bgp() -> dict:
 def lattice_failures(graph: McKayGraph, hd: HomDims, h: HeightFunction) -> list[dict]:
     """Failures at one height of the Cartan form on simple classes, the dual
     bases, and the twist-flip agreement at every source and sink.  The
-    height's family is built once, and each flipped family once from the
-    height's projectives with the one flipped row rebuilt."""
+    height's family and its Cartan matrix are built once, each twist reads
+    its coefficients off that matrix, and each flipped family is built once
+    from the height's projectives with the one flipped row rebuilt."""
     proj = projective_classes(hd, h)
     family = simple_family(h, proj)
     gram = gram_matrix(hd, graph.size)
+    cartan = cartan_matrix(gram, family)
     rows = [{"height": list(h.values), "entry": [i, j], "error": "cartan form mismatch"}
-            for i, row in enumerate(cartan_matrix(gram, family))
+            for i, row in enumerate(cartan)
             for j, value in enumerate(row) if value != graph.cartan[i][j]]
     if not verify_dual_bases(gram, proj, family):
         rows.append({"height": list(h.values), "error": "dual bases fail"})
@@ -286,7 +288,7 @@ def lattice_failures(graph: McKayGraph, hd: HomDims, h: HeightFunction) -> list[
     steps = [(v, -2) for v in quiver.sources()] + [(v, 2) for v in quiver.sinks()]
     for vertex, step in steps:
         flipped = h.with_value(vertex, h.values[vertex] + step)
-        if not twist_matches_flip(gram, family, vertex, simple_family(
+        if not twist_matches_flip(cartan, family, vertex, simple_family(
                 flipped, flipped_classes(hd, proj, flipped, vertex))):
             rows.append({"height": list(h.values), "vertex": vertex,
                          "error": "twist does not match flip"})

@@ -463,9 +463,9 @@ def test_lattice_check_shares_the_battery_path(monkeypatch, capsys):
 
 
 def test_lattice_check_reports_twists_that_miss_their_flips(monkeypatch, capsys):
-    from mckay import ktheory
+    from test_ktheory import zero_the_twisted_row
 
-    monkeypatch.setattr(ktheory, "cartan_form", lambda gram, x, y: 0)
+    zero_the_twisted_row(monkeypatch)
     code, out, _ = run(capsys, "lattice-check", "cyclic:4")
     assert code == 1
     checks = json.loads(out)["checks"]

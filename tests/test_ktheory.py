@@ -10,9 +10,9 @@ import pytest
 from mckay import ktheory, linalg, verify
 from mckay.heights import HeightFunction, enumerate_heights
 from mckay.errors import ResourceLimitError
-from mckay.ktheory import (FLIP_CAP, basis_change_unimodular, cartan_form, euler_char,
+from mckay.ktheory import (FLIP_CAP, basis_change_unimodular, cartan_matrix,
                            flipped_classes, gram_matrix, projective_classes, simple_family,
-                           symbol_class, twist_class, verify_dual_bases,
+                           symbol_class, twist_matches_flip, verify_dual_bases,
                            verify_twist_vs_flip, weyl_checks)
 from mckay.verify import ADE_EXPECTATIONS, context, lattice_failures
 
@@ -26,6 +26,11 @@ def family_at(hd, h):
     return simple_family(h, projective_classes(hd, h))
 
 
+def pairings(gram, xs, ys):
+    """The Euler pairings X G Y^T of two lists of classes, read off gram."""
+    return linalg.matmul(linalg.matmul(xs, gram), list(zip(*ys)))
+
+
 def symbol_pairing(hd, x, y):
     """Oracle Euler pairing on formal sums of symbols {(irrep, twist): coeff}:
     Hom minus Ext^1, the latter by Serre duality with the twist -2."""
@@ -37,11 +42,11 @@ def test_euler_pairing_base_cases():
     *_, graph, hd = context("cyclic:2")
     gram = gram_matrix(hd, graph.size)
     w0 = symbol_class(hd, 2, 0, 0)
-    assert euler_char(gram, w0, w0) == 1
-    assert euler_char(gram, w0, symbol_class(hd, 2, 0, -2)) == -1
+    row = pairings(gram, [w0], [w0, symbol_class(hd, 2, 0, -2), symbol_class(hd, 2, 0, 2)])[0]
+    assert row[:2] == (1, -1)
     # For the order-2 center every quadratic form is invariant, so the
     # equivariant chi(O, O(2)) sees all three sections.
-    assert euler_char(gram, w0, symbol_class(hd, 2, 0, 2)) == hd(0, 0, 2) == 3
+    assert row[2] == hd(0, 0, 2) == 3
 
 
 @pytest.mark.parametrize("label", ["cyclic:4", "bd:2", "2T", "2I", "cyclic:12"])
@@ -49,11 +54,10 @@ def test_vector_pairing_is_the_symbol_pairing(label):
     _, _, graph, hd = context(label)
     gram = gram_matrix(hd, graph.size)
     symbols = [(i, d) for i in range(graph.size) for d in range(-3, 4)]
-    vectors = {s: symbol_class(hd, graph.size, *s) for s in symbols}
-    for s in symbols:
-        for t in symbols:
-            assert euler_char(gram, vectors[s], vectors[t]) == \
-                symbol_pairing(hd, {s: 1}, {t: 1}), (s, t)
+    vectors = [symbol_class(hd, graph.size, *s) for s in symbols]
+    for s, row in zip(symbols, pairings(gram, vectors, vectors)):
+        for t, value in zip(symbols, row):
+            assert value == symbol_pairing(hd, {s: 1}, {t: 1}), (s, t)
 
 
 @pytest.mark.parametrize("label", ["cyclic:2", "bd:2", "2I"])
@@ -82,14 +86,12 @@ def test_parity_family_duality_defines_it():
     gram = gram_matrix(hd, 2)
     family = family_at(hd, HeightFunction(graph, graph.parity))
     projectives = [symbol_class(hd, 2, k, graph.parity[k]) for k in range(2)]
-    for k, fk in enumerate(projectives):
-        for i, cls in enumerate(family):
-            assert euler_char(gram, fk, cls) == (1 if i == k else 0)
+    assert pairings(gram, projectives, family) == [(1, 0), (0, 1)]
     # Exact linear solve oracle: the duality system over the twist window
     # {p(j), p(j)-2} admits the family as a solution.
     window = [symbol_class(hd, 2, j, e) for j in range(2)
               for e in (graph.parity[j], graph.parity[j] - 2)]
-    matrix = [[Fraction(euler_char(gram, fk, w)) for w in window] for fk in projectives]
+    matrix = [[Fraction(x) for x in row] for row in pairings(gram, projectives, window)]
     for i in range(2):
         target = [Fraction(int(k == i)) for k in range(2)]
         assert linalg.solve_many(matrix, [target]) is not None
@@ -126,9 +128,11 @@ def test_cartan_form_on_simple_classes():
         gram = gram_matrix(hd, graph.size)
         for h in enumerate_heights(graph, 2):
             family = family_at(hd, h)
-            for i, a in enumerate(family):
-                for j, b in enumerate(family):
-                    assert cartan_form(gram, a, b) == graph.cartan[i][j]
+            half = pairings(gram, family, family)
+            cartan = cartan_matrix(gram, family)
+            for i in range(graph.size):
+                for j in range(graph.size):
+                    assert cartan[i][j] == half[i][j] + half[j][i] == graph.cartan[i][j]
 
 
 def test_delta_combination_is_radical():
@@ -136,8 +140,10 @@ def test_delta_combination_is_radical():
     gram = gram_matrix(hd, graph.size)
     family = family_at(hd, HeightFunction(graph, graph.parity))
     delta_class = comb(*zip(graph.delta, family))
-    for cls in family:
-        assert cartan_form(gram, delta_class, cls) == 0
+    half = pairings(gram, [delta_class], family)[0]
+    other = pairings(gram, family, [delta_class])
+    assert [x + y for x, (y,) in zip(half, other)] == [0] * graph.size
+    assert linalg.matmul([graph.delta], cartan_matrix(gram, family)) == [(0,) * graph.size]
 
 
 def test_twist_examples_and_involution():
@@ -145,10 +151,10 @@ def test_twist_examples_and_involution():
     gram = gram_matrix(hd, 2)
     family = family_at(hd, HeightFunction(graph, graph.parity))
     e0, e1 = family
-    assert twist_class(gram, family, 0, e0) == comb((-1, e0))
-    t1 = twist_class(gram, family, 0, e1)
-    assert t1 == comb((1, e1), (2, e0))
-    assert twist_class(gram, family, 0, t1) == e1
+    twisted = [comb((-1, e0)), comb((1, e1), (2, e0))]
+    assert twist_matches_flip(cartan_matrix(gram, family), family, 0, twisted)
+    assert not twist_matches_flip(cartan_matrix(gram, family), family, 0, family)
+    assert twist_matches_flip(cartan_matrix(gram, twisted), twisted, 0, family)
 
 
 def test_symbols_have_integral_family_coordinates():
@@ -195,10 +201,15 @@ def test_twist_vs_flip_diagonal_and_nonneighbors():
     h = HeightFunction(graph, (0, 0, 1, 1))
     family = family_at(hd, h)
     source = h.quiver().sources()[0]
-    assert twist_class(gram, family, source, family[source]) == comb((-1, family[source]))
-    for j in range(graph.size):
-        if j != source and graph.n[source][j] == 0:
-            assert twist_class(gram, family, source, family[j]) == family[j]
+    cartan = cartan_matrix(gram, family)
+    # The twist negates the source's class and adds it once to each neighbour
+    # (the Cartan row is 2 on the diagonal, -1 at neighbours, 0 elsewhere).
+    twisted = [comb((-1, x)) if j == source
+               else comb((1, x), (graph.n[source][j], family[source]))
+               for j, x in enumerate(family)]
+    assert cartan[source] == tuple(2 if j == source else -graph.n[source][j]
+                                   for j in range(graph.size))
+    assert twist_matches_flip(cartan, family, source, twisted)
 
 
 def twist_failure_rows(graph):
@@ -213,12 +224,24 @@ def twist_failure_rows(graph):
     return rows
 
 
+def zero_the_twisted_row(monkeypatch):
+    """Make every twist of `lattice_failures` read a zero Cartan row, so
+    each twist is the identity."""
+    twist = verify.twist_matches_flip
+
+    def zeroed(cartan, family, vertex, flipped):
+        rows = [(0,) * len(row) if i == vertex else row for i, row in enumerate(cartan)]
+        return twist(rows, family, vertex, flipped)
+
+    monkeypatch.setattr(verify, "twist_matches_flip", zeroed)
+
+
 @pytest.mark.parametrize("label,count", [("cyclic:4", 16), ("bd:2", 66)])
 def test_twist_reads_the_cartan_form(label, count, monkeypatch):
-    # With the symmetrized form patched to 0 every twist is the identity, so
-    # it misses the flipped class at the twisted vertex everywhere; the Cartan
-    # check reads the matrix S (G + G^T) S^T, not this form, and stays silent.
-    monkeypatch.setattr(ktheory, "cartan_form", lambda gram, x, y: 0)
+    # With the Cartan row the twist reads set to 0 every twist is the
+    # identity, so it misses the flipped class at the twisted vertex
+    # everywhere; the Cartan check reads the matrix unchanged and stays silent.
+    zero_the_twisted_row(monkeypatch)
     _, _, graph, hd = context(label)
     rows = [row for h in enumerate_heights(graph, 2)
             for row in lattice_failures(graph, hd, h)]
@@ -336,7 +359,7 @@ def resolution_classes(hd, h):
     size = h.graph.size
     return [comb((1, symbol_class(hd, size, i, h.values[i])),
                  *[(-1, symbol_class(hd, size, a.tgt, h.values[a.tgt]))
-                   for a in quiver.arrows_from(i)])
+                   for a in quiver.arrows if a.src == i])
             for i in range(size)]
 
 
