@@ -14,7 +14,8 @@ import pytest
 from mckay import molien
 from mckay.errors import ConsistencyError, PreconditionError
 from mckay.exactnum import CycloNum, RatFunc, trim
-from mckay.chartab import CharacterTable
+from mckay.chartab import CharacterTable, dixon_character_table
+from mckay.groups import build_group, parse_descriptor
 from mckay.mckaygraph import mckay_graph
 from mckay.molien import HomDims, graded_dim_Bh, koszul_check, molien_matrices
 from mckay.heights import HeightFunction
@@ -371,6 +372,22 @@ def molien_record(label):
 def test_molien_document_matches_golden(label):
     golden = json.loads(GOLDEN_MOLIEN.read_text())
     assert molien_record(label) == golden[label]
+
+
+# sha256 of repr((P, delta)) on groups past the battery, where the Molien
+# average runs in Q(z_L) with phi(L) = 16 (bd:15, L = 60) and 8 (cyclic:24).
+WIDE_CONDUCTOR_PINS = {
+    "bd:15": "ce3d581a64e5a8de04aefa60d67fbb63bd8193d2e85fee2ab5c9a2e5f348882e",
+    "cyclic:24": "3a38a41cd3adb185d3ba1130d25a367fed8b1c6d8dbe1c535b07c53e7565966d",
+}
+
+
+@pytest.mark.parametrize("label", sorted(WIDE_CONDUCTOR_PINS))
+def test_molien_numerators_on_wide_conductors_are_pinned(label):
+    g = build_group(parse_descriptor(label))
+    m = molien_matrices(g, dixon_character_table(g))
+    digest = hashlib.sha256(repr((m.P, m.delta)).encode()).hexdigest()
+    assert digest == WIDE_CONDUCTOR_PINS[label]
 
 
 def with_value(table, row, col, value):
