@@ -18,7 +18,7 @@ import random
 import tempfile
 from dataclasses import dataclass
 from hashlib import sha256
-from math import isqrt
+from math import gcd, isqrt
 
 from . import linalg
 from .errors import ConsistencyError
@@ -184,16 +184,8 @@ def dixon_character_table(group: MatrixGroup, seed: int = DEFAULT_SEED,
         chi_mod = [(d * omega[i] * size_inv[i]) % p for i in range(k)]
         rows.append((d, chi_mod))
 
-    # The classes of rep^0, rep^1, ... up to the order of each rep, by a
-    # running product.
-    powers = []
-    for r in data.reps:
-        row, x = [data.class_of[0]], r
-        while x:
-            row.append(data.class_of[x])
-            x = group.mul(x, r)
-        powers.append(row)
     eta = pow(_primitive_root(p), (p - 1) // exponent, p)
+    powers = group.power_classes()
     tables = _canonical_rows([(d, _lift_row(chi_mod, d, eta, p, exponent, powers))
                               for d, chi_mod in rows], k)
     dims = tuple(t[0] for t in tables)
@@ -336,8 +328,7 @@ def _lift_row(chi_mod, degree, eta, p, exponent, powers):
     For a representative g of order o, the eigenvalue multiplicities
     m_k of z_o^k satisfy m_k = (1/o) * sum_j chi(g^j) eta_o^{-jk} (mod p)
     and are bounded by the degree, hence uniquely liftable; the value is
-    chi(g) = sum_k m_k z_o^k.  powers[c][j] is the class of g^j for the
-    representative g of class c.
+    chi(g) = sum_k m_k z_o^k, with powers the group's `power_classes`.
     """
     values = []
     for classes in powers:
@@ -400,8 +391,11 @@ def verify_table(table: CharacterTable, group: MatrixGroup) -> None:
     an integer convolution reduced modulo the N-th cyclotomic polynomial at
     the end.  The quotient map onto Z[z_N] is a ring homomorphism that
     commutes with conjugation, so the reduced sums are the exact ones and
-    every check is an identity.
-    """
+    every check is an identity.  Orthogonality is blind to column order;
+    sigma_a(chi(c)) = chi(c^a) is not.  It is checked for a in a generating
+    set of (Z/N)^x, which implies every unit as sigma_ab = sigma_a sigma_b
+    and (c^b)^a = c^(ab): so every class-weighted sum of the table is
+    Galois-fixed, hence rational."""
     order = group.order
     n = table.exponent
     k = len(table.class_sizes)
@@ -428,6 +422,18 @@ def verify_table(table: CharacterTable, group: MatrixGroup) -> None:
                 raise ConsistencyError(f"column orthogonality fails at ({a}, {b})")
     if table.defining_values != group.traces():
         raise ConsistencyError("stored defining character != matrix traces")
+    if table.class_sizes != group.conjugacy_classes().sizes:
+        raise ConsistencyError("class sizes != the group's")
+    powers, reached = group.power_classes(), {1}
+    for a in range(2, n):  # a generating set of (Z/N)^x, least units first
+        if gcd(a, n) > 1 or a in reached:
+            continue
+        reached = {h * pow(a, j, n) % n for h in reached for j in range(n)}
+        for i, row in enumerate(table.values):
+            for c, classes in enumerate(powers):
+                if row[c].galois(a) != row[classes[a % len(classes)]]:
+                    raise ConsistencyError(f"Galois action fails: sigma_{a} of row {i} "
+                                           f"at class {c} != its value at class {c}^{a}")
 
 
 def _ring_row(row, n):

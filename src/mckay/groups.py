@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import ConsistencyError, PreconditionError
 from .exactnum import CycloNum
@@ -208,8 +208,8 @@ class MatrixGroup:
         self._table = table
         self.inverse = tuple(row.index(0) for row in table)
         self.minus_identity = minus_identity
-        self._orders: dict[int, int] = {}
         self._classes: ConjugacyClasses | None = None
+        self._powers: tuple[tuple[int, ...], ...] | None = None
         self._traces: tuple[CycloNum, ...] | None = None
 
     @property
@@ -219,22 +219,25 @@ class MatrixGroup:
     def mul(self, i: int, j: int) -> int:
         return self._table[i][j]
 
+    def power_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Per class, the classes of r^0, ..., r^(o-1) for its representative r
+        of order o, so r^a is in class entry a % o; computed once."""
+        if self._powers is None:
+            data, powers = self.conjugacy_classes(), []
+            for r in data.reps:
+                row, x = [0], r  # the identity is class 0
+                while x:
+                    row.append(data.class_of[x])
+                    x = self.mul(x, r)
+                powers.append(tuple(row))
+            self._powers = tuple(powers)
+        return self._powers
+
     def element_order(self, i: int) -> int:
-        got = self._orders.get(i)
-        if got is None:
-            k, x = 1, i
-            while x != 0:
-                x = self.mul(x, i)
-                k += 1
-            self._orders[i] = got = k
-        return got
+        return len(self.power_classes()[self.conjugacy_classes().class_of[i]])
 
     def exponent(self) -> int:
-        result = 1
-        for rep in self.conjugacy_classes().reps:
-            o = self.element_order(rep)
-            result = result * o // gcd(result, o)
-        return result
+        return lcm(*map(len, self.power_classes()))
 
     def contains_minus_identity(self) -> bool:
         return self.minus_identity is not None

@@ -5,12 +5,12 @@ For a 2x2 unimodular g both eigenvalues are determined by the trace, so
 det(1 - g^{-1} t) = 1 - tr(g) t + t^2 needs no eigenvalue case analysis at
 +-1.  The Molien average for S(t) is taken on integer vectors in Z[z_L], L
 the lcm of the conductors of the character values and the traces (not the
-group exponent, which only makes the vectors longer), and must produce plain
-rationals: every non-constant coordinate is asserted zero, never assumed
-so.  What is left is |G| P, stored with integer coefficients.  E(t) is the
-graded character of the exterior algebra of V: Lambda^0 V and Lambda^2 V are
-trivial and Lambda^1 V = V, so E(t) = Id + N t + Id t^2 with N the McKay
-matrix, and only S is averaged.
+group exponent, which only makes the vectors longer).  `verify_table` checks
+sigma_a(chi(c)) = chi(c^a), so sigma_a permutes the classes and the distinct
+traces, fixing every coefficient: only the rational coordinate is computed,
+|G| P with integer coefficients.  E(t) is the graded character of the
+exterior algebra of V: Lambda^0 V and Lambda^2 V are trivial and
+Lambda^1 V = V, so E(t) = Id + N t + Id t^2 with N the McKay matrix.
 
 Every entry of S(t) is summed over one common denominator
 delta(t) = prod_tau (1 - tau t + t^2), one factor per distinct trace tau:
@@ -129,22 +129,15 @@ def _poly_times(f, g, conductor: int) -> list[tuple[int, ...]]:
     return [tuple(c) for c in out]
 
 
-def _rational(coords, what: str) -> int:
-    """The constant coordinate, after asserting every other one is zero."""
-    if any(coords[1:]):
-        raise ConsistencyError(f"cyclotomic parts failed to cancel in {what}")
-    return coords[0]
-
-
 def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices:
     """S(t) as the Molien average over the common denominator, one factor
     1 - tau t + t^2 per distinct trace tau, taken on integer vectors in
     Z[z_L], L the lcm of the conductors of the values and the traces.  Each
     entry sums the class-size weights of the classes of one trace, pairs
     them with that trace's partial product by adding up the columns of the
-    multiplication matrices of its coefficients at the nonzero weights, and
-    is asserted rational: |G| P comes out with integer coefficients.
-    E(t) = Id + N t + Id t^2 is read off the McKay matrix N."""
+    multiplication matrices of its coefficients at the nonzero weights.  On
+    a table that passed `verify_table` each is rational, so only coordinate
+    0 is summed.  E(t) = Id + N t + Id t^2 is read off the McKay matrix N."""
     count = table.count
     conductor = lcm(*(v.conductor for row in (*table.values, table.defining_values)
                       for v in row))
@@ -170,16 +163,11 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
     for s in range(k - 1, -1, -1):
         suffix[s] = _poly_times(suffix[s + 1], factors[s], conductor)
     partial = [_poly_times(prefix[s], suffix[s + 1], conductor) for s in range(k)]
-    delta = trim(_rational(c, "the Molien denominator") for c in prefix[k])
+    delta = trim(c[0] for c in prefix[k])
 
-    # Column j of the multiplication matrix of a coefficient c is z^j c; one
-    # column per trace and coordinate, stacked over the degrees, so an entry
-    # adds up only the columns at its nonzero weights.
-    def columns(c):
-        return [phi_reduce([0] * j + list(c), conductor) for j in range(width)]
-    mult = [[columns(part[d]) for d in range(2 * k - 1)] for part in partial]
-    stacked = [[x for per_degree in per_trace for x in per_degree[j]]
-               for per_trace in mult for j in range(width)]
+    # Coordinate 0 of z^j c, for each coefficient c of each partial product.
+    stacked = [[phi_reduce([0] * j + list(c), conductor)[0] for c in part]
+               for part in partial for j in range(width)]
 
     weighted = [[tuple(size * x for x in lift(v)) for size, v in zip(table.class_sizes, row)]
                 for row in table.values]
@@ -196,8 +184,7 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
             for x, col in zip((x for vec in by_trace for x in vec), stacked):
                 if x:
                     acc = [a + x * c for a, c in zip(acc, col)]
-            p_row.append(trim(_rational(acc[d:d + width], "a Molien average")
-                              for d in range(0, len(acc), width)))
+            p_row.append(trim(acc))
         p_rows.append(tuple(p_row))
     n = table.mckay_matrix
     e_rows = tuple(tuple(trim([int(p == q), n[p][q], int(p == q)])

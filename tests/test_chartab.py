@@ -18,6 +18,7 @@ from mckay.chartab import (character_table, class_constants, dixon_character_tab
 from mckay.errors import ConsistencyError
 from mckay.exactnum import CycloNum
 from mckay.groups import build_group, parse_descriptor
+from mckay.molien import molien_matrices
 from mckay.verify import ADE_EXPECTATIONS
 
 
@@ -282,6 +283,31 @@ def test_verify_table_rejects_swapped_entries(label):
     t, g = _tampered(label, values=(t.values[0], tuple(row)) + t.values[2:])
     with pytest.raises(ConsistencyError, match="row orthogonality"):
         verify_table(t, g)
+
+
+def test_verify_table_rejects_powers_in_the_wrong_columns():
+    # Swapping the columns of g and g^2 in every row keeps both
+    # orthogonality relations; sigma_2(chi(g)) = chi(g^2) does not hold.
+    t = dixon_character_table(group("cyclic:5"))
+    values = tuple((row[0], row[2], row[1]) + row[3:] for row in t.values)
+    t, g = _tampered("cyclic:5", values=values)
+    with pytest.raises(ConsistencyError, match="Galois action"):
+        verify_table(t, g)
+
+
+@pytest.mark.parametrize("label, message", [("cyclic:3", "row orthogonality"),
+                                            ("2T", "row orthogonality"),
+                                            ("bd:2", "algebraic integer")])
+def test_a_value_off_by_a_cube_root_of_unity_is_refused(label, message):
+    """The table check refuses the value, and the Molien average of the
+    unchecked table fails one of its own identities."""
+    t = dixon_character_table(group(label))
+    bad = _with_value(t, 1, 1, t.values[1][1] * CycloNum.root_of_unity(3))
+    t, g = _tampered(label, values=bad)
+    with pytest.raises(ConsistencyError, match=message):
+        verify_table(t, g)
+    with pytest.raises(ConsistencyError):
+        molien_matrices(g, t)
 
 
 def test_verify_table_rejects_changed_class_size():

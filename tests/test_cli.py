@@ -311,6 +311,20 @@ def test_all_command_runs_the_battery(capsys):
     assert all(c["pass"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("option", [["--window", "3"], ["--max-degree", "9"],
+                                    ["--seed", "4"]])
+def test_all_refuses_values_the_battery_does_not_run_at(option, capsys, monkeypatch):
+    monkeypatch.setattr(cli.verify, "run_all", lambda: pytest.fail("the battery ran"))
+    code, out, err = run(capsys, "all", *option)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "all runs the battery at --window 2, --max-degree 6 and --seed 1 only",
+        "kind": "precondition"}
+    # The defaults spelled out are the values the battery runs at.
+    monkeypatch.setattr(cli.verify, "run_all", lambda: [])
+    assert run(capsys, "all", "--window", "2", "--max-degree", "6", "--seed", "1")[0] == 0
+
+
 REP = {
     "dims": [2, 1],
     "arrows": [
