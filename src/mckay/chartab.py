@@ -422,8 +422,8 @@ def verify_table(table: CharacterTable, group: MatrixGroup) -> None:
                 raise ConsistencyError(f"column orthogonality fails at ({a}, {b})")
     if table.defining_values != group.traces():
         raise ConsistencyError("stored defining character != matrix traces")
-    if table.class_sizes != group.conjugacy_classes().sizes:
-        raise ConsistencyError("class sizes != the group's")
+    if (table.class_sizes, n) != (group.conjugacy_classes().sizes, group.exponent()):
+        raise ConsistencyError("class sizes or exponent != the group's")
     powers, reached = group.power_classes(), {1}
     for a in range(2, n):  # a generating set of (Z/N)^x, least units first
         if gcd(a, n) > 1 or a in reached:

@@ -96,7 +96,7 @@ def check_koszul() -> dict:
 
 
 def check_chartab_soundness() -> dict:
-    """Criterion 3: orthogonality, dimension sums, and prime independence.
+    """Criterion 3: orthogonality, Galois action, dimension sums, primes.
     `dixon_character_table` verifies every table it returns, the context's
     and the second prime's, so what is left to check is their equality."""
     witness = []

@@ -295,16 +295,27 @@ def test_verify_table_rejects_powers_in_the_wrong_columns():
         verify_table(t, g)
 
 
-@pytest.mark.parametrize("label, message", [("cyclic:3", "row orthogonality"),
-                                            ("2T", "row orthogonality"),
-                                            ("bd:2", "algebraic integer")])
-def test_a_value_off_by_a_cube_root_of_unity_is_refused(label, message):
+def test_verify_table_rejects_an_exponent_not_the_groups():
+    # At N = 6 every value of cyclic:3 still lies in Z[z_N] and both
+    # relations hold, but the Galois check would run over the wrong units.
+    t, g = _tampered("cyclic:3", exponent=6)
+    with pytest.raises(ConsistencyError, match="exponent != the group's"):
+        verify_table(t, g)
+
+
+# The check of verify_table that refuses each table below.
+CUBE_ROOT_REFUSALS = {"cyclic:3": "row orthogonality", "2T": "row orthogonality",
+                      "bd:2": "algebraic integer"}
+
+
+@pytest.mark.parametrize("label", list(CUBE_ROOT_REFUSALS))
+def test_a_value_off_by_a_cube_root_of_unity_is_refused(label):
     """The table check refuses the value, and the Molien average of the
     unchecked table fails one of its own identities."""
     t = dixon_character_table(group(label))
     bad = _with_value(t, 1, 1, t.values[1][1] * CycloNum.root_of_unity(3))
     t, g = _tampered(label, values=bad)
-    with pytest.raises(ConsistencyError, match=message):
+    with pytest.raises(ConsistencyError, match=CUBE_ROOT_REFUSALS[label]):
         verify_table(t, g)
     with pytest.raises(ConsistencyError):
         molien_matrices(g, t)
