@@ -133,11 +133,11 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
     """S(t) as the Molien average over the common denominator, one factor
     1 - tau t + t^2 per distinct trace tau, taken on integer vectors in
     Z[z_L], L the lcm of the conductors of the values and the traces.  Each
-    entry sums the class-size weights of the classes of one trace, pairs
-    them with that trace's partial product by adding up the columns of the
-    multiplication matrices of its coefficients at the nonzero weights.  On
-    a table that passed `verify_table` each is rational, so only coordinate
-    0 is summed.  E(t) = Id + N t + Id t^2 is read off the McKay matrix N."""
+    entry sums the class-size weights of the classes of one trace and pairs
+    them with that trace's partial product.  On a table that passed
+    `verify_table` every coefficient is rational, so only coordinate 0 of
+    the multiplication matrices' columns is added up, at the nonzero
+    weights.  E(t) = Id + N t + Id t^2 is read off the McKay matrix N."""
     count = table.count
     conductor = lcm(*(v.conductor for row in (*table.values, table.defining_values)
                       for v in row))
