@@ -375,10 +375,13 @@ def test_molien_document_matches_golden(label):
 
 
 # sha256 of repr((P, delta)) on groups past the battery, where the Molien
-# average runs in Q(z_L) with phi(L) = 16 (bd:15, L = 60) and 8 (cyclic:24).
+# average runs in Q(z_L) with phi(L) = 16 (L = 60 on bd:15, bd:30 and
+# cyclic:60; the last two have 31 distinct traces) and 8 (cyclic:24).
 WIDE_CONDUCTOR_PINS = {
     "bd:15": "ce3d581a64e5a8de04aefa60d67fbb63bd8193d2e85fee2ab5c9a2e5f348882e",
+    "bd:30": "3a957de3b6e1c8f1179fb39222dc82348dfe9ee676444e6d8c160d0841e71d2d",
     "cyclic:24": "3a38a41cd3adb185d3ba1130d25a367fed8b1c6d8dbe1c535b07c53e7565966d",
+    "cyclic:60": "ea944c60b16b20c74892fb2de25f885fc9f8fa06dfc3788dbe442e6d9a89f9ab",
 }
 
 
