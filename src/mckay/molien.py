@@ -3,12 +3,13 @@ equivariant Hom-dimension calculator every later module leans on.
 
 For a 2x2 unimodular g both eigenvalues are determined by the trace, so
 det(1 - g^{-1} t) = 1 - tr(g) t + t^2 needs no eigenvalue case analysis at
-+-1.  The Molien average for S(t) is taken on integer vectors in Z[z_L], L
-the lcm of the conductors of the character values and the traces (not the
-group exponent, which only makes the vectors longer).  `verify_table` checks
-sigma_a(chi(c)) = chi(c^a), so sigma_a permutes the classes and the distinct
-traces, fixing every coefficient: only the rational coordinate is computed,
-|G| P with integer coefficients.  E(t) is the graded character of the
++-1.  The Molien average for S(t) is taken through one ring map
+Z[z_L] -> Z/ell, z_L -> omega = 2^b and ell = |Phi_L(omega)|, L the lcm of
+the conductors of the character values and the traces.  `verify_table`
+checks sigma_a(chi(c)) = chi(c^a), so sigma_a permutes the classes and the
+distinct traces, fixing every coefficient of |G| P and delta: each is a
+rational integer, of size below ell / 2 under the bound `molien_matrices`
+proves, so its symmetric residue mod ell is its value.  E(t) is the graded character of the
 exterior algebra of V: Lambda^0 V and Lambda^2 V are trivial and
 Lambda^1 V = V, so E(t) = Id + N t + Id t^2 with N the McKay matrix.
 
@@ -36,7 +37,7 @@ from operator import mul
 
 from .chartab import CharacterTable
 from .errors import ConsistencyError
-from .exactnum import CycloNum, RatFunc, cyclo_times, euler_phi, phi_reduce, trim
+from .exactnum import CycloNum, RatFunc, cyclotomic_polynomial, trim
 from .groups import MatrixGroup
 from .linalg import matmul
 
@@ -120,76 +121,72 @@ def _series(num: list[int], delta: list[int], degree: int, order: int) -> list[i
     return [q for q, _ in quotients]
 
 
-def _poly_times(f, g, conductor: int) -> list[tuple[int, ...]]:
-    """Product of two polynomials with coefficients in Z[z_conductor]."""
-    out = [[0] * len(f[0]) for _ in range(len(f) + len(g) - 1)]
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = [x + y for x, y in zip(out[i + j], cyclo_times(a, b, conductor))]
-    return [tuple(c) for c in out]
+def _evaluation(conductor: int, bound: int) -> tuple[int, int]:
+    """(omega, ell), omega = 2^b for the least b >= 1 with ell = |Phi_L(omega)|
+    above 2 bound, L the conductor: Phi_L(omega) = 0 mod ell, so z_L -> omega
+    is a ring map Z[z_L] -> Z/ell."""
+    phi, b = cyclotomic_polynomial(conductor), 1
+    while (ell := abs(sum(c << (b * j) for j, c in enumerate(phi)))) <= 2 * bound:
+        b += 1
+    return 1 << b, ell
 
 
 def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices:
     """S(t) as the Molien average over the common denominator, one factor
-    1 - tau t + t^2 per distinct trace tau, taken on integer vectors in
-    Z[z_L], L the lcm of the conductors of the values and the traces.  Each
-    entry sums the class-size weights of the classes of one trace and pairs
-    them with that trace's partial product.  On a table that passed
-    `verify_table` every coefficient is rational, so only coordinate 0 of
-    the multiplication matrices' columns is added up, at the nonzero
-    weights.  E(t) = Id + N t + Id t^2 is read off the McKay matrix N."""
-    count = table.count
+    1 - tau t + t^2 for each of the k distinct traces tau, through the ring
+    map Z[z_L] -> Z/ell of `_evaluation`, L the lcm of the conductors of the
+    values and the traces.  Each value, conjugate and trace is mapped once;
+    each entry pairs the class-size weights of one trace's classes with its
+    partial product delta / (1 - tau t + t^2), packed at a bit width no sum
+    of k products of residues reaches, in one integer dot product.  Under
+    every complex embedding |tau| <= 2 and |chi_p(c)| <= d_p, so a
+    coefficient of |G| P[p][q] is at most |G| d_p d_q 4^(k-1) and one of
+    delta at most 4^k.  ell exceeds twice both, so each coefficient, a
+    rational integer on a table that passed `verify_table`, is its symmetric
+    residue.  E(t) = Id + N t + Id t^2 is read off the McKay matrix N."""
     conductor = lcm(*(v.conductor for row in (*table.values, table.defining_values)
                       for v in row))
-    width = euler_phi(conductor)
+    traces = list(dict.fromkeys(table.defining_values))
+    slot, k = [traces.index(tau) for tau in table.defining_values], len(traces)
+    omega, ell = _evaluation(conductor, max(group.order * max(table.dims) ** 2, 4) * 4 ** (k - 1))
+    powers, half = [pow(omega, j, ell) for j in range(conductor)], ell // 2
 
-    def lift(value: CycloNum) -> tuple[int, ...]:
+    def image(value: CycloNum, sign: int = 1) -> int:
+        """The value mod ell, or with sign -1 its complex conjugate."""
         if value.den != 1:
             raise ConsistencyError("a character value or trace is not an algebraic integer")
-        return value.lifted(conductor)
+        step = sign * conductor // value.conductor
+        return sum(c * powers[j * step % conductor] for j, c in enumerate(value.num)) % ell
 
-    per_class = [lift(tau) for tau in table.defining_values]
-    traces = list(dict.fromkeys(per_class))
-    slot = [traces.index(tau) for tau in per_class]
-    one = phi_reduce([1], conductor)
-    factors = [[one, tuple(-x for x in tau), one] for tau in traces]
-    k = len(factors)
-
-    # Partial products prod_{s' != s} of the factors for the common denominator.
-    prefix = [[one]]
-    for factor in factors:
-        prefix.append(_poly_times(prefix[-1], factor, conductor))
-    suffix = [[one]] * (k + 1)
-    for s in range(k - 1, -1, -1):
-        suffix[s] = _poly_times(suffix[s + 1], factors[s], conductor)
-    partial = [_poly_times(prefix[s], suffix[s + 1], conductor) for s in range(k)]
-    delta = trim(c[0] for c in prefix[k])
-
-    # Coordinate 0 of z^j c, for each coefficient c of each partial product.
-    stacked = [[phi_reduce([0] * j + list(c), conductor)[0] for c in part]
-               for part in partial for j in range(width)]
-
-    weighted = [[tuple(size * x for x in lift(v)) for size, v in zip(table.class_sizes, row)]
+    taus, delta = [image(tau) for tau in traces], [1]
+    for tau in taus:
+        delta = [(a - tau * b + c) % ell
+                 for a, b, c in zip([*delta, 0, 0], [0, *delta, 0], [0, 0, *delta])]
+    # delta / (1 - tau t + t^2) by power-series division: both are 1 at t = 0.
+    width, packed = (k * ell * ell).bit_length(), []
+    for tau in taus:
+        quotient = [0, 0]
+        for c in delta[:2 * k - 1]:
+            quotient.append((c + tau * quotient[-1] - quotient[-2]) % ell)
+        packed.append(sum(c << (width * i) for i, c in enumerate(quotient[2:])))
+    weighted = [[size * image(v) for size, v in zip(table.class_sizes, row)]
                 for row in table.values]
-    conj = [[lift(v.conj()) for v in row] for row in table.values]
+    conj = [[image(v, -1) for v in row] for row in table.values]
+    mask, shifts = (1 << width) - 1, range(0, width * (2 * k - 1), width)
     p_rows = []
-    for p in range(count):
+    for row in weighted:
         p_row = []
-        for q in range(count):
-            by_trace = [[0] * width for _ in range(k)]
-            for s, x, y in zip(slot, weighted[p], conj[q]):
-                by_trace[s] = [a + b for a, b in
-                               zip(by_trace[s], cyclo_times(x, y, conductor))]
-            acc = [0] * len(stacked[0])
-            for x, col in zip((x for vec in by_trace for x in vec), stacked):
-                if x:
-                    acc = [a + x * c for a, c in zip(acc, col)]
-            p_row.append(trim(acc))
+        for column in conj:
+            by_trace = [0] * k
+            for s, x, y in zip(slot, row, column):
+                by_trace[s] += x * y
+            acc = sum(x % ell * part for x, part in zip(by_trace, packed))
+            p_row.append(trim(((acc >> i & mask) + half) % ell - half for i in shifts))
         p_rows.append(tuple(p_row))
-    n = table.mckay_matrix
-    e_rows = tuple(tuple(trim([int(p == q), n[p][q], int(p == q)])
-                         for q in range(count)) for p in range(count))
-    matrices = MolienMatrices(P=tuple(p_rows), delta=delta, E=e_rows, order=group.order)
+    e_rows = tuple(tuple(trim([int(p == q), x, int(p == q)]) for q, x in enumerate(row))
+                   for p, row in enumerate(table.mckay_matrix))
+    matrices = MolienMatrices(P=tuple(p_rows), delta=trim((c + half) % ell - half for c in delta),
+                              E=e_rows, order=group.order)
     _check_degree_zero(matrices)
     return matrices
 

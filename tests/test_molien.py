@@ -13,7 +13,7 @@ import pytest
 
 from mckay import molien
 from mckay.errors import ConsistencyError, PreconditionError
-from mckay.exactnum import CycloNum, RatFunc, trim
+from mckay.exactnum import CycloNum, RatFunc, cyclotomic_polynomial, trim
 from mckay.chartab import CharacterTable, dixon_character_table
 from mckay.groups import build_group, parse_descriptor
 from mckay.mckaygraph import mckay_graph
@@ -385,12 +385,45 @@ WIDE_CONDUCTOR_PINS = {
 }
 
 
+@functools.cache
+def wide(label):
+    """(group, table) for a descriptor past the battery, built once per run."""
+    g = build_group(parse_descriptor(label))
+    return g, dixon_character_table(g)
+
+
 @pytest.mark.parametrize("label", sorted(WIDE_CONDUCTOR_PINS))
 def test_molien_numerators_on_wide_conductors_are_pinned(label):
-    g = build_group(parse_descriptor(label))
-    m = molien_matrices(g, dixon_character_table(g))
+    m = molien_matrices(*wide(label))
     digest = hashlib.sha256(repr((m.P, m.delta)).encode()).hexdigest()
     assert digest == WIDE_CONDUCTOR_PINS[label]
+
+
+@pytest.mark.parametrize("label", ALL_GROUPS + sorted(WIDE_CONDUCTOR_PINS))
+def test_coefficients_fit_the_evaluation_modulus(label, monkeypatch):
+    """Every coefficient of |G| P[p][q] is at most |G| d_p d_q 4^(k-1) in
+    size and every one of delta at most 4^k, k the distinct traces; the
+    modulus the average ran at exceeds twice the larger, with
+    Phi_L(omega) = 0 mod ell and omega = 2^b for the least such b."""
+    g, t = built(label)[:2] if label in ALL_GROUPS else wide(label)
+    evaluation, calls = molien._evaluation, []
+
+    def spy(conductor, bound):
+        calls.append((conductor, bound, *evaluation(conductor, bound)))
+        return calls[-1][2:]
+
+    monkeypatch.setattr(molien, "_evaluation", spy)
+    m = molien_matrices(g, t)
+    [(conductor, bound, omega, ell)] = calls
+    k = len(set(t.defining_values))
+    for p, row in enumerate(m.P):
+        for q, num in enumerate(row):
+            assert max(map(abs, num), default=0) <= g.order * t.dims[p] * t.dims[q] * 4 ** (k - 1)
+    assert max(map(abs, m.delta)) <= 4 ** k
+    assert bound == max(g.order * max(t.dims) ** 2 * 4 ** (k - 1), 4 ** k) and ell > 2 * bound
+    phi = cyclotomic_polynomial(conductor)
+    assert sum(c * omega ** j for j, c in enumerate(phi)) % ell == 0
+    assert omega == 2 or abs(sum(c * (omega // 2) ** j for j, c in enumerate(phi))) <= 2 * bound
 
 
 def with_value(table, row, col, value):
