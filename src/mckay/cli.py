@@ -53,23 +53,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", choices=("json", "table"), default="json",
-                        help="output mode (default json)")
-    common.add_argument("--max-degree", type=int, default=6,
-                        help=f"series truncation degree, at most {MAX_DEGREE_LIMIT}")
-    common.add_argument("--window", type=int, default=2,
-                        help=f"height enumeration window, at most {WINDOW_LIMIT}")
-    common.add_argument("--seed", type=int, default=1,
-                        help="seed for the eigenspace splitting")
-    common.add_argument("--cache-dir", default=None,
-                        help="character table cache directory "
-                             "(or set MCKAY_CACHE_DIR)")
+    # The options every command takes, before or after the subcommand: one
+    # copy for the main parser and one for the subcommands.  Their defaults
+    # are set on the main parser only, because argparse lets a subparser's
+    # defaults overwrite what the main parser read.
+    main_options, common = (argparse.ArgumentParser(add_help=False,
+                                                    argument_default=argparse.SUPPRESS)
+                            for _ in range(2))
+    for options in (main_options, common):
+        add = options.add_argument
+        add("--output", choices=("json", "table"), help="output mode (default json)")
+        add("--max-degree", type=int, help=f"series truncation degree, at most {MAX_DEGREE_LIMIT}")
+        add("--window", type=int, help=f"height enumeration window, at most {WINDOW_LIMIT}")
+        add("--seed", type=int, help="seed for the eigenspace splitting")
+        add("--cache-dir", help="character table cache directory (or set MCKAY_CACHE_DIR)")
     parser = _Parser(
         prog="mckay",
-        parents=[common],
+        parents=[main_options],
         description="Exact checks for McKay graphs, Molien series, "
                     "preprojective algebras, and spherical-twist lattices.")
+    parser.set_defaults(output="json", max_degree=6, window=2, seed=1, cache_dir=None)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -325,6 +325,19 @@ def test_all_refuses_values_the_battery_does_not_run_at(option, capsys, monkeypa
     assert run(capsys, "all", "--window", "2", "--max-degree", "6", "--seed", "1")[0] == 0
 
 
+@pytest.mark.parametrize("option", [["--window", "3"], ["--max-degree", "9"], ["--seed", "4"],
+                                    ["--output", "table"]])
+def test_a_common_option_before_the_subcommand_is_kept(option, capsys, monkeypatch):
+    """Before or after the subcommand, an option prints the same bytes; a
+    subcommand's default does not overwrite it."""
+    before = run(capsys, *option, "koszul-check", "cyclic:3")
+    assert before == run(capsys, "koszul-check", "cyclic:3", *option)
+    assert before[0] == 0 and before[1] != run(capsys, "koszul-check", "cyclic:3")[1]
+    monkeypatch.setattr(cli.verify, "run_all", lambda: pytest.fail("the battery ran"))
+    if option[0] != "--output":
+        assert run(capsys, *option, "all")[:2] == (2, "")
+
+
 REP = {
     "dims": [2, 1],
     "arrows": [
