@@ -7,11 +7,11 @@ det(1 - g^{-1} t) = 1 - tr(g) t + t^2 needs no eigenvalue case analysis at
 Z[z_L] -> Z/ell, z_L -> omega = 2^b and ell = |Phi_L(omega)|, L the lcm of
 the conductors of the character values and the traces.  `verify_table`
 checks sigma_a(chi(c)) = chi(c^a), so sigma_a permutes the classes and the
-distinct traces, fixing every coefficient of |G| P and delta: each is a
-rational integer, of size below ell / 2 under the bound `molien_matrices`
-proves, so its symmetric residue mod ell is its value.  E(t) is the graded character of the
-exterior algebra of V: Lambda^0 V and Lambda^2 V are trivial and
-Lambda^1 V = V, so E(t) = Id + N t + Id t^2 with N the McKay matrix.
+distinct traces and fixes every coefficient of |G| P and delta: each is a
+rational integer, below ell / 2 in size (`molien_matrices`), so it is its
+symmetric residue mod ell.  E(t) is the graded character of the exterior
+algebra of V: Lambda^0 V and Lambda^2 V are trivial and Lambda^1 V = V, so
+E(t) = Id + N t + Id t^2 with N the McKay matrix.
 
 Every entry of S(t) is summed over one common denominator
 delta(t) = prod_tau (1 - tau t + t^2), one factor per distinct trace tau:
