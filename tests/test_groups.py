@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -181,3 +182,21 @@ def test_closure_rejects_an_entry_off_the_family_conductor(monkeypatch):
     monkeypatch.setattr(groups, "_generators", lambda d: [skewed])
     with pytest.raises(ConsistencyError, match="off conductor 8"):
         build_group.__wrapped__(desc)
+
+
+# sha256 of repr((entries, table)): each element's entries as (conductor,
+# den, num) in closure order, and the multiplication table.
+CLOSURE_PINS = {
+    "2I": "a6c9255953de14e527327d0bfd22c8b8c706ea19296fce83cb2c26c5ed0d7cd3",
+    "bd:30": "ecec826302eec662486abb5f24b3df1989ad3cae2c55e272add9fc962e4edb37",
+    "cyclic:60": "54aa2fc27366a97909a2c1bdb83fabc8f289ee0b51d33d94b7c84415e3d9beab",
+}
+
+
+@pytest.mark.parametrize("label", sorted(CLOSURE_PINS))
+def test_elements_and_table_are_pinned(label):
+    g = group(label)
+    entries = [[(e.conductor, e.den, e.num) for e in m.entries()] for m in g.elements]
+    table = [[g.mul(i, j) for j in range(g.order)] for i in range(g.order)]
+    digest = hashlib.sha256(repr((entries, table)).encode()).hexdigest()
+    assert digest == CLOSURE_PINS[label]

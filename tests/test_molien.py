@@ -399,6 +399,20 @@ def test_molien_numerators_on_wide_conductors_are_pinned(label):
     assert digest == WIDE_CONDUCTOR_PINS[label]
 
 
+# sha256 of the degree-12 Molien document on the two wide groups: the
+# battery golden `tests/golden/molien.json` covers only the 20 battery groups.
+WIDE_DOCUMENT_PINS = {
+    "bd:30": "5e4916725a645a5e164a273eaa831c95eb6647d329a7002ebbd0604f80df5cb2",
+    "cyclic:60": "1ba73b77c88da7e49b46417a386a964daa1d623389b0dbf65e9c4c1cc1dd40d0",
+}
+
+
+@pytest.mark.parametrize("label", sorted(WIDE_DOCUMENT_PINS))
+def test_molien_documents_on_wide_conductors_are_pinned(label):
+    doc = json.dumps(molien_matrices(*wide(label)).to_json(12), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == WIDE_DOCUMENT_PINS[label]
+
+
 @pytest.mark.parametrize("label", ALL_GROUPS + sorted(WIDE_CONDUCTOR_PINS))
 def test_coefficients_fit_the_evaluation_modulus(label, monkeypatch):
     """Every coefficient of |G| P[p][q] is at most |G| d_p d_q 4^(k-1) in
