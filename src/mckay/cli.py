@@ -200,6 +200,16 @@ def run(args) -> tuple[dict, int]:
         doc["chartab"] = table.to_json()
         return doc, 0
 
+    # Neither Molien command reads the McKay graph, which refuses cyclic:1.
+    if command == "molien":
+        doc["molien"] = molien_matrices(group, table).to_json(args.max_degree)
+        return doc, 0
+
+    if command == "koszul-check":
+        ok, witness = koszul_check(molien_matrices(group, table))
+        doc["checks"] = [_check("koszul", ok, witness)]
+        return doc, 0 if ok else 1
+
     graph = mckay_graph(group, table)
     if command == "graph":
         doc["graph"] = graph.to_json()
@@ -207,16 +217,7 @@ def run(args) -> tuple[dict, int]:
 
     hd = HomDims(group, table)
 
-    if command == "molien":
-        matrices = molien_matrices(group, table)
-        doc["molien"] = matrices.to_json(args.max_degree)
-        return doc, 0
-
-    if command == "koszul-check":
-        ok, witness = koszul_check(molien_matrices(group, table))
-        checks.append(_check("koszul", ok, witness))
-
-    elif command == "heights":
+    if command == "heights":
         doc["heights"] = [list(h.values) for h in enumerate_heights(graph, args.window)]
         return doc, 0
 

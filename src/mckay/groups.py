@@ -7,7 +7,8 @@ set; the groups are tiny (at most 120 elements), so clarity wins over
 cleverness.  Elements are 2x2 matrices of CycloNum at a fixed ambient
 conductor per family; the closure keys them on their exact integer
 representation and fills the integer multiplication (Cayley) table, so
-every later product is a table lookup.
+every later product is a table lookup.  A 2x2 product skips each term with a
+zero factor: most generators are monomial, so about half the terms vanish.
 """
 
 from __future__ import annotations
@@ -97,20 +98,14 @@ class Mat2:
     def __setattr__(self, name, value):
         raise AttributeError("Mat2 is immutable")
 
-    @staticmethod
-    def scalar(value, conductor: int = 1) -> Mat2:
-        one = CycloNum(conductor, [Fraction(value)])
-        zero = CycloNum(conductor, [0])
-        return Mat2(one, zero, zero, one)
-
     def __mul__(self, other: Mat2) -> Mat2:
-        return Mat2(self.a * other.a + self.b * other.c,
-                    self.a * other.b + self.b * other.d,
-                    self.c * other.a + self.d * other.c,
-                    self.c * other.b + self.d * other.d)
+        return Mat2(_dot(self.a, other.a, self.b, other.c),
+                    _dot(self.a, other.b, self.b, other.d),
+                    _dot(self.c, other.a, self.d, other.c),
+                    _dot(self.c, other.b, self.d, other.d))
 
     def det(self) -> CycloNum:
-        return self.a * self.d - self.b * self.c
+        return _dot(self.a, self.d, -self.b, self.c)
 
     def trace(self) -> CycloNum:
         return self.a + self.d
@@ -128,6 +123,14 @@ class Mat2:
 
     def __repr__(self):
         return f"Mat2({self.a!r}, {self.b!r}; {self.c!r}, {self.d!r})"
+
+
+def _dot(x: CycloNum, y: CycloNum, z: CycloNum, w: CycloNum) -> CycloNum:
+    """x y + z w, skipping a term with a zero factor; with both skipped the
+    sum is the second term's zero factor (all at one conductor)."""
+    if x and y:
+        return x * y + z * w if z and w else x * y
+    return z * w if z and w else (w if z else z)
 
 
 def _generators(desc: GroupDescriptor) -> list[Mat2]:
@@ -313,7 +316,8 @@ def build_group(desc: GroupDescriptor) -> MatrixGroup:
 
     gens = _generators(desc)
     gen_keys = [key(g) for g in gens]
-    identity = Mat2.scalar(1, conductor)
+    one, zero = CycloNum(conductor, [1]), CycloNum(conductor, [0])
+    identity = Mat2(one, zero, zero, one)
     elements = [identity]
     index = {key(identity): 0}
     parent, via, right = [0], [0], []
@@ -339,7 +343,6 @@ def build_group(desc: GroupDescriptor) -> MatrixGroup:
         raise ConsistencyError(
             f"closure of {desc.label} has {len(elements)} elements, "
             f"expected {desc.order}")
-    one = CycloNum.from_rational(1)
     for m in elements:
         if m.det() != one:
             raise ConsistencyError(f"element of {desc.label} has determinant != 1")

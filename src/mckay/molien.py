@@ -20,8 +20,11 @@ trace share a factor, and S = P / delta with a polynomial matrix P.  The
 Koszul identity S(t) * E(-t) = Id is checked with the denominator and |G|
 cleared, as (|G| P)(t) * E(-t) = |G| delta(t) * Id: integer polynomial
 products and sums only, and the same identity because delta is not zero.
-delta(0) = 1, so the series coefficients of S follow from P and delta by an
-integer recurrence and one division by |G|, exact as they are dimensions.
+P[q][p] is the complex conjugate of P[p][q], as the traces are real, and
+both are rational, so `molien_matrices` computes q >= p only.  delta(0) = 1,
+so the series coefficients of S follow from P and delta by an integer
+recurrence and one division by |G|, exact as they are dimensions, once per
+distinct entry of P.
 
 Index convention (recorded in output): S[p][q] is the generating function of
 dim Hom(W_q, Sym^m V* (x) W_p) taken equivariantly, i.e. the (q, p) entry of
@@ -32,6 +35,7 @@ symmetric in (p, q), so the Koszul identity holds for either reading.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -88,24 +92,29 @@ class MolienMatrices:
     E: tuple[tuple[tuple[int, ...], ...], ...]
     order: int
 
-    @property
-    def count(self) -> int:
-        return len(self.P)
+    @cached_property
+    def _reduced(self) -> dict[tuple[int, ...], RatFunc]:
+        """Each distinct numerator of P over |G| delta in normal form, reduced
+        once: cyclic:12 has 7 distinct among its 144 entries."""
+        den = [self.order * c for c in self.delta]
+        return {num: RatFunc(num, den) for num in set().union(*self.P)}
 
     @property
     def S(self) -> tuple[tuple[RatFunc, ...], ...]:
-        """The entries of S(t) in normal form, reduced from P and |G| delta
-        on each access."""
-        den = [self.order * c for c in self.delta]
-        return tuple(tuple(RatFunc(num, den) for num in row) for row in self.P)
+        """The entries of S(t) in normal form, read through `_reduced`."""
+        return tuple(tuple(map(self._reduced.__getitem__, row)) for row in self.P)
 
     def to_json(self, max_degree: int = 6) -> dict:
+        """The document, printing and expanding each distinct entry once."""
+        text = {num: str(f) for num, f in self._reduced.items()}
+        series = {num: list(map(str, _series(num, self.delta, max_degree, self.order)))
+                  for num in text}
+        e_text = {entry: str(RatFunc(entry, (1,))) for entry in set().union(*self.E)}
         return {
             "convention": S_CONVENTION,
-            "S": [[str(entry) for entry in row] for row in self.S],
-            "E": [[str(RatFunc(entry, (1,))) for entry in row] for row in self.E],
-            "S_series": [[list(map(str, _series(num, self.delta, max_degree, self.order)))
-                          for num in row] for row in self.P],
+            "S": [[text[num] for num in row] for row in self.P],
+            "E": [[e_text[entry] for entry in row] for row in self.E],
+            "S_series": [[series[num][:] for num in row] for row in self.P],
         }
 
 
@@ -143,7 +152,9 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
     coefficient of |G| P[p][q] is at most |G| d_p d_q 4^(k-1) and one of
     delta at most 4^k.  ell exceeds twice both, so each coefficient, a
     rational integer on a table that passed `verify_table`, is its symmetric
-    residue.  E(t) = Id + N t + Id t^2 is read off the McKay matrix N."""
+    residue.  Only P[p][q] with q >= p is computed and copied to P[q][p]:
+    each tau is real, so P[q][p] is the conjugate of P[p][q], and both are
+    rational.  E(t) = Id + N t + Id t^2 is read off the McKay matrix N."""
     conductor = lcm(*(v.conductor for row in (*table.values, table.defining_values)
                       for v in row))
     traces = list(dict.fromkeys(table.defining_values))
@@ -173,30 +184,22 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
                 for row in table.values]
     conj = [[image(v, -1) for v in row] for row in table.values]
     mask, shifts = (1 << width) - 1, range(0, width * (2 * k - 1), width)
-    p_rows = []
-    for row in weighted:
-        p_row = []
-        for column in conj:
+    p_rows = [[()] * len(conj) for _ in conj]
+    for p, row in enumerate(weighted):
+        for q in range(p, len(conj)):
             by_trace = [0] * k
-            for s, x, y in zip(slot, row, column):
+            for s, x, y in zip(slot, row, conj[q]):
                 by_trace[s] += x * y
             acc = sum(x % ell * part for x, part in zip(by_trace, packed))
-            p_row.append(trim(((acc >> i & mask) + half) % ell - half for i in shifts))
-        p_rows.append(tuple(p_row))
+            entry = trim(((acc >> i & mask) + half) % ell - half for i in shifts)
+            if (entry[0] if entry else 0) != (group.order if p == q else 0):  # delta(0) = 1
+                raise ConsistencyError("S(0) is not the identity matrix")
+            p_rows[p][q] = p_rows[q][p] = entry
     e_rows = tuple(tuple(trim([int(p == q), x, int(p == q)]) for q, x in enumerate(row))
                    for p, row in enumerate(table.mckay_matrix))
-    matrices = MolienMatrices(P=tuple(p_rows), delta=trim((c + half) % ell - half for c in delta),
-                              E=e_rows, order=group.order)
-    _check_degree_zero(matrices)
-    return matrices
-
-
-def _check_degree_zero(matrices: MolienMatrices) -> None:
-    scaled0 = matrices.order * matrices.delta[0]
-    for p, row in enumerate(matrices.P):
-        for q, num in enumerate(row):
-            if (num[0] if num else 0) != (scaled0 if p == q else 0):
-                raise ConsistencyError("S(0) is not the identity matrix")
+    return MolienMatrices(P=tuple(map(tuple, p_rows)),
+                          delta=trim((c + half) % ell - half for c in delta),
+                          E=e_rows, order=group.order)
 
 
 def koszul_check(matrices: MolienMatrices):
@@ -210,7 +213,7 @@ def koszul_check(matrices: MolienMatrices):
     """
     # Column r of E(-t) as (q, degree, coefficient), nonzero ones only: N is sparse.
     columns = [[(q, j, -c if j % 2 else c) for q, row in enumerate(matrices.E)
-                for j, c in enumerate(row[r]) if c] for r in range(matrices.count)]
+                for j, c in enumerate(row[r]) if c] for r in range(len(matrices.P))]
     target = tuple(matrices.order * c for c in matrices.delta)
     width = sum(max(len(poly) for row in rows for poly in row)
                 for rows in (matrices.P, matrices.E))

@@ -84,6 +84,21 @@ def test_koszul_check_reports_a_perturbed_entry(monkeypatch, capsys):
         "value": "(1 + -1*t + -2*t^2 + -1*t^3 + t^4) / (1 + -2*t^2 + t^4)"}
 
 
+def test_molien_commands_run_on_the_trivial_group(capsys):
+    """cyclic:1's McKay graph has a loop, which neither Molien command reads:
+    S = 1 / (1 - t)^2 with series 1, 2, 3, ..., and Koszul holds."""
+    code, out, _ = run(capsys, "molien", "cyclic:1", "--max-degree", "4")
+    assert code == 0
+    molien = json.loads(out)["molien"]
+    assert molien["S"] == [["(1) / (1 + -2*t + t^2)"]]
+    assert molien["S_series"] == [[["1", "2", "3", "4", "5"]]]
+    code, out, _ = run(capsys, "koszul-check", "cyclic:1")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["pass"] is True
+    code, _, err = run(capsys, "graph", "cyclic:1")
+    assert code == 2 and "loop" in json.loads(err)["error"]
+
+
 def test_heights_precondition_error(capsys):
     code, _, err = run(capsys, "heights", "cyclic:3")
     assert code == 2

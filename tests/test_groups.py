@@ -141,6 +141,20 @@ def test_traces_are_computed_once(monkeypatch):
     assert g.traces() == first
 
 
+def test_closure_multiplies_by_no_zero(monkeypatch):
+    """The bd generators are monomial, so about half the terms of each 2x2
+    product vanish; the closure and its determinant check skip them."""
+    multiply, zeros = CycloNum.__mul__, []
+
+    def spy(x, y):
+        zeros.extend(v for v in (x, y) if isinstance(v, CycloNum) and not v)
+        return multiply(x, y)
+
+    monkeypatch.setattr(CycloNum, "__mul__", spy)
+    assert build_group.__wrapped__(parse_descriptor("bd:6")).order == 24
+    assert zeros == []
+
+
 @pytest.mark.parametrize("label", [label for label, _ in ADE_EXPECTATIONS])
 def test_products_inverses_and_minus_identity_match_matrices(label):
     """Pin mul, inverse and minus_identity to direct Mat2 arithmetic."""

@@ -160,6 +160,31 @@ def test_molien_route_multiplies_no_cyclotomic_numbers(monkeypatch):
     assert again.to_json(12) == expected
 
 
+@pytest.mark.parametrize("label, distinct", [("cyclic:12", 7), ("cyclic:60", 31)])
+def test_each_distinct_numerator_is_reduced_and_expanded_once(label, distinct, monkeypatch):
+    g, t = built(label)[:2] if label in ALL_GROUPS else wide(label)
+    m = molien_matrices(g, t)
+    assert len({num for row in m.P for num in row}) == distinct
+    series, reduce, expanded, reduced = molien._series, molien.RatFunc, [], []
+
+    def count_series(num, *args):
+        expanded.append(num)
+        return series(num, *args)
+
+    def count_reductions(num, den):
+        if tuple(den) != (1,):
+            reduced.append(tuple(num))
+        return reduce(num, den)
+
+    monkeypatch.setattr(molien, "_series", count_series)
+    monkeypatch.setattr(molien, "RatFunc", count_reductions)
+    m.to_json(12)
+    assert m.S == tuple(tuple(reduce(num, [m.order * c for c in m.delta]) for num in row)
+                        for row in m.P)
+    assert sorted(expanded) == sorted(reduced) == sorted(set(reduced))
+    assert len(reduced) == distinct
+
+
 # The perturbed entry of S(t) * E(-t) is 1 - t S_00(t).
 PERTURBED_WITNESSES = {
     "cyclic:2": "(1 + -1*t + -2*t^2 + -1*t^3 + t^4) / (1 + -2*t^2 + t^4)",
