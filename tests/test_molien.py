@@ -162,6 +162,8 @@ def test_molien_route_multiplies_no_cyclotomic_numbers(monkeypatch):
 
 @pytest.mark.parametrize("label, distinct", [("cyclic:12", 7), ("cyclic:60", 31)])
 def test_each_distinct_numerator_is_reduced_and_expanded_once(label, distinct, monkeypatch):
+    """`to_json` reduces and expands each distinct numerator of P once, and
+    `S` afterwards reads the same reductions."""
     g, t = built(label)[:2] if label in ALL_GROUPS else wide(label)
     m = molien_matrices(g, t)
     assert len({num for row in m.P for num in row}) == distinct
