@@ -8,6 +8,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -344,4 +345,119 @@ def test_verify_table_rejects_wrong_defining_traces():
     t = dixon_character_table(group("2T"))
     t, g = _tampered("2T", defining_values=t.values[1])
     with pytest.raises(ConsistencyError, match="defining character"):
+        verify_table(t, g)
+
+
+# The group-ring check `verify_table` made before it read its sums through a
+# ring map Z[z_N] -> Z/ell: each value as (power, coefficient) pairs in
+# Z[x]/(x^N - 1), both orthogonality relations summed there and reduced
+# modulo the N-th cyclotomic polynomial (by the CycloNum constructor), then
+# the trace, class-size, exponent and Galois checks.  The oracle of the
+# differential test below.
+
+def _ring_row(row, n):
+    if any(v.den != 1 or n % v.conductor for v in row):
+        return None
+    return [[(e * (n // v.conductor), c) for e, c in enumerate(v.num) if c] for v in row]
+
+
+def _ring_sum(xs, ys, weights, n):
+    acc = [0] * n
+    for x, y, w in zip(xs, ys, weights):
+        for a, u in x:
+            for b, v in y:
+                acc[(a - b) % n] += w * u * v
+    return CycloNum(n, acc)
+
+
+def group_ring_accepts(t, g) -> bool:
+    order, n, k = g.order, t.exponent, len(t.class_sizes)
+    if sum(d * d for d in t.dims) != order:
+        return False
+    rows = []
+    for i, row in enumerate(t.values):
+        if len(row) != k or row[0] != t.dims[i] or _ring_row(row, n) is None:
+            return False
+        rows.append(_ring_row(row, n))
+    if any(_ring_sum(rows[i], rows[j], t.class_sizes, n) != (order if i == j else 0)
+           for i in range(len(rows)) for j in range(i, len(rows))):
+        return False
+    columns = list(zip(*rows))
+    if any(_ring_sum(columns[a], columns[b], [1] * len(rows), n)
+           != (order // t.class_sizes[a] if a == b else 0)
+           for a in range(k) for b in range(a, k)):
+        return False
+    if t.defining_values != g.traces():
+        return False
+    if (t.class_sizes, n) != (g.conjugacy_classes().sizes, g.exponent()):
+        return False
+    powers = g.power_classes()
+    return all(row[c].galois(a) == row[classes[a % len(classes)]]
+               for a in range(2, n) if gcd(a, n) == 1
+               for row in t.values for c, classes in enumerate(powers))
+
+
+def _tamperings(t):
+    """Tables one edit away from t: each value negated, plus 1, times z_3 or
+    conjugated; each row conjugated, dropped or duplicated (with its
+    dimension); each pair of columns swapped in every row."""
+    z3 = CycloNum.root_of_unity(3)
+    for i, row in enumerate(t.values):
+        for c, v in enumerate(row):
+            for new in (-v, v + 1, v * z3, v.conj()):
+                yield {"values": _with_value(t, i, c, new)}
+    for i, row in enumerate(t.values):
+        rows, dims = list(t.values), list(t.dims)
+        yield {"values": tuple(rows[:i] + [tuple(v.conj() for v in row)] + rows[i + 1:])}
+        yield {"values": tuple(rows[:i] + rows[i + 1:]), "dims": tuple(dims[:i] + dims[i + 1:])}
+        yield {"values": tuple(rows[:i + 1] + rows[i:]), "dims": tuple(dims[:i + 1] + dims[i:])}
+    k = len(t.class_sizes)
+    for a in range(k):
+        for b in range(a + 1, k):
+            swap = [*range(k)]
+            swap[a], swap[b] = b, a
+            yield {"values": tuple(tuple(row[s] for s in swap) for row in t.values)}
+
+
+def _verify_accepts(t, g) -> bool:
+    try:
+        verify_table(t, g)
+    except ConsistencyError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("label", ["cyclic:5", "cyclic:12", "bd:3", "2T", "2I"])
+def test_verify_table_accepts_exactly_what_the_group_ring_accepts(label):
+    g = group(label)
+    t = dixon_character_table(g)
+    verdicts = [(_verify_accepts(bad, g), group_ring_accepts(bad, g))
+                for bad in (dataclasses.replace(t, **edit) for edit in _tamperings(t))]
+    assert all(new == old for new, old in verdicts)
+    assert {old for _, old in verdicts} == {True, False}
+
+
+def test_verify_table_and_the_group_ring_accept_the_battery():
+    for label, _ in ADE_EXPECTATIONS:
+        g = group(label)
+        t = dixon_character_table(g)
+        assert group_ring_accepts(t, g) and _verify_accepts(t, g)
+
+
+# The modulus a ring map bounded by the dimensions alone, |G| max(d)^2,
+# would run at on each group's exponent.
+DIMS_ONLY_MODULUS = {"cyclic:2": 5, "bd:2": 65, "2T": 4033}
+
+
+@pytest.mark.parametrize("label", sorted(DIMS_ONLY_MODULUS))
+def test_a_value_wrapped_by_a_dims_only_modulus_is_refused(label):
+    # chi_1(-I) raised by that modulus stays rational, so the Galois check
+    # passes it; every row sum still matches modulo the small modulus, and
+    # only a bound taken from the values themselves sees the change.
+    g = group(label)
+    t = dixon_character_table(g)
+    c = g.conjugacy_classes().class_of[g.minus_identity]
+    bad = _with_value(t, 1, c, t.values[1][c] + DIMS_ONLY_MODULUS[label])
+    t, g = _tampered(label, values=bad)
+    with pytest.raises(ConsistencyError, match="row orthogonality"):
         verify_table(t, g)

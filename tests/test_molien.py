@@ -440,6 +440,20 @@ def test_molien_documents_on_wide_conductors_are_pinned(label):
     assert hashlib.sha256(doc.encode()).hexdigest() == WIDE_DOCUMENT_PINS[label]
 
 
+# sha256 of repr(N), the McKay matrix, on the two wide groups: no golden
+# covers N beyond the six small groups of `tests/golden/`.
+WIDE_MCKAY_PINS = {
+    "bd:30": "6ff204062a5df2e797d1f7656e7db2f0214f89ddfce65139a7f6dbe6d1c45a64",
+    "cyclic:60": "ba4103baefacb4adfdadf2f9739bc5ebb7e5a943b020cff9637d95b6da2020ed",
+}
+
+
+@pytest.mark.parametrize("label", sorted(WIDE_MCKAY_PINS))
+def test_mckay_matrices_on_wide_conductors_are_pinned(label):
+    n = wide(label)[1].mckay_matrix
+    assert hashlib.sha256(repr(n).encode()).hexdigest() == WIDE_MCKAY_PINS[label]
+
+
 @pytest.mark.parametrize("label", ALL_GROUPS + sorted(WIDE_CONDUCTOR_PINS))
 def test_coefficients_fit_the_evaluation_modulus(label, monkeypatch):
     """Every coefficient of |G| P[p][q] is at most |G| d_p d_q 4^(k-1) in
