@@ -6,7 +6,8 @@ p > 2*sqrt(|G|), and the character values are lifted to exact cyclotomic
 numbers by Fourier inversion over the power map.  Dixon's bound makes the
 lift unique, so the resulting table is independent of the prime; a canonical
 row order (trivial character first, then by dimension and lexicographic
-values) makes it deterministic.
+values) makes it deterministic.  `verify_table` and the McKay matrix read
+their class sums through the ring map of `exactnum.ring_map`.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import tempfile
 from dataclasses import dataclass
 from hashlib import sha256
 from math import gcd, isqrt
+from operator import mul
 
 from . import linalg
 from .errors import ConsistencyError
-from .exactnum import CycloNum, cyclo_sort_key, phi_reduce
+from .exactnum import CycloNum, cyclo_sort_key, ring_map, symmetric_residue
 from .groups import MatrixGroup
 
 DEFAULT_SEED = 1
@@ -106,24 +108,27 @@ class CharacterTable:
 
     @functools.cached_property
     def mckay_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Multiplicities n[i][j] of W_i in V (x) W_j, from the class-weighted
-        character average over |G| = sum of the class sizes, summed in the
-        group ring Z[x]/(x^N - 1) of the exponent N as in verify_table;
-        computed once per table."""
-        order, n, k = sum(self.class_sizes), self.exponent, self.count
-        rows = [_ring_row(row, n) for row in self.values]
-        traces = _ring_row(self.defining_values, n)
-        # chi_j * tau on each class, then paired against chi_i.
-        twisted = [[_ring_product(x, tau, n) for x, tau in zip(row, traces)] for row in rows]
+        """Multiplicities n[i][j] of W_i in V (x) W_j: the class sum of
+        chi_j tau conj(chi_i), tau the traces, over |G| = sum of the class
+        sizes, computed once per table through `exactnum.ring_map` at the
+        exponent.  On a table that passed `verify_table` the sum is a
+        rational integer, at most |G| M^2 T in size (M, T the `_largest_norm`
+        of the values and of the traces), so it is its symmetric residue."""
+        order, k = sum(self.class_sizes), self.count
+        bound = order * _largest_norm(*self.values) ** 2 * _largest_norm(self.defining_values)
+        ell, image = ring_map(self.exponent, bound)
+        traces = [image(tau) for tau in self.defining_values]
+        twisted = [[size * image(x) * tau for size, x, tau in
+                    zip(self.class_sizes, row, traces)] for row in self.values]
+        conj = [[image(x, -1) for x in row] for row in self.values]
         out = [[0] * k for _ in range(k)]
         for i in range(k):
             for j in range(i, k):
-                total = _ring_sum(twisted[j], rows[i], self.class_sizes, n)
-                if any(total[1:]) or total[0] < 0 or total[0] % order:
-                    raise ConsistencyError(
-                        f"multiplicity ({i},{j}) is not a nonnegative integer: "
-                        f"{total} / {order} on the power basis of Q(z_{n})")
-                out[i][j] = out[j][i] = total[0] // order
+                total = symmetric_residue(sum(map(mul, twisted[j], conj[i])), ell)
+                if total < 0 or total % order:
+                    raise ConsistencyError(f"multiplicity ({i},{j}) is not a "
+                                           f"nonnegative integer: {total} / {order}")
+                out[i][j] = out[j][i] = total // order
         return tuple(map(tuple, out))
 
     def to_json(self) -> dict:
@@ -385,41 +390,37 @@ def _canonical_rows(tables, num_classes):
 def verify_table(table: CharacterTable, group: MatrixGroup) -> None:
     """Exact soundness checks; raises ConsistencyError on any failure.
 
-    Both orthogonality relations are summed in the group ring
-    Z[x]/(x^N - 1), N the exponent: each value becomes its (power,
-    coefficient) pairs once, conjugation is x^k -> x^(N-k), and each sum is
-    an integer convolution reduced modulo the N-th cyclotomic polynomial at
-    the end.  The quotient map onto Z[z_N] is a ring homomorphism that
-    commutes with conjugation, so the reduced sums are the exact ones and
-    every check is an identity.  Orthogonality is blind to column order;
-    sigma_a(chi(c)) = chi(c^a) is not.  It is checked for a in a generating
-    set of (Z/N)^x, which implies every unit as sigma_ab = sigma_a sigma_b
-    and (c^b)^a = c^(ab): so every class-weighted sum of the table is
-    Galois-fixed, hence rational."""
-    order = group.order
-    n = table.exponent
-    k = len(table.class_sizes)
+    The row relation sum_c |c| chi_i(c) conj(chi_j(c)) = |G| [i = j] is read
+    through the ring map Z[z_N] -> Z/ell of `exactnum.ring_map`, N the
+    exponent, which refuses a value off Z[z_N]; a ring map preserves
+    equality, so a residue that differs refuses the table.  Orthogonality is
+    blind to column order; sigma_a(chi(c)) = chi(c^a) is not.  It is checked
+    for a in a generating set of (Z/N)^x, which implies every unit as
+    sigma_ab = sigma_a sigma_b and (c^b)^a = c^(ab): so every class-weighted
+    sum of the table is Galois-fixed, hence a rational integer, at most
+    |G| M^2 in size, M the `_largest_norm` of the values (the table is
+    outside input: its dims bound nothing).  ell exceeds twice that, so a
+    residue that matches is the exact identity.  With one row per class the
+    relation reads X D X* = |G| I, D the class sizes, so X* X = |G| D^-1:
+    the column relation."""
+    order, n, k = group.order, table.exponent, len(table.class_sizes)
     if sum(d * d for d in table.dims) != order:
         raise ConsistencyError("sum of squared dimensions != |G|")
-    rows = []
     for i, row in enumerate(table.values):
         if len(row) != k:
             raise ConsistencyError("a character row does not have one value per class")
         if row[0] != table.dims[i]:
             raise ConsistencyError("character at identity != dimension")
-        rows.append(_ring_row(row, n))
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            expected = order if i == j else 0
-            if _ring_sum(rows[i], rows[j], table.class_sizes, n) != phi_reduce([expected], n):
+    ell, image = ring_map(n, order * _largest_norm(*table.values) ** 2)
+    weighted = [[size * image(v) for size, v in zip(table.class_sizes, row)]
+                for row in table.values]
+    conj = [[image(v, -1) for v in row] for row in table.values]
+    for i, row in enumerate(weighted):
+        for j in range(i, len(conj)):
+            if sum(map(mul, row, conj[j])) % ell != (order if i == j else 0):
                 raise ConsistencyError(f"row orthogonality fails at ({i}, {j})")
-    # Column orthogonality against centralizer orders.
-    columns = list(zip(*rows))
-    for a in range(k):
-        for b in range(a, k):
-            expected = order // table.class_sizes[a] if a == b else 0
-            if _ring_sum(columns[a], columns[b], [1] * len(rows), n) != phi_reduce([expected], n):
-                raise ConsistencyError(f"column orthogonality fails at ({a}, {b})")
+    if len(table.values) != k:
+        raise ConsistencyError("the table does not have one row per class")
     if table.defining_values != group.traces():
         raise ConsistencyError("stored defining character != matrix traces")
     if (table.class_sizes, n) != (group.conjugacy_classes().sizes, group.exponent()):
@@ -436,35 +437,10 @@ def verify_table(table: CharacterTable, group: MatrixGroup) -> None:
                                            f"at class {c} != its value at class {c}^{a}")
 
 
-def _ring_row(row, n):
-    """Each value of a row as its (power, coefficient) pairs in
-    Z[x]/(x^n - 1).  Z[z_n] has the power basis, so integrality is a unit
-    denominator."""
-    if any(v.den != 1 or n % v.conductor for v in row):
-        raise ConsistencyError("character value is not an algebraic integer of "
-                               "Q(z_N), N the exponent")
-    return [[(e * (n // v.conductor), c) for e, c in enumerate(v.num) if c] for v in row]
-
-
-def _ring_product(xs, ys, n):
-    """Product of two elements of Z[x]/(x^n - 1) given as (power,
-    coefficient) pairs."""
-    acc = {}
-    for a, u in xs:
-        for b, v in ys:
-            acc[(a + b) % n] = acc.get((a + b) % n, 0) + u * v
-    return [(e, c) for e, c in acc.items() if c]
-
-
-def _ring_sum(xs, ys, weights, n):
-    """sum of w * x * conj(y) over Z[x]/(x^n - 1), reduced modulo the n-th
-    cyclotomic polynomial; x and y are lists of (power, coefficient)."""
-    acc = [0] * n
-    for x, y, w in zip(xs, ys, weights):
-        for a, u in x:
-            for b, v in y:
-                acc[(a - b) % n] += w * u * v
-    return phi_reduce(acc, n)
+def _largest_norm(*rows) -> int:
+    """The largest l1 norm of the power-basis numerators of the values in
+    the rows, a bound on the size of each under every complex embedding."""
+    return max((sum(map(abs, v.num)) for row in rows for v in row), default=0)
 
 
 # ---------------------------------------------------------------------------

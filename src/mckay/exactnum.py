@@ -18,6 +18,10 @@ products here.  A rational function is built from two integer polynomials
 and reduced to its normal form by their gcd from the primitive
 pseudo-remainder sequence; its denominator is made monic by dividing by its
 leading coefficient, with a Fraction only where that leaves a remainder.
+
+Every class-weighted character sum (a table's row relation, the McKay
+matrix, the Molien average) is read through one ring map Z[z_L] -> Z/ell,
+`ring_map`, on ints.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import functools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import ConsistencyError, PreconditionError, ResourceLimitError
 from . import linalg
 
 #: Largest supported cyclotomic conductor.  The binary icosahedral group needs
@@ -139,7 +143,7 @@ def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return len(coeffs) - 1, tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
 
 
-def phi_reduce(vec: list[int], n: int) -> tuple[int, ...]:
+def _phi_reduce(vec: list[int], n: int) -> tuple[int, ...]:
     """Reduce an integer coefficient vector in z_n modulo the n-th cyclotomic
     polynomial and pad to length phi(n).  Works in place on `vec`."""
     deg, terms = _phi_terms(n)
@@ -152,12 +156,6 @@ def phi_reduce(vec: list[int], n: int) -> tuple[int, ...]:
     if len(vec) < deg:
         vec.extend([0] * (deg - len(vec)))
     return tuple(vec[:deg])
-
-
-def cyclo_times(a, b, n: int) -> tuple[int, ...]:
-    """Product of two integer vectors in z_n, reduced modulo the n-th
-    cyclotomic polynomial."""
-    return phi_reduce(convolve(a, b), n)
 
 
 def _check_conductor(n: int) -> None:
@@ -210,7 +208,7 @@ class CycloNum:
         vec = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in vec))
         num = [c.numerator * (den // c.denominator) for c in vec]
-        _store(self, conductor, phi_reduce(num, conductor), den)
+        _store(self, conductor, _phi_reduce(num, conductor), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNum is immutable")
@@ -234,7 +232,7 @@ class CycloNum:
         k %= n
         vec = [0] * (k + 1)
         vec[k] = 1
-        return _make(n, phi_reduce(vec, n), 1)
+        return _make(n, _phi_reduce(vec, n), 1)
 
     # -- conductor plumbing -------------------------------------------------
 
@@ -247,7 +245,7 @@ class CycloNum:
         for k, c in enumerate(self.num):
             if c:
                 vec[k * step] = c
-        return phi_reduce(vec, m)
+        return _phi_reduce(vec, m)
 
     def _unify(self, other: CycloNum) -> tuple[int, tuple, tuple]:
         a, b = self.conductor, other.conductor
@@ -309,7 +307,7 @@ class CycloNum:
         if not isinstance(other, CycloNum):
             return NotImplemented
         n, a, b = self._unify(other)
-        return _make(n, cyclo_times(a, b, n), self.den * other.den)
+        return _make(n, _phi_reduce(convolve(a, b), n), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -324,7 +322,7 @@ class CycloNum:
         for k, c in enumerate(self.num):
             if c:
                 vec[(k * a) % n] = c
-        return _make(n, phi_reduce(vec, n), self.den)
+        return _make(n, _phi_reduce(vec, n), self.den)
 
     def conj(self) -> CycloNum:
         """Complex conjugation: z -> z^(N-1)."""
@@ -435,6 +433,31 @@ def cyclo_sort_key(value: CycloNum):
     """Total order key for cyclotomic numbers (canonical conductor first)."""
     n, coeffs = value.canonical()
     return (n,) + coeffs
+
+
+def ring_map(conductor: int, bound: int):
+    """(ell, image) for the ring map Z[z_L] -> Z/ell, z_L -> omega = 2^b for
+    the least b >= 1 with ell = |Phi_L(omega)| above 2 bound, L the
+    conductor: Phi_L(omega) = 0 mod ell, so the map is well defined, and a
+    rational integer below ell / 2 in size is its `symmetric_residue`.
+    `image(v)` is v mod ell and `image(v, -1)` the image of v's complex
+    conjugate; a value off Z[z_L] is refused."""
+    phi, b = cyclotomic_polynomial(conductor), 1
+    while (ell := abs(sum(c << (b * j) for j, c in enumerate(phi)))) <= 2 * bound:
+        b += 1
+    powers = [pow(2, b * j, ell) for j in range(conductor)]
+
+    def image(value: CycloNum, sign: int = 1) -> int:
+        if value.den != 1 or conductor % value.conductor:
+            raise ConsistencyError(f"{value!r} is not an algebraic integer of Q(z_{conductor})")
+        step = sign * conductor // value.conductor
+        return sum(c * powers[j * step % conductor] for j, c in enumerate(value.num) if c) % ell
+    return ell, image
+
+
+def symmetric_residue(x: int, ell: int) -> int:
+    """The integer of least size congruent to x mod ell."""
+    return (x + ell // 2) % ell - ell // 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ equivariant Hom-dimension calculator every later module leans on.
 
 For a 2x2 unimodular g both eigenvalues are determined by the trace, so
 det(1 - g^{-1} t) = 1 - tr(g) t + t^2 needs no eigenvalue case analysis at
-+-1.  The Molien average for S(t) is taken through one ring map
-Z[z_L] -> Z/ell, z_L -> omega = 2^b and ell = |Phi_L(omega)|, L the lcm of
-the conductors of the character values and the traces.  `verify_table`
++-1.  The Molien average for S(t) is taken through the ring map
+Z[z_L] -> Z/ell of `exactnum.ring_map`, the one the table's row relation
+and McKay matrix are read through, L the lcm of the conductors of the
+character values and the traces.  `verify_table`
 checks sigma_a(chi(c)) = chi(c^a), so sigma_a permutes the classes and the
 distinct traces and fixes every coefficient of |G| P and delta: each is a
 rational integer, below ell / 2 in size (`molien_matrices`), so it is its
@@ -41,7 +42,7 @@ from operator import mul
 
 from .chartab import CharacterTable
 from .errors import ConsistencyError
-from .exactnum import CycloNum, RatFunc, cyclotomic_polynomial, trim
+from .exactnum import RatFunc, ring_map, symmetric_residue, trim
 from .groups import MatrixGroup
 from .linalg import matmul
 
@@ -130,45 +131,27 @@ def _series(num: list[int], delta: list[int], degree: int, order: int) -> list[i
     return [q for q, _ in quotients]
 
 
-def _evaluation(conductor: int, bound: int) -> tuple[int, int]:
-    """(omega, ell), omega = 2^b for the least b >= 1 with ell = |Phi_L(omega)|
-    above 2 bound, L the conductor: Phi_L(omega) = 0 mod ell, so z_L -> omega
-    is a ring map Z[z_L] -> Z/ell."""
-    phi, b = cyclotomic_polynomial(conductor), 1
-    while (ell := abs(sum(c << (b * j) for j, c in enumerate(phi)))) <= 2 * bound:
-        b += 1
-    return 1 << b, ell
-
-
 def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices:
     """S(t) as the Molien average over the common denominator, one factor
     1 - tau t + t^2 for each of the k distinct traces tau, through the ring
-    map Z[z_L] -> Z/ell of `_evaluation`, L the lcm of the conductors of the
-    values and the traces.  Each value, conjugate and trace is mapped once;
-    each entry pairs the class-size weights of one trace's classes with its
-    partial product delta / (1 - tau t + t^2), packed at a bit width no sum
-    of k products of residues reaches, in one integer dot product.  Under
-    every complex embedding |tau| <= 2 and |chi_p(c)| <= d_p, so a
-    coefficient of |G| P[p][q] is at most |G| d_p d_q 4^(k-1) and one of
-    delta at most 4^k.  ell exceeds twice both, so each coefficient, a
-    rational integer on a table that passed `verify_table`, is its symmetric
-    residue.  Only P[p][q] with q >= p is computed and copied to P[q][p]:
-    each tau is real, so P[q][p] is the conjugate of P[p][q], and both are
-    rational.  E(t) = Id + N t + Id t^2 is read off the McKay matrix N."""
+    map Z[z_L] -> Z/ell of `exactnum.ring_map`, L the lcm of the conductors
+    of the values and the traces.  Each value, conjugate and trace is mapped
+    once; each entry pairs the class-size weights of one trace's classes
+    with its partial product delta / (1 - tau t + t^2), packed at a bit
+    width no sum of k products of residues reaches, in one integer dot
+    product.  Under every complex embedding |tau| <= 2 and
+    |chi_p(c)| <= d_p, so a coefficient of |G| P[p][q] is at most
+    |G| d_p d_q 4^(k-1) and one of delta at most 4^k.  ell exceeds twice
+    both, so each coefficient, a rational integer on a table that passed
+    `verify_table`, is read back as its `symmetric_residue`.  Only P[p][q]
+    with q >= p is computed and copied to P[q][p]: each tau is real, so
+    P[q][p] is the conjugate of P[p][q], and both are rational.
+    E(t) = Id + N t + Id t^2 is read off the McKay matrix N."""
     conductor = lcm(*(v.conductor for row in (*table.values, table.defining_values)
                       for v in row))
     traces = list(dict.fromkeys(table.defining_values))
     slot, k = [traces.index(tau) for tau in table.defining_values], len(traces)
-    omega, ell = _evaluation(conductor, max(group.order * max(table.dims) ** 2, 4) * 4 ** (k - 1))
-    powers, half = [pow(omega, j, ell) for j in range(conductor)], ell // 2
-
-    def image(value: CycloNum, sign: int = 1) -> int:
-        """The value mod ell, or with sign -1 its complex conjugate."""
-        if value.den != 1:
-            raise ConsistencyError("a character value or trace is not an algebraic integer")
-        step = sign * conductor // value.conductor
-        return sum(c * powers[j * step % conductor] for j, c in enumerate(value.num)) % ell
-
+    ell, image = ring_map(conductor, max(group.order * max(table.dims) ** 2, 4) * 4 ** (k - 1))
     taus, delta = [image(tau) for tau in traces], [1]
     for tau in taus:
         delta = [(a - tau * b + c) % ell
@@ -191,14 +174,14 @@ def molien_matrices(group: MatrixGroup, table: CharacterTable) -> MolienMatrices
             for s, x, y in zip(slot, row, conj[q]):
                 by_trace[s] += x * y
             acc = sum(x % ell * part for x, part in zip(by_trace, packed))
-            entry = trim(((acc >> i & mask) + half) % ell - half for i in shifts)
+            entry = trim(symmetric_residue(acc >> i & mask, ell) for i in shifts)
             if (entry[0] if entry else 0) != (group.order if p == q else 0):  # delta(0) = 1
                 raise ConsistencyError("S(0) is not the identity matrix")
             p_rows[p][q] = p_rows[q][p] = entry
     e_rows = tuple(tuple(trim([int(p == q), x, int(p == q)]) for q, x in enumerate(row))
                    for p, row in enumerate(table.mckay_matrix))
     return MolienMatrices(P=tuple(map(tuple, p_rows)),
-                          delta=trim((c + half) % ell - half for c in delta),
+                          delta=trim(symmetric_residue(c, ell) for c in delta),
                           E=e_rows, order=group.order)
 
 

@@ -17,7 +17,7 @@ from mckay.chartab import _eigenvalues as eigenvalues
 from mckay.chartab import (character_table, class_constants, dixon_character_table,
                            dixon_prime, verify_table, CharacterTable)
 from mckay.errors import ConsistencyError
-from mckay.exactnum import CycloNum
+from mckay.exactnum import CycloNum, ring_map
 from mckay.groups import build_group, parse_descriptor
 from mckay.molien import molien_matrices
 from mckay.verify import ADE_EXPECTATIONS
@@ -325,11 +325,11 @@ def test_a_value_off_by_a_cube_root_of_unity_is_refused(label):
 def test_verify_table_rejects_changed_class_size():
     # Split the size-2 class 1 of bd:2 into two classes of size 1 with the
     # same column: every row sum is unchanged, so row orthogonality holds,
-    # and the column relation at the split class fails.
+    # and the 5 rows for 6 classes are refused.
     t = dixon_character_table(group("bd:2"))
     values = tuple(row[:2] + row[1:] for row in t.values)
     t, g = _tampered("bd:2", values=values, class_sizes=(1, 1, 1, 2, 1, 2))
-    with pytest.raises(ConsistencyError, match="column orthogonality"):
+    with pytest.raises(ConsistencyError, match="one row per class"):
         verify_table(t, g)
 
 
@@ -456,6 +456,7 @@ def test_a_value_wrapped_by_a_dims_only_modulus_is_refused(label):
     # only a bound taken from the values themselves sees the change.
     g = group(label)
     t = dixon_character_table(g)
+    assert ring_map(g.exponent(), g.order * max(t.dims) ** 2)[0] == DIMS_ONLY_MODULUS[label]
     c = g.conjugacy_classes().class_of[g.minus_identity]
     bad = _with_value(t, 1, c, t.values[1][c] + DIMS_ONLY_MODULUS[label])
     t, g = _tampered(label, values=bad)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -118,6 +119,19 @@ def test_mckay_matrix_against_character_sum_oracle():
                 c = class_of[x]
                 acc = acc + t.values[i][c].conj() * g.elements[x].trace() * t.values[j][c]
             assert acc.as_rational() == n[i][j] * g.order
+
+
+@pytest.mark.parametrize("label", ["cyclic:3", "bd:2", "2T"])
+def test_mckay_matrix_refuses_a_total_that_is_not_a_multiplicity(label):
+    # Negated traces make every total -|G| n[i][j], read back with its sign;
+    # trace + 1 at the identity adds d_i d_j, which |G| does not divide.
+    _, t = setup(label)
+    negated = tuple(-tau for tau in t.defining_values)
+    with pytest.raises(ConsistencyError, match=r"nonnegative integer: -\d+ / "):
+        dataclasses.replace(t, defining_values=negated).mckay_matrix
+    shifted = (t.defining_values[0] + 1,) + t.defining_values[1:]
+    with pytest.raises(ConsistencyError, match="nonnegative integer"):
+        dataclasses.replace(t, defining_values=shifted).mckay_matrix
 
 
 def test_cyclic_graphs_are_cycles():

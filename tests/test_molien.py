@@ -459,17 +459,18 @@ def test_coefficients_fit_the_evaluation_modulus(label, monkeypatch):
     """Every coefficient of |G| P[p][q] is at most |G| d_p d_q 4^(k-1) in
     size and every one of delta at most 4^k, k the distinct traces; the
     modulus the average ran at exceeds twice the larger, with
-    Phi_L(omega) = 0 mod ell and omega = 2^b for the least such b."""
+    Phi_L(omega) = 0 mod ell for the image omega of z_L, and omega = 2^b
+    for the least such b."""
     g, t = built(label)[:2] if label in ALL_GROUPS else wide(label)
-    evaluation, calls = molien._evaluation, []
+    shared, calls = molien.ring_map, []
 
     def spy(conductor, bound):
-        calls.append((conductor, bound, *evaluation(conductor, bound)))
+        calls.append((conductor, bound, *shared(conductor, bound)))
         return calls[-1][2:]
 
-    monkeypatch.setattr(molien, "_evaluation", spy)
+    monkeypatch.setattr(molien, "ring_map", spy)
     m = molien_matrices(g, t)
-    [(conductor, bound, omega, ell)] = calls
+    [(conductor, bound, ell, image)] = calls
     k = len(set(t.defining_values))
     for p, row in enumerate(m.P):
         for q, num in enumerate(row):
@@ -477,8 +478,15 @@ def test_coefficients_fit_the_evaluation_modulus(label, monkeypatch):
     assert max(map(abs, m.delta)) <= 4 ** k
     assert bound == max(g.order * max(t.dims) ** 2 * 4 ** (k - 1), 4 ** k) and ell > 2 * bound
     phi = cyclotomic_polynomial(conductor)
+    omega = image(CycloNum.root_of_unity(conductor))
     assert sum(c * omega ** j for j, c in enumerate(phi)) % ell == 0
-    assert omega == 2 or abs(sum(c * (omega // 2) ** j for j, c in enumerate(phi))) <= 2 * bound
+
+    def phi_at_power_of_two(b):
+        return abs(sum(c << (b * j) for j, c in enumerate(phi)))
+
+    b = next(b for b in range(1, ell.bit_length() + 1) if phi_at_power_of_two(b) == ell)
+    assert omega == pow(2, b, ell)
+    assert b == 1 or phi_at_power_of_two(b - 1) <= 2 * bound
 
 
 def with_value(table, row, col, value):
