@@ -98,7 +98,9 @@ def check_koszul() -> dict:
 def check_chartab_soundness() -> dict:
     """Criterion 3: orthogonality, Galois action, dimension sums, primes.
     `dixon_character_table` verifies every table it returns, the context's
-    and the second prime's, so what is left to check is their equality."""
+    and the second prime's, by the row relation with one row per class,
+    which gives the column relation too (`verify_table`), so what is left
+    to check is their equality."""
     witness = []
     for label, _ in ADE_EXPECTATIONS:
         group, table, _, _ = context(label)
