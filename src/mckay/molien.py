@@ -6,12 +6,12 @@ det(1 - g^{-1} t) = 1 - tr(g) t + t^2 needs no eigenvalue case analysis at
 +-1.  The Molien average for S(t) is taken through the ring map
 Z[z_L] -> Z/ell of `exactnum.ring_map`, the one the table's row relation
 and McKay matrix are read through, L the lcm of the conductors of the
-character values and the traces.  `verify_table`
-checks sigma_a(chi(c)) = chi(c^a), so sigma_a permutes the classes and the
-distinct traces and fixes every coefficient of |G| P and delta: each is a
-rational integer, below ell / 2 in size (`molien_matrices`), so it is its
-symmetric residue mod ell.  E(t) is the graded character of the exterior
-algebra of V: Lambda^0 V and Lambda^2 V are trivial and Lambda^1 V = V, so
+character values and the traces.  `verify_table` checks
+sigma_a(chi(c)) = chi(c^a), so sigma_a permutes the classes and the distinct
+traces and fixes every coefficient of |G| P and delta: each is a rational
+integer, below ell / 2 in size (`molien_matrices`), so it is its symmetric
+residue mod ell.  E(t) is the graded character of the exterior algebra of
+V: Lambda^0 V and Lambda^2 V are trivial and Lambda^1 V = V, so
 E(t) = Id + N t + Id t^2 with N the McKay matrix.
 
 Every entry of S(t) is summed over one common denominator
